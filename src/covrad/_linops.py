@@ -1,7 +1,10 @@
-"""Internal helpers: exact F_q linear algebra on small matrices, plus the
-base-p digit expansion that turns F_q-linear maps into F_p matrices so the
-vectorized kernels can run them as float64 BLAS matmuls (all values stay far
-below 2^53, so float arithmetic is exact).
+"""Internal helpers: exact F_q linear algebra on small matrices, a batched
+mod-p Gauss-Jordan over column subsets, and the base-p digit expansion that
+turns F_q-linear maps into F_p matrices so the vectorized kernels can run
+them as BLAS matmuls.  The float matmuls are exact because every value is a
+sum of at most `width` products of residues, below width*(p-1)^2;
+`exact_dtypes` picks float32 when that bound is below 2^24 and float64
+otherwise.
 """
 
 from __future__ import annotations
@@ -45,37 +48,47 @@ def mat_rank(ctx: FieldCtx, rows) -> int:
     return len(mat_rref(ctx, rows)[1])
 
 
-def mat_mul(ctx: FieldCtx, A, B):
-    nb = len(B[0])
-    out = []
-    for row in A:
-        acc = [0] * nb
-        for i, v in enumerate(row):
-            if v:
-                bi = B[i]
-                for j in range(nb):
-                    if bi[j]:
-                        acc[j] = ctx.add(acc[j], ctx.mul(v, bi[j]))
-        out.append(acc)
-    return out
+def subset_reduce(Gd: np.ndarray, gather: np.ndarray, p: int):
+    """Batched Gauss-Jordan mod p: for every row S of `gather` (K column
+    indices of the K x N matrix Gd over F_p), reduce Gd so that its columns
+    S become the identity.
+
+    Returns (ops, singular): ops (C, K, N) int64 holds Gd_S^-1 @ Gd mod p
+    and singular (C,) flags the subsets whose Gd_S is not invertible (their
+    ops rows are meaningless).  Vectorised over subsets; loops over the K
+    pivot columns only.
+    """
+    C, K = gather.shape
+    A = np.broadcast_to(Gd % p, (C,) + Gd.shape).copy()
+    inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
+    singular = np.zeros(C, dtype=bool)
+    b = np.arange(C)
+    for c in range(K):
+        col = A[b, :, gather[:, c]]                    # (C, K)
+        piv = c + np.argmax(col[:, c:] != 0, axis=1)
+        singular |= col[b, piv] == 0
+        row = A[b, piv].copy()
+        A[b, piv] = A[b, c]
+        A[b, c] = row * inv[row[b, gather[:, c]]][:, None] % p
+        f = A[b, :, gather[:, c]]
+        f[:, c] = 0
+        A -= f[:, :, None] * A[:, c:c + 1, :]
+        np.mod(A, p, out=A)
+    return A, singular
 
 
-def mat_inv(ctx: FieldCtx, A):
-    """Inverse of a square matrix, or None if singular."""
-    k = len(A)
-    aug = [list(A[i]) + [1 if j == i else 0 for j in range(k)] for i in range(k)]
-    red, piv = mat_rref(ctx, aug)
-    if piv[:k] != list(range(k)):
-        return None
-    return [row[k:] for row in red[:k]]
-
-
-def solve_right(ctx: FieldCtx, A, b):
-    """Solve x @ A = b for a full-rank square A (returns None if singular)."""
-    inv = mat_inv(ctx, A)
-    if inv is None:
-        return None
-    return mat_mul(ctx, [list(b)], inv)[0]
+def exact_dtypes(width: int, p: int):
+    """(float, int) dtypes that hold every sum of `width` products of
+    residues mod p exactly.  Such sums are at most width*(p-1)^2: float32
+    when that is below 2^24 (its mantissa), float64 below 2^53; int16 below
+    2^15, int32 below 2^31, int64 otherwise.
+    """
+    bound = width * (p - 1) ** 2
+    if bound >= 2**53:
+        raise ValueError(f"sums up to {bound} exceed the float64 mantissa")
+    fdt = np.float32 if bound < 2**24 else np.float64
+    idt = np.int16 if bound < 2**15 else np.int32 if bound < 2**31 else np.int64
+    return fdt, idt
 
 
 # ----------------------------------------------------------------------

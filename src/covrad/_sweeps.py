@@ -6,8 +6,8 @@ Three exact algorithms live here:
   polynomials; for each tail the best agreement A with lower-degree
   polynomials (and, for PRS, the set of degree-(k-1) coefficients realizing
   it) determines every error distance in the coset.  Candidate polynomials
-  come from interpolation on k-point subsets, batched as float64 matmuls on
-  base-p digit vectors (exact: all values stay far below 2^53).
+  come from decoding on k-point subsets, batched as float32 matmuls on
+  base-p digit vectors (exact while k*a*(p-1)^2 < 2^24; float64 beyond).
 
 * a syndrome coset-leader BFS for arbitrary linear codes: words are
   enumerated by increasing weight and their syndromes marked; the radius is
@@ -32,7 +32,6 @@ import numpy as np
 
 from . import _linops
 from .gf import FieldCtx, field_create
-from .poly import lagrange_basis
 
 CHUNK = 1 << 16
 DEEP_CANDIDATE_CAP = 5_000_000
@@ -45,41 +44,40 @@ DEEP_CANDIDATE_CAP = 5_000_000
 _SUBSET_OPS_CACHE: dict = {}
 
 
-def _horner(ctx, coeffs, x):
-    y = 0
-    for c in reversed(coeffs):
-        y = ctx.add(ctx.mul(y, x), c)
-    return y
+def subset_ops(ctx: FieldCtx, G: tuple, m: int):
+    """Subset-decoding operators of a k x n generator G over F_q (a tuple of
+    row tuples): for every k-subset S of the first m columns, in
+    itertools.combinations order, the digit operator G_S^-1 @ G that maps a
+    codeword's values on S to its values on all n columns.
 
-
-def subset_ops(ctx: FieldCtx, D: tuple, k: int):
-    """For every k-subset S of points: the digit operators mapping values on
-    S to (candidate values at all points, coefficient of x^(k-1)).
-
-    Returns (col_gather, W, CW): col_gather (C, k*a) digit-column indices,
-    W (C, k*a, n*a) and CW (C, k*a, a) as float64.
+    Returns (col_gather, ops, singular): col_gather (C, k*a) digit-column
+    indices of S; ops (C, k*a, n*a), float32 when k*a*(p-1)^2 < 2^24 (then
+    every digit matmul against it is exact) and float64 otherwise; singular
+    (C,) flags the subsets whose columns are dependent.  Cached per
+    (ctx, G, m); a cache hit returns the same tuple.
     """
-    key = (ctx, D, k)
-    ops = _SUBSET_OPS_CACHE.get(key)
-    if ops is not None:
-        return ops
-    n, a = len(D), ctx.a
-    subs = list(itertools.combinations(range(n), k))
-    col_gather = np.empty((len(subs), k * a), dtype=np.int64)
-    W = np.empty((len(subs), k * a, n * a), dtype=np.float32)
-    CW = np.empty((len(subs), k * a, a), dtype=np.float32)
-    for si, S in enumerate(subs):
-        pts = tuple(D[i] for i in S)
-        basis = lagrange_basis(ctx, pts)
-        vmat = [[_horner(ctx, basis[j], D[t]) for t in range(n)] for j in range(k)]
-        cvec = [[basis[j][k - 1] if k - 1 < len(basis[j]) else 0] for j in range(k)]
-        W[si] = _linops.digit_expand(ctx, vmat)
-        CW[si] = _linops.digit_expand(ctx, cvec)
-        for j in range(k):
-            col_gather[si, j * a:(j + 1) * a] = np.arange(S[j] * a, (S[j] + 1) * a)
-    ops = (col_gather, W, CW)
-    _SUBSET_OPS_CACHE[key] = ops
-    return ops
+    key = (ctx, G, m)
+    stack = _SUBSET_OPS_CACHE.get(key)
+    if stack is not None:
+        return stack
+    k, a = len(G), ctx.a
+    subs = np.array(list(itertools.combinations(range(m), k)),
+                    dtype=np.int64).reshape(-1, k)
+    col_gather = (subs[:, :, None] * a + np.arange(a)).reshape(len(subs), k * a)
+    red, singular = _linops.subset_reduce(_linops.digit_expand(ctx, G),
+                                          col_gather, ctx.p)
+    fdt, _ = _linops.exact_dtypes(k * a, ctx.p)
+    stack = (col_gather, red.astype(fdt), singular)
+    _SUBSET_OPS_CACHE[key] = stack
+    return stack
+
+
+def _sweep_generator(ctx: FieldCtx, D: tuple, k: int) -> tuple:
+    """PRS-form generator: Vandermonde rows over D plus the column e_(k-1),
+    so a codeword's last coordinate is its x^(k-1) coefficient (for PRS
+    codes this is code.G)."""
+    return tuple(tuple(ctx.pow(x, i) for x in D) + (int(i == k - 1),)
+                 for i in range(k))
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +176,10 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
     contribution falls below the running maximum are dropped early.
     """
     n, a, q, p = len(D), ctx.a, ctx.q, ctx.p
-    col_gather, W, CW = subset_ops(ctx, D, k)
+    col_gather, ops, _ = subset_ops(ctx, _sweep_generator(ctx, D, k), n)
+    _, idt = _linops.exact_dtypes(k * a, p)
+    na = n * a
+    enc = p ** np.arange(a, dtype=np.int64)
     fullmask = (1 << q) - 1
     extra = 1 if prs else 0  # contribution is at most n + extra - bestA
 
@@ -188,44 +189,25 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
     truncated = False
 
     for plan in plans:
-        if isinstance(plan, tuple):  # ("explicit", [tails])
-            tails = plan[1]
-            dt = ctx.digit_table()
-            u = np.zeros((len(tails), n * a), dtype=np.float32)
-            for r, tail in enumerate(tails):
-                vals = [_horner(ctx, list(tail), x) for x in D]
-                u[r] = dt[vals].reshape(-1)
-            batches = [(u, None, tails)]
-        else:
-            batches = _plan_batches(ctx, D, plan, chunk)
-
-        for u, coeffs, tails in batches:
+        for u, coeffs in _plan_batches(ctx, D, plan, chunk):
             rows = len(u)
             cosets += rows
-            u8 = u.astype(np.int16)
+            u8 = u.astype(idt)
             bestA = np.zeros(rows, dtype=np.int16)
             vmask = np.zeros(rows, dtype=np.int64)
             alive = None  # original row positions after compaction
-            for si in range(len(W)):
+            for si in range(len(ops)):
                 us = u[:, col_gather[si]]
-                cand = us @ W[si]
-                ci = cand.astype(np.int16)
+                ci = (us @ ops[si]).astype(idt)
                 np.mod(ci, p, out=ci)
-                eq = ci == u8
+                eq = ci[:, :na] == u8
                 if a > 1:
                     agree = eq.reshape(len(u), n, a).all(axis=2).sum(
                         axis=1, dtype=np.int16)
                 else:
                     agree = eq.sum(axis=1, dtype=np.int16)
                 if prs:
-                    cd = us @ CW[si]
-                    cdi = cd.astype(np.int64)
-                    np.mod(cdi, p, out=cdi)
-                    if a > 1:
-                        cenc = cdi @ (ctx.p ** np.arange(a, dtype=np.int64))
-                    else:
-                        cenc = cdi[:, 0]
-                    bits = np.left_shift(1, cenc)
+                    bits = np.left_shift(1, ci[:, na:] @ enc)
                     upd = agree > bestA
                     np.maximum(bestA, agree, out=bestA)
                     hit = agree == bestA
@@ -234,7 +216,7 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
                 else:
                     np.maximum(bestA, agree, out=bestA)
                 if (gmax >= 0 and len(u) > 2048 and si % COMPACT_EVERY
-                        == COMPACT_EVERY - 1 and si + 1 < len(W)):
+                        == COMPACT_EVERY - 1 and si + 1 < len(ops)):
                     # a row can still reach gmax only if n+extra-bestA >= gmax
                     keep = bestA <= n + extra - gmax
                     if not keep.all():
@@ -261,11 +243,8 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
                     take = take[:max(0, DEEP_CANDIDATE_CAP - len(cands))]
                 for r in take:
                     orig = int(r) if alive is None else int(alive[r])
-                    if tails is not None:
-                        tail = tuple(tails[orig])
-                    else:
-                        tail = _tail_tuple(plan,
-                                           None if coeffs is None else coeffs[orig])
+                    tail = _tail_tuple(plan,
+                                       None if coeffs is None else coeffs[orig])
                     cands.append((tail, int(bestA[r]), int(vmask[r])))
     return SweepOutcome(gmax, cosets, cands, truncated)
 
@@ -273,8 +252,7 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
 def _plan_batches(ctx, D, plan, chunk):
     for s in range(plan.start, plan.end, chunk):
         idx = np.arange(s, min(s + chunk, plan.end))
-        u, coeffs = _tail_values_digits(ctx, D, plan, idx)
-        yield u, coeffs, None
+        yield _tail_values_digits(ctx, D, plan, idx)
 
 
 # ----------------------------------------------------------------------
@@ -282,12 +260,9 @@ def _plan_batches(ctx, D, plan, chunk):
 # ----------------------------------------------------------------------
 
 def _worker(args):
-    (p, a, modulus, D, k, prs, plan_spec, start, end, collect, floor) = args
+    (p, a, modulus, D, k, prs, fixed, free, start, end, collect, floor) = args
     ctx = field_create(p, a, modulus)
-    if plan_spec[0] == "explicit":
-        plans = [plan_spec]
-    else:
-        plans = [TailPlan(plan_spec[1], plan_spec[2], ctx.q, start, end)]
+    plans = [TailPlan(fixed, free, ctx.q, start, end)]
     return profile_sweep(ctx, tuple(D), k, prs=prs, plans=plans,
                          collect=collect, floor=floor)
 
@@ -296,9 +271,8 @@ def measured_floor(ctx: FieldCtx, D: tuple, k: int, prs: bool) -> int:
     """Contribution of one cheap coset (the x^k tail, or the zero tail when
     k is the maximal degree): a measured lower bound for the sweep maximum
     that lets it drop hopeless rows early."""
-    tail = (0,) * k + (1,) if k < len(D) else ()
-    out = profile_sweep(ctx, D, k, prs=prs, plans=[("explicit", [tail])],
-                        collect=False)
+    plan = TailPlan({k: 1} if k < len(D) else {}, (), ctx.q)
+    out = profile_sweep(ctx, D, k, prs=prs, plans=[plan], collect=False)
     return out.max_contrib
 
 
@@ -315,14 +289,10 @@ def run_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool, plans,
                              floor=floor)
     tasks = []
     for plan in plans:
-        if isinstance(plan, tuple):
-            tasks.append((ctx.p, ctx.a, ctx.modulus, D, k, prs, plan,
-                          0, 0, collect, floor))
-            continue
         step = max(CHUNK, -(-plan.count // threads))
         for s in range(0, plan.count, step):
             tasks.append((ctx.p, ctx.a, ctx.modulus, D, k, prs,
-                          ("range", plan.fixed, plan.free_degrees),
+                          plan.fixed, plan.free_degrees,
                           s, min(s + step, plan.count), collect, floor))
     with ProcessPoolExecutor(max_workers=threads) as ex:
         outs = list(ex.map(_worker, tasks))

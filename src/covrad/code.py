@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _linops
+from . import _linops, _sweeps
 from .gf import FieldCtx, parse_descriptor
 from .poly import weight
 
@@ -52,8 +52,6 @@ class LinearCode:
         self.label = label or f"[{n},{k}]/F_{ctx.q}"
         self.structure = structure or {"kind": "generic"}
         self._d = None
-        self._mds = None
-        self._subset_stack = None
 
     # ------------------------------------------------------------------
     def encode(self, message) -> tuple:
@@ -245,18 +243,7 @@ def min_distance(code: LinearCode, enum_budget: int = DEFAULT_ENUM_BUDGET) -> in
 
 def is_mds(code: LinearCode) -> bool:
     """True iff every k-column subset of G is invertible (d = n-k+1)."""
-    if code._mds is not None:
-        return code._mds
-    ctx = code.ctx
-    cols = list(zip(*code.G))
-    ok = True
-    for sub in itertools.combinations(range(code.n), code.k):
-        square = [[cols[j][i] for j in sub] for i in range(code.k)]
-        if _linops.mat_rank(ctx, square) != code.k:
-            ok = False
-            break
-    code._mds = ok
-    return ok
+    return not _sweeps.subset_ops(code.ctx, code.G, code.n)[2].any()
 
 
 def codes_equal(c1: LinearCode, c2: LinearCode) -> bool:

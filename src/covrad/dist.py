@@ -9,19 +9,17 @@ words of the coset, canonicalized by (weight, lexicographic) order.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from . import _linops, _sweeps
-from .code import LinearCode, is_mds, min_distance, rs_code
+from .code import DEFAULT_ENUM_BUDGET, LinearCode, is_mds, min_distance, rs_code
 from .gf import FieldCtx
 from .poly import Poly, evaluate_word, hamming, interpolate
 
 DEFAULT_MEM_BUDGET = 10**8
-DEFAULT_ENUM_BUDGET = 10**8
 
 
 # ----------------------------------------------------------------------
@@ -128,27 +126,11 @@ def error_distance_brute(code: LinearCode, word,
 
 
 def _mds_stack(code: LinearCode):
-    """Per-code stack of digit operators u_S -> candidate codeword values."""
-    if code._subset_stack is not None:
-        return code._subset_stack
-    ctx = code.ctx
-    n, k, a = code.n, code.k, ctx.a
-    cols = list(zip(*code.G))
-    subs = list(itertools.combinations(range(n), k))
-    gather = np.empty((len(subs), k * a), dtype=np.int64)
-    ops = np.empty((len(subs), k * a, n * a), dtype=np.float64)
-    for si, S in enumerate(subs):
-        gs = [[cols[j][i] for j in S] for i in range(k)]
-        inv = _linops.mat_inv(ctx, gs)
-        if inv is None:
-            raise ValueError(
-                f"{code.label}: columns {S} are dependent; code is not MDS")
-        proj = _linops.mat_mul(ctx, inv, list(code.G))
-        ops[si] = _linops.digit_expand(ctx, proj)
-        for j in range(k):
-            gather[si, j * a:(j + 1) * a] = np.arange(S[j] * a, (S[j] + 1) * a)
-    code._subset_stack = (gather, ops)
-    return code._subset_stack
+    """(col_gather, ops, singular) subset-decoding stack over all n columns."""
+    stack = _sweeps.subset_ops(code.ctx, code.G, code.n)
+    if stack[2].any():
+        raise ValueError(f"{code.label} is not MDS; use error_distance_brute")
+    return stack
 
 
 def error_distance_mds(code: LinearCode, word):
@@ -161,13 +143,9 @@ def error_distance_mds(code: LinearCode, word):
     if len(word) != code.n:
         raise ValueError(f"word length {len(word)} != n={code.n}")
     ctx = code.ctx
-    try:
-        gather, ops = _mds_stack(code)
-    except ValueError:
-        raise ValueError(
-            f"{code.label} is not MDS; use error_distance_brute") from None
+    gather, ops, _ = _mds_stack(code)
     dt = ctx.digit_table()
-    ud = dt[list(word)].reshape(-1).astype(np.float64)
+    ud = dt[list(word)].reshape(-1).astype(ops.dtype)
     us = ud[gather]                                  # (C, k*a)
     cand = np.einsum("ck,ckn->cn", us, ops)
     np.mod(cand, ctx.p, out=cand)

@@ -127,9 +127,9 @@ def evaluate_word(f: Poly, D) -> tuple:
 # interpolation
 # ----------------------------------------------------------------------
 
-# Per-evaluation-set cache of Lagrange basis coefficient matrices.  The
-# sweeps interpolate over the same D millions of times; the cache is
-# read-only after first use and safe to share.
+# Per-evaluation-set cache of Lagrange basis coefficient matrices for
+# `interpolate`, which coset reduction calls over the same D for every word
+# it reduces; the cache is read-only after first use and safe to share.
 _BASIS_CACHE: dict = {}
 
 

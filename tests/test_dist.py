@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from covrad import dist
+from covrad import _linops, _sweeps, dist
 from covrad.code import (extend_code, from_matrix, glynn_code, is_mds,
                          min_distance, prs_code, rs_code)
 from covrad.dist import (CosetRep, covering_radius, covering_radius_brute,
@@ -13,7 +13,7 @@ from covrad.dist import (CosetRep, covering_radius, covering_radius_brute,
                          nested_max_distance, prs_bound_via_rs,
                          reduce_to_coset_rep)
 from covrad.gf import field_create, field_for_size
-from covrad.poly import Poly, evaluate_word, hamming
+from covrad.poly import Poly, evaluate_word, hamming, lagrange_basis
 
 
 def rand_word(rng, q, n):
@@ -63,14 +63,40 @@ def test_mds_equals_brute_exhaustive_f5():
         assert error_distance_mds(code, w)[0] == error_distance_brute(code, w)[0]
 
 
-@pytest.mark.parametrize("q,k,trials", [(7, 3, 500), (9, 4, 500)])
-def test_mds_equals_brute_random(q, k, trials):
+@pytest.mark.parametrize("make,q,k,trials", [
+    pytest.param(rs_code, 7, 3, 500, id="7-3-500"),
+    pytest.param(rs_code, 9, 4, 500, id="9-4-500"),
+    # a=2 with the extra coordinate, and an MDS G that is not Vandermonde
+    pytest.param(prs_code, 9, 4, 300, id="prs-9-4-300"),
+    pytest.param(lambda ctx, k: glynn_code(ctx), 9, 5, 40, id="glynn-9-5-40"),
+])
+def test_mds_equals_brute_random(make, q, k, trials):
     ctx = field_for_size(q)
-    code = rs_code(ctx, k)
+    code = make(ctx, k)
     rng = random.Random(q * 100 + k)
     for _ in range(trials):
-        w = rand_word(rng, q, q)
+        w = rand_word(rng, q, code.n)
         assert error_distance_mds(code, w)[0] == error_distance_brute(code, w)[0]
+
+
+@pytest.mark.parametrize("q,k", [(7, 3), (9, 3)])
+def test_sweep_operators_match_lagrange_reference(q, k):
+    # row j of the operator for subset S: L_j evaluated on D, then the
+    # x^(k-1) coefficient of L_j (the PRS extra coordinate)
+    ctx = field_for_size(q)
+    code = prs_code(ctx, k)
+    D = ctx.elements()
+    G = _sweeps._sweep_generator(ctx, D, k)
+    assert G == code.G
+    gather, ops, singular = _sweeps.subset_ops(ctx, G, len(D))
+    subs = list(itertools.combinations(range(len(D)), k))
+    assert len(ops) == len(subs) and not singular.any()
+    for si, S in enumerate(subs):
+        basis = [Poly(ctx, c) for c in lagrange_basis(ctx, [D[i] for i in S])]
+        ref = [[L(x) for x in D] + [L.coefficient(k - 1)] for L in basis]
+        assert (ops[si] == _linops.digit_expand(ctx, ref)).all(), S
+        assert gather[si].tolist() == [i * ctx.a + d for i in S
+                                       for d in range(ctx.a)]
 
 
 def test_mds_equals_brute_prs():
@@ -123,6 +149,12 @@ def test_radius_algorithms_agree(kind, q, k):
     if ctx.q ** (code.n + code.k) <= 10**8:
         rhos.add(covering_radius_brute(code).rho)
     assert len(rhos) == 1
+
+
+def test_full_sweep_radius_beyond_int16_products():
+    # k*a*(p-1)^2 = 51*52^2 > 2^15: the kernel residues need int32
+    code = rs_code(field_for_size(53), 51)
+    assert covering_radius_sweep(code, variant="full").rho == 2  # q - k
 
 
 def test_sliced_equals_full_on_f9():
