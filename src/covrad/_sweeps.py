@@ -8,10 +8,12 @@ Three exact algorithms live here:
   it) determines every error distance in the coset.  Candidate polynomials
   come from decoding on k-point subsets, batched as float32 matmuls on
   base-p digit vectors (exact while k*a*(p-1)^2 < 2^24; float64 beyond).
+  The PRS coefficient set is an int64 bitset, so PRS sweeps need q < 64.
 
 * a syndrome coset-leader BFS for arbitrary linear codes: words are
   enumerated by increasing weight and their syndromes marked; the radius is
-  the weight at which the table fills.
+  the weight at which the table fills.  Witness words are kept as digit
+  rows, so their size does not limit q^n.
 
 * a tiny full-space brute force used as an oracle.
 
@@ -174,8 +176,15 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
     `floor` is a measured lower bound for the final maximum (e.g. the
     contribution of one known coset); rows whose best possible remaining
     contribution falls below the running maximum are dropped early.
+
+    For PRS the set of extra-coordinate values that reach the best agreement
+    is an int64 bitset (bit v for value v), exact only while q < 64: a PRS
+    sweep over a larger field raises ValueError.
     """
     n, a, q, p = len(D), ctx.a, ctx.q, ctx.p
+    if prs and q >= 64:
+        raise ValueError(f"PRS sweep over F_{q}: the int64 value bitset "
+                         "needs q < 64; use the syndrome BFS")
     col_gather, ops, _ = subset_ops(ctx, _sweep_generator(ctx, D, k), n)
     _, idt = _linops.exact_dtypes(k * a, p)
     na = n * a
@@ -315,7 +324,7 @@ class BfsOutcome:
     level_counts: list            # syndromes first covered at each weight
     words_examined: int
     deep_syndromes: np.ndarray | None
-    witnesses: np.ndarray | None  # encoded words, aligned with deep_syndromes
+    witnesses: np.ndarray | None  # (len(deep_syndromes), n) word digit rows
 
 
 def syndrome_bfs(code, mem_budget: int, want_witness: bool = False,
@@ -323,7 +332,9 @@ def syndrome_bfs(code, mem_budget: int, want_witness: bool = False,
     """Mark syndromes of all words by increasing weight until covered.
 
     Exact for any linear code; marking is idempotent (first mark wins), so
-    batch order within a weight class cannot change the table.
+    batch order within a weight class cannot change the table.  Witness
+    words are stored as rows of element encodings in the smallest unsigned
+    dtype that holds q-1, so no length or field size can overflow them.
     """
     ctx = code.ctx
     n, q, a, p = code.n, ctx.q, ctx.a, ctx.p
@@ -334,10 +345,10 @@ def syndrome_bfs(code, mem_budget: int, want_witness: bool = False,
             f"syndrome table q^(n-k) = {size} exceeds memory budget "
             f"{mem_budget}; use the representative sweep")
     table = np.full(size, 255, dtype=np.uint8)
-    witness = np.zeros(size, dtype=np.int64) if want_witness else None
+    witness = (np.zeros((size, n), dtype=np.min_scalar_type(q - 1))
+               if want_witness else None)
     enc_w = _linops.encoding_weights(ctx, m).astype(np.float64)
     dt = ctx.digit_table()
-    qpow = q ** np.arange(n, dtype=np.int64)
     Hcols = list(zip(*code.H))
 
     table[0] = 0
@@ -365,8 +376,7 @@ def syndrome_bfs(code, mem_budget: int, want_witness: bool = False,
                 uniq, first = np.unique(ue, return_index=True)
                 table[uniq] = w
                 if want_witness:
-                    witness[uniq] = (vals_enc[unseen][first]
-                                     @ qpow[list(S)])
+                    witness[uniq[:, None], list(S)] = vals_enc[unseen][first]
                 marked += len(uniq)
                 if stop_early and marked >= remaining:
                     break
@@ -376,15 +386,6 @@ def syndrome_bfs(code, mem_budget: int, want_witness: bool = False,
     deep = np.nonzero(table == rho)[0] if rho > 0 else np.array([0])
     wit = witness[deep] if want_witness else None
     return BfsOutcome(rho, level_counts, words, deep, wit)
-
-
-def decode_word(ctx: FieldCtx, encoded: int, n: int) -> tuple:
-    out = []
-    t = int(encoded)
-    for _ in range(n):
-        out.append(t % ctx.q)
-        t //= ctx.q
-    return tuple(out)
 
 
 # ----------------------------------------------------------------------

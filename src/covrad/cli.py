@@ -154,8 +154,7 @@ def cmd_verify(args) -> int:
     qs = tuple(args.q) if args.q else None
     ks = tuple(args.k) if args.k else None
     report = run_verification(args.suite, qs=qs, ks=ks, threads=args.threads,
-                              mem_budget=args.mem_budget,
-                              enum_budget=args.enum_budget)
+                              mem_budget=args.mem_budget)
     if args.format == "csv":
         print("claim_id,q,k,expected,computed,status")
         for c in report["cases"]:
@@ -276,10 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-derive the named claims")
     p.add_argument("suite", choices=["all"] + sorted(verify.SUITES))
     p.add_argument("--q", type=int, action="append",
-                   help="restrict to these field sizes (repeatable)")
+                   help="field sizes to run instead of each suite's default "
+                        "sizes (repeatable)")
     p.add_argument("--k", type=int, action="append",
-                   help="restrict to these dimensions (repeatable)")
-    _add_budgets(p)
+                   help="keep only the cases of these dimensions; cases "
+                        "without a dimension are kept (repeatable)")
+    p.add_argument("--mem-budget", type=int, default=dist.DEFAULT_MEM_BUDGET)
+    p.add_argument("--threads", type=int, default=1)
     _add_format(p)
     p.set_defaults(func=cmd_verify)
     return ap

@@ -52,6 +52,7 @@ class LinearCode:
         self.label = label or f"[{n},{k}]/F_{ctx.q}"
         self.structure = structure or {"kind": "generic"}
         self._d = None
+        self._codewords = None
 
     # ------------------------------------------------------------------
     def encode(self, message) -> tuple:
@@ -89,18 +90,24 @@ class LinearCode:
             yield self.encode(msg)
 
     def codeword_matrix(self, enum_budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
-        """All codewords as a (q^k, n) int array, message-vector order."""
+        """All codewords as a read-only (q^k, n) int array, message-vector
+        order.  Built once per code; the budget is checked on every call."""
         ctx = self.ctx
         total = ctx.q**self.k
         if total > enum_budget:
             raise ValueError(
                 f"q^k = {total} codewords exceeds enumeration budget {enum_budget}")
-        gd = _linops.digit_expand(ctx, self.G).astype(np.float64)
-        # message-vector order: last component varies fastest
-        msgs = _linops.mixed_radix(np.arange(total), ctx.q, self.k)[:, ::-1]
-        md = ctx.digit_table()[msgs].reshape(total, self.k * ctx.a).astype(np.float64)
-        vals = (md @ gd) % ctx.p
-        return _linops.digit_decode_cols(ctx, vals.astype(np.int64), self.n)
+        if self._codewords is None:
+            gd = _linops.digit_expand(ctx, self.G).astype(np.float64)
+            # message-vector order: last component varies fastest
+            msgs = _linops.mixed_radix(np.arange(total), ctx.q, self.k)[:, ::-1]
+            md = ctx.digit_table()[msgs].reshape(
+                total, self.k * ctx.a).astype(np.float64)
+            vals = (md @ gd) % ctx.p
+            cw = _linops.digit_decode_cols(ctx, vals.astype(np.int64), self.n)
+            cw.flags.writeable = False
+            self._codewords = cw
+        return self._codewords
 
     def params(self, enum_budget: int = DEFAULT_ENUM_BUDGET) -> CodeParams:
         d = min_distance(self, enum_budget)

@@ -293,21 +293,18 @@ def covering_radius(code: LinearCode, algo: str = "auto",
 # deep holes
 # ----------------------------------------------------------------------
 
+def _degree_k_family(ctx: FieldCtx, k: int, vs):
+    """Representatives (c*x^k, v) for c != 0 and v in vs (v=None for RS)."""
+    for c in range(1, ctx.q):
+        for v in vs:
+            yield CosetRep(tail=(0,) * k + (c,), v=v)
+
+
 def deep_hole_family_prs(ctx: FieldCtx, k: int):
     """The (q-1)*q representatives (c*x^k, v), c != 0."""
     if not 2 <= k <= ctx.q - 2:
         raise ValueError(f"need 2 <= k <= q-2, got k={k}, q={ctx.q}")
-    for c in range(1, ctx.q):
-        for v in range(ctx.q):
-            yield CosetRep(tail=(0,) * k + (c,), v=v)
-
-
-def _family_reps(code: LinearCode):
-    ctx, kind, k = code.ctx, code.structure["kind"], code.structure["k"]
-    if kind == "rs":
-        return [CosetRep(tail=(0,) * k + (c,)) for c in range(1, ctx.q)]
-    return [CosetRep(tail=(0,) * k + (c,), v=v)
-            for c in range(1, ctx.q) for v in range(ctx.q)]
+    return _degree_k_family(ctx, k, range(ctx.q))
 
 
 def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
@@ -362,8 +359,7 @@ def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
         if rho is not None and rho != out.rho:
             raise ValueError(f"supplied rho={rho} but BFS found {out.rho}")
         rho = out.rho
-        reps = [CosetRep(word=_sweeps.decode_word(ctx, w, code.n))
-                for w in (out.witnesses if out.witnesses is not None else [])]
+        reps = [CosetRep(word=tuple(w)) for w in out.witnesses.tolist()]
         algorithm = "syndrome-bfs"
         notes = []
     else:
@@ -375,9 +371,9 @@ def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
         algorithm=algorithm, elapsed_ms=(time.perf_counter() - t0) * 1e3,
         notes=notes)
     if kind in ("rs", "prs"):
-        fam = _family_reps(code)
-        fs, rs = set(fam), set(reps)
-        report.family_size = len(fam)
+        vs = range(ctx.q) if kind == "prs" else (None,)
+        fs, rs = set(_degree_k_family(ctx, code.structure["k"], vs)), set(reps)
+        report.family_size = len(fs)
         report.matches_degree_k_family = fs == rs
         report.extras = sorted(rs - fs, key=CosetRep.sort_key)
         report.missing_family = sorted(fs - rs, key=CosetRep.sort_key)

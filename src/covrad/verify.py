@@ -1,6 +1,20 @@
 """Named verification cases: each re-derives one checkable claim about the
 covering radii and deep holes of these code families and reports pass/fail.
 
+Every suite is a case table.  A `suite_*` function yields one
+`VerificationCase` row per claim instance: the claim id, a description, the
+parameters (`q`, plus `k` when the claim concerns one dimension), the
+expected value with its source tag, and a `check(case)` callable that
+computes the value and may append notes to the case.  A row without a check
+is reported as skipped.  Rows are cheap to build and the work happens in
+the checks, so a filtered-out row costs nothing.
+
+`run_verification` is the single runner.  It keeps the rows whose `k` is
+among the requested dimensions (rows without a `k` are always kept), times
+each check, and sets the status by one rule: a case passes iff the computed
+value equals the expected one.  A cross-check between two methods that
+disagree returns both values, so the case fails and the report shows them.
+
 Expected values carry a source tag: "published" for values stated in the
 literature for these codes, "conjectured" for open classification claims,
 and "derived" for values fixed by independent computation here.  A failing
@@ -10,14 +24,17 @@ report then carries the counterexample summary.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache, partial
+from typing import Callable
 
 from . import dist, ssp
 from .code import from_matrix, glynn_code, is_mds, min_distance, prs_code, rs_code
-from .dist import (CosetRep, covering_radius_sweep, covering_radius_syndrome,
-                   deep_holes, error_distance_mds)
-from .gf import field_create, field_for_size
+from .dist import (covering_radius_sweep, covering_radius_syndrome, deep_holes,
+                   error_distance_brute, error_distance_mds)
+from .gf import field_for_size
 from .poly import Poly, evaluate_word, hamming
 
 PASS, FAIL, SKIP = "pass", "fail", "skipped-infeasible"
@@ -30,239 +47,195 @@ class VerificationCase:
     params: dict
     expected: object
     source: str                  # published | conjectured | derived
+    check: Callable | None = None  # check(case) -> computed value
     computed: object = None
     status: str = "pending"
     notes: list = dc_field(default_factory=list)
     elapsed_ms: float = 0.0
 
-    def finish(self, computed, t0, ok=None):
-        self.computed = computed
-        self.status = PASS if (computed == self.expected if ok is None else ok) \
-            else FAIL
-        self.elapsed_ms = (time.perf_counter() - t0) * 1e3
-        return self
-
-    def skip(self, reason):
-        self.status = SKIP
-        self.notes.append(reason)
-        return self
-
     def to_json(self):
         return {
             "claim_id": self.claim_id, "description": self.description,
             "params": self.params,
-            "expected": {"value": _plain(self.expected), "source": self.source},
-            "computed": _plain(self.computed), "status": self.status,
+            "expected": {"value": self.expected, "source": self.source},
+            "computed": self.computed, "status": self.status,
             "notes": self.notes, "elapsed_ms": round(self.elapsed_ms, 3),
         }
 
 
-def _plain(v):
-    if isinstance(v, (list, tuple)):
-        return [_plain(x) for x in v]
-    if isinstance(v, CosetRep):
-        return v.to_json()
-    return v
+def _code(case, make):
+    """The code `make(F_q, k)` named by the case's parameters."""
+    return make(field_for_size(case.params["q"]), case.params["k"])
+
+
+def _agreed(*values):
+    """The common value of a cross-check, or all values when they differ."""
+    return values[0] if len(set(values)) == 1 else list(values)
+
+
+def _word_distance(code, f):
+    """Distance of the evaluation word of f to a full-field RS code."""
+    return error_distance_mds(code, evaluate_word(f, code.ctx.elements()))[0]
 
 
 # ----------------------------------------------------------------------
 # suites
 # ----------------------------------------------------------------------
 
-def suite_prop1(qs=(5, 7, 9), ks=None, threads=1, **_):
+def _rs_radius(case, threads):
+    """Sweep radius, cross-checked by the syndrome BFS where it is cheap."""
+    code = _code(case, rs_code)
+    q, k = code.ctx.q, code.k
+    rep = covering_radius_sweep(code, threads=threads)
+    case.notes.append(f"algorithm={rep.algorithm}/{rep.variant}")
+    if q ** (q - k) > 2**18:
+        return rep.rho
+    bfs = covering_radius_syndrome(code)
+    case.notes.append(f"syndrome-bfs rho={bfs.rho}")
+    return _agreed(rep.rho, bfs.rho)
+
+
+def suite_prop1(qs=(5, 7, 9), threads=1, **_):
     """Every full-length RS code has covering radius exactly q - k."""
-    cases = []
     for q in qs:
-        ctx = field_for_size(q)
         for k in range(1, q):
-            if ks and k not in ks:
-                continue
-            t0 = time.perf_counter()
-            case = VerificationCase(
+            yield VerificationCase(
                 f"prop1-rs-radius-q{q}k{k}",
                 f"covering radius of RS({q},{k}) over F_{q} equals q-k",
-                {"q": q, "k": k}, q - k, "published")
-            code = rs_code(ctx, k)
-            rep = covering_radius_sweep(code, threads=threads)
-            case.notes.append(f"algorithm={rep.algorithm}/{rep.variant}")
-            rho = rep.rho
-            if q ** (q - k) <= 2**18:
-                bfs = covering_radius_syndrome(code)
-                case.notes.append(f"syndrome-bfs rho={bfs.rho}")
-                if bfs.rho != rho:
-                    case.finish((rho, bfs.rho), t0, ok=False)
-                    cases.append(case)
-                    continue
-            cases.append(case.finish(rho, t0))
-    return cases
+                {"q": q, "k": k}, q - k, "published",
+                partial(_rs_radius, threads=threads))
 
 
-def suite_thm1(qs=(5, 7, 9), ks=None, **_):
+def _family_distance(case):
+    """Distance of every degree-k family word, by subset decoding and by
+    the subset-sum construction: one value when all agree."""
+    code = _code(case, prs_code)
+    ctx, k = code.ctx, code.k
+    decoded, built = set(), set()
+    for rep in dist.deep_hole_family_prs(ctx, k):
+        word = rep.representative_word(code)
+        g = ssp.nearest_codeword_deg_k(Poly(ctx, rep.tail), rep.v, k)
+        cw = evaluate_word(g, ctx.elements()) + (rep.v,)
+        if not code.contains(cw):
+            case.notes.append(f"constructed word {cw} is not a codeword")
+            return None
+        decoded.add(error_distance_mds(code, word)[0])
+        built.add(hamming(word, cw))
+    case.notes.append(f"constructive witness distance={max(built)}")
+    return _agreed(*sorted(decoded | built))
+
+
+def suite_thm1(qs=(5, 7, 9), **_):
     """Every (c*x^k, v) representative lies at distance exactly q-k from
     PRS(q+1,k), by subset decoding and by the subset-sum construction."""
-    cases = []
     for q in qs:
-        ctx = field_for_size(q)
         for k in range(2, q - 1):
-            if ks and k not in ks:
-                continue
-            t0 = time.perf_counter()
-            case = VerificationCase(
+            yield VerificationCase(
                 f"thm1-family-q{q}k{k}",
                 f"degree-{k} family words are at distance q-k from PRS({q + 1},{k})",
-                {"q": q, "k": k}, q - k, "published")
-            code = prs_code(ctx, k)
-            worst_decode = 0
-            worst_construct = 0
-            ok = True
-            for rep in dist.deep_hole_family_prs(ctx, k):
-                f = Poly(ctx, rep.tail)
-                word = rep.representative_word(code)
-                d = error_distance_mds(code, word)[0]
-                worst_decode = max(worst_decode, d)
-                g = ssp.nearest_codeword_deg_k(f, rep.v, k)
-                cw = evaluate_word(g, ctx.elements()) + (rep.v,)
-                if not code.contains(cw) or hamming(word, cw) != q - k:
-                    ok = False
-                worst_construct = max(worst_construct, hamming(word, cw))
-                if d != q - k:
-                    ok = False
-            case.notes.append(f"constructive witness distance={worst_construct}")
-            cases.append(case.finish(worst_decode, t0,
-                                     ok=ok and worst_decode == q - k))
-    return cases
+                {"q": q, "k": k}, q - k, "published", _family_distance)
 
 
-def _thm3_grid(ps):
-    grid = []
-    for p in ps:
-        for k in range(2, p - 1):
-            grid.append((p, k, "prime"))
-    return grid
+def _prs_radius(case, threads, mem_budget):
+    code = _code(case, prs_code)
+    q = code.ctx.q
+    if q == 11 and q ** (code.n - code.k) <= min(mem_budget, 250_000):
+        rep = covering_radius_syndrome(code, mem_budget)
+    else:
+        rep = covering_radius_sweep(code, threads=threads)
+    case.notes.append(f"algorithm={rep.algorithm}/{rep.variant}")
+    return rep.rho
 
 
-def suite_thm3(ps=(5, 7, 11), ks=None, include_psquare=True, threads=1,
+def suite_thm3(qs=(5, 7, 11, 9), threads=1,
                mem_budget=dist.DEFAULT_MEM_BUDGET, **_):
-    """Covering radius of PRS(p+1,k) equals p-k on the desk-scale grid.
+    """Covering radius of PRS(q+1,k) equals q-k on the desk-scale grid:
+    2 <= k <= p-2 for a prime q = p, and k = 2, 3 for a prime power q.
 
     Large-k cases run the syndrome BFS, the rest the representative sweep;
     the (q,k) = (13,4) case is out of desk scale and reported as skipped.
     """
-    cases = []
-    for p, k, kind in _thm3_grid(ps):
-        if ks and k not in ks:
-            continue
-        t0 = time.perf_counter()
-        case = VerificationCase(
-            f"thm3-prime-q{p}k{k}",
-            f"covering radius of PRS({p + 1},{k}) over F_{p} equals p-k",
-            {"q": p, "k": k}, p - k, "published")
-        ctx = field_for_size(p)
-        code = prs_code(ctx, k)
-        use_bfs = p == 11 and ctx.q ** (code.n - k) <= min(mem_budget, 250_000)
-        if use_bfs:
-            rep = covering_radius_syndrome(code, mem_budget)
+    check = partial(_prs_radius, threads=threads, mem_budget=mem_budget)
+    for q in qs:
+        if field_for_size(q).a == 1:
+            for k in range(2, q - 1):
+                yield VerificationCase(
+                    f"thm3-prime-q{q}k{k}",
+                    f"covering radius of PRS({q + 1},{k}) over F_{q} equals p-k",
+                    {"q": q, "k": k}, q - k, "published", check)
         else:
-            rep = covering_radius_sweep(code, threads=threads)
-        case.notes.append(f"algorithm={rep.algorithm}/{rep.variant}")
-        cases.append(case.finish(rep.rho, t0))
-    if include_psquare and (not ks or set(ks) & {2, 3}):
-        for k in (2, 3):
-            if ks and k not in ks:
-                continue
-            t0 = time.perf_counter()
-            case = VerificationCase(
-                f"thm3-psquare-q9k{k}",
-                f"covering radius of PRS(10,{k}) over F_9 equals 9-k",
-                {"q": 9, "k": k}, 9 - k, "published")
-            ctx = field_create(3, 2)
-            rep = covering_radius_sweep(prs_code(ctx, k), threads=threads)
-            case.notes.append(f"algorithm={rep.algorithm}/{rep.variant}")
-            cases.append(case.finish(rep.rho, t0))
-    case = VerificationCase(
+            for k in (2, 3):
+                yield VerificationCase(
+                    f"thm3-psquare-q{q}k{k}",
+                    f"covering radius of PRS({q + 1},{k}) over F_{q} equals {q}-k",
+                    {"q": q, "k": k}, q - k, "published", check)
+    yield VerificationCase(
         "thm3-open-case-q13k4",
         "covering radius of PRS(14,4) over F_13 equals 9",
-        {"q": 13, "k": 4}, 9, "published")
-    cases.append(case.skip("13^10 cosets are out of desk scale"))
-    return cases
-
-
-def suite_conj3(qs=(5, 7), ks=None, threads=1, **_):
-    """Deep-hole classification for PRS(q+1,k): radius, family membership,
-    and the conjectured equality with the degree-k family (the equality is
-    an open conjecture; a discrepancy is reported with its counterexamples,
-    not silently suppressed)."""
-    cases = []
-    for q in qs:
-        ctx = field_for_size(q)
-        for k in range(2, q - 1):
-            if ks and k not in ks:
-                continue
-            code = prs_code(ctx, k)
-            t0 = time.perf_counter()
-            report = deep_holes(code, threads=threads)
-            rcase = VerificationCase(
-                f"conj3-radius-q{q}k{k}",
-                f"covering radius of PRS({q + 1},{k}) equals q-k",
-                {"q": q, "k": k}, q - k, "published")
-            cases.append(rcase.finish(report.rho, t0))
-
-            t0 = time.perf_counter()
-            fcase = VerificationCase(
-                f"conj3-family-deep-q{q}k{k}",
-                f"all (q-1)*q degree-{k} family cosets are deep holes",
-                {"q": q, "k": k}, 0, "published")
-            fcase.notes.append(f"family size {report.family_size}")
-            cases.append(fcase.finish(len(report.missing_family), t0))
-
-            t0 = time.perf_counter()
-            ecase = VerificationCase(
-                f"conj3-equality-q{q}k{k}",
-                f"the degree-{k} family is the complete deep-hole set of "
-                f"PRS({q + 1},{k})",
-                {"q": q, "k": k}, True, "conjectured")
-            if report.extras:
-                recheck = _recheck_extras(code, report)
-                ecase.notes.append(
-                    f"{len(report.extras)} deep cosets outside the family; "
-                    f"extra tail degrees {sorted({_deg(r.tail) for r in report.extras})}")
-                ecase.notes.append(
-                    f"independent recheck of sampled extras: "
-                    f"{'confirmed' if recheck else 'FAILED'}")
-                ecase.finish(False, t0, ok=False)
-            else:
-                ecase.finish(True, t0)
-            cases.append(ecase)
-    return cases
-
-
-def _deg(tail):
-    return len(tail) - 1 if tail else None
+        {"q": 13, "k": 4}, 9, "published",
+        notes=["13^10 cosets are out of desk scale"])
 
 
 def _recheck_extras(code, report, sample=12):
-    """Re-verify sampled extra deep holes by independent subset decoding."""
+    """Re-verify sampled extra deep holes by brute force over all codewords,
+    independently of the sweep's subset decoding."""
     step = max(1, len(report.extras) // sample)
     for rep in report.extras[::step]:
         word = rep.representative_word(code)
-        if error_distance_mds(code, word)[0] != report.rho:
+        if error_distance_brute(code, word)[0] != report.rho:
             return False
     return True
 
 
-def suite_glynn(**_):
-    """The [10,5] construction over F_9: parameter guard, MDS, minimum
-    distance 6, covering radius 4, and a desk check of the stated (inverted)
-    parameter condition."""
-    ctx = field_create(3, 2)
-    cases = []
+def suite_conj3(qs=(5, 7), threads=1, **_):
+    """Deep-hole classification for PRS(q+1,k): radius, family membership,
+    and the conjectured equality with the degree-k family (the equality is
+    an open conjecture; a discrepancy is reported with its counterexamples,
+    not silently suppressed)."""
+    # the three rows of one (q, k) are consecutive and share one listing
+    @lru_cache(maxsize=1)
+    def holes(q, k):
+        code = prs_code(field_for_size(q), k)
+        return code, deep_holes(code, threads=threads)
 
-    t0 = time.perf_counter()
-    valid = sorted(w for w in range(9) if ctx.add(ctx.pow(w, 4), 1) == 0)
-    guard = VerificationCase(
-        "glynn-param-guard",
-        "construction accepts exactly the four w with w^4 = -1",
-        {"q": 9}, True, "derived")
+    def family_missing(case):
+        report = holes(**case.params)[1]
+        case.notes.append(f"family size {report.family_size}")
+        return len(report.missing_family)
+
+    def family_complete(case):
+        code, report = holes(**case.params)
+        if not report.extras:
+            return True
+        degrees = sorted({len(r.tail) - 1 for r in report.extras})
+        case.notes.append(f"{len(report.extras)} deep cosets outside the "
+                          f"family; extra tail degrees {degrees}")
+        case.notes.append(
+            "independent recheck of sampled extras: "
+            f"{'confirmed' if _recheck_extras(code, report) else 'FAILED'}")
+        return False
+
+    for q in qs:
+        for k in range(2, q - 1):
+            yield VerificationCase(
+                f"conj3-radius-q{q}k{k}",
+                f"covering radius of PRS({q + 1},{k}) equals q-k",
+                {"q": q, "k": k}, q - k, "published",
+                lambda case: holes(**case.params)[1].rho)
+            yield VerificationCase(
+                f"conj3-family-deep-q{q}k{k}",
+                f"all (q-1)*q degree-{k} family cosets are deep holes",
+                {"q": q, "k": k}, 0, "published", family_missing)
+            yield VerificationCase(
+                f"conj3-equality-q{q}k{k}",
+                f"the degree-{k} family is the complete deep-hole set of "
+                f"PRS({q + 1},{k})",
+                {"q": q, "k": k}, True, "conjectured", family_complete)
+
+
+def _glynn_guard(case):
+    ctx = field_for_size(9)
+    valid = [w for w in range(9) if ctx.add(ctx.pow(w, 4), 1) == 0]
     accepted = []
     for w in range(9):
         try:
@@ -270,14 +243,12 @@ def suite_glynn(**_):
             accepted.append(w)
         except ValueError:
             pass
-    guard.notes.append(f"accepted w encodings: {accepted}")
-    cases.append(guard.finish(accepted == valid and len(valid) == 4, t0))
+    case.notes.append(f"accepted w encodings: {accepted}")
+    return accepted == valid and len(valid) == 4
 
-    t0 = time.perf_counter()
-    stated = VerificationCase(
-        "glynn-stated-parameter-family",
-        "the w^4 + 1 != 0 parameter family yields a [10,5,6] MDS code",
-        {"q": 9}, True, "published")
+
+def _glynn_stated_family(case):
+    ctx = field_for_size(9)
     dd = {}
     for w in range(9):
         if ctx.add(ctx.pow(w, 4), 1) == 0:
@@ -292,238 +263,206 @@ def suite_glynn(**_):
         ]
         dd[w] = min_distance(from_matrix(ctx, rows))
     newmds = {w: d for w, d in dd.items() if d == 6 and w != 0}
-    stated.notes.append(f"minimum distances by w: {dd} (w=0 reproduces the "
-                        "projective RS code itself)")
-    stated.notes.append("no w with w^4 + 1 != 0 yields a new MDS code; the "
-                        "condition holds exactly for w^4 = -1")
-    cases.append(stated.finish(bool(newmds), t0, ok=bool(newmds)))
+    case.notes.append(f"minimum distances by w: {dd} (w=0 reproduces the "
+                      "projective RS code itself)")
+    case.notes.append("no w with w^4 + 1 != 0 yields a new MDS code; the "
+                      "condition holds exactly for w^4 = -1")
+    return bool(newmds)
 
-    code = glynn_code(ctx)
-    w = code.structure["w"]
-    t0 = time.perf_counter()
-    cases.append(VerificationCase(
-        "glynn-mds", "the construction is MDS", {"q": 9, "w": w}, True,
-        "published").finish(is_mds(code), t0))
-    t0 = time.perf_counter()
-    cases.append(VerificationCase(
-        "glynn-mindist", "minimum distance is 6", {"q": 9, "w": w}, 6,
-        "published").finish(min_distance(code), t0))
-    t0 = time.perf_counter()
-    rep = covering_radius_syndrome(code)
-    case = VerificationCase(
-        "glynn-radius", "covering radius is 4", {"q": 9, "w": w}, 4,
-        "published")
+
+def _glynn_radius(case, code):
     case.notes.append("column order: nonzero elements ascending, zero last "
                       "(radius is order-invariant)")
-    cases.append(case.finish(rep.rho, t0))
-    return cases
+    return covering_radius_syndrome(code).rho
+
+
+def suite_glynn(**_):
+    """The [10,5] construction over F_9: parameter guard, MDS, minimum
+    distance 6, covering radius 4, and a desk check of the stated (inverted)
+    parameter condition."""
+    code = glynn_code(field_for_size(9))
+    w = code.structure["w"]
+    yield VerificationCase(
+        "glynn-param-guard",
+        "construction accepts exactly the four w with w^4 = -1",
+        {"q": 9}, True, "derived", _glynn_guard)
+    yield VerificationCase(
+        "glynn-stated-parameter-family",
+        "the w^4 + 1 != 0 parameter family yields a [10,5,6] MDS code",
+        {"q": 9}, True, "published", _glynn_stated_family)
+    yield VerificationCase(
+        "glynn-mds", "the construction is MDS", {"q": 9, "w": w}, True,
+        "published", lambda case: is_mds(code))
+    yield VerificationCase(
+        "glynn-mindist", "minimum distance is 6", {"q": 9, "w": w}, 6,
+        "published", lambda case: min_distance(code))
+    yield VerificationCase(
+        "glynn-radius", "covering radius is 4", {"q": 9, "w": w}, 4,
+        "published", partial(_glynn_radius, code=code))
+
+
+def _ssp_total(case):
+    ctx = field_for_size(case.params["q"])
+    return all(ssp.validate_certificate(ctx, ssp.ssp_solve(ctx, k, g), k, g)
+               for k in range(1, ctx.q) for g in range(ctx.q))
+
+
+def _ssp_full_field(case):
+    ctx = field_for_size(case.params["q"])
+    ok = ssp.ssp_solve(ctx, ctx.q, 0) == set(ctx.elements())
+    try:
+        ssp.ssp_solve(ctx, ctx.q, 1)
+        return False
+    except ValueError:
+        return ok
 
 
 def suite_ssp(qs=(5, 7, 9, 11, 13), **_):
     """The k-subset-sum over the full field is always solvable for
     1 <= k <= q-1, with independently validated certificates; k = q is
     solvable exactly for target 0."""
-    cases = []
     for q in qs:
-        ctx = field_for_size(q)
-        t0 = time.perf_counter()
-        case = VerificationCase(
+        yield VerificationCase(
             f"ssp-totality-q{q}",
             f"k-subset-sum over F_{q} solvable for every k in 1..q-1 and "
-            "every target", {"q": q}, True, "published")
-        ok = True
-        for k in range(1, q):
-            for g in range(q):
-                S = ssp.ssp_solve(ctx, k, g)
-                if not ssp.validate_certificate(ctx, S, k, g):
-                    ok = False
-        cases.append(case.finish(ok, t0))
-
-    ctx = field_for_size(qs[0])
-    t0 = time.perf_counter()
-    case = VerificationCase(
+            "every target", {"q": q}, True, "published", _ssp_total)
+    yield VerificationCase(
         "ssp-edge-full-field",
         "k = q solves only target 0 (full-field sum vanishes)",
-        {"q": qs[0]}, True, "published")
-    full = ssp.ssp_solve(ctx, ctx.q, 0)
-    ok = full == set(ctx.elements())
-    try:
-        ssp.ssp_solve(ctx, ctx.q, 1)
-        ok = False
-    except ValueError:
-        pass
-    cases.append(case.finish(ok, t0))
-    return cases
+        {"q": qs[0]}, True, "published", _ssp_full_field)
+
+
+def _sandwich(case):
+    code = _code(case, rs_code)
+    ctx, q, k = code.ctx, code.ctx.q, code.k
+    tails = (Poly(ctx, (0,) * k + digs)
+             for digs in itertools.product(range(q), repeat=q - k) if any(digs))
+    return all(q - f.degree <= _word_distance(code, f) <= q - k for f in tails)
 
 
 def suite_sandwich(qs=(5,), **_):
     """n - deg f <= d(u_f, RS(q,k)) <= n - k for every k <= deg f <= n-1,
     exhaustively over coset tails."""
-    cases = []
     for q in qs:
-        ctx = field_for_size(q)
         for k in range(1, q):
-            t0 = time.perf_counter()
-            case = VerificationCase(
+            yield VerificationCase(
                 f"sandwich-rs-q{q}k{k}",
                 f"distance of degree-d words to RS({q},{k}) lies in "
-                "[n-d, n-k]", {"q": q, "k": k}, True, "published")
-            code = rs_code(ctx, k)
-            ok = True
-            for idx in range(1, q ** (q - k)):
-                digs = []
-                t = idx
-                for _ in range(q - k):
-                    digs.append(t % q)
-                    t //= q
-                tail = Poly(ctx, [0] * k + digs)
-                d = error_distance_mds(code, evaluate_word(tail, ctx.elements()))[0]
-                deg = tail.degree
-                if not q - deg <= d <= q - k:
-                    ok = False
-            cases.append(case.finish(ok, t0))
-    return cases
+                "[n-d, n-k]", {"q": q, "k": k}, True, "published", _sandwich)
+
+
+def _prop7(case):
+    code = _code(case, rs_code)
+    ctx, q, k = code.ctx, code.ctx.q, code.k
+    worst = max(_word_distance(code, Poly(ctx, [0] * k + [b, c]))
+                for c in range(1, q) for b in range(q))
+    case.notes.append(f"max distance over degree-(k+1) cosets: {worst}"
+                      f" (radius {q - k})")
+    return worst < q - k
 
 
 def suite_prop7(qs=(5, 7, 9), **_):
     """No coset with a degree-(k+1) tail is a deep hole of RS(q,k)."""
-    cases = []
     for q in qs:
-        ctx = field_for_size(q)
         for k in range(1, q - 1):
-            t0 = time.perf_counter()
-            case = VerificationCase(
+            yield VerificationCase(
                 f"prop7-deg-kplus1-q{q}k{k}",
                 f"degree-{k + 1} cosets are not deep holes of RS({q},{k})",
-                {"q": q, "k": k}, True, "published")
-            code = rs_code(ctx, k)
-            worst = 0
-            for c in range(1, q):
-                for b in range(q):
-                    tail = Poly(ctx, [0] * k + [b, c])
-                    d = error_distance_mds(
-                        code, evaluate_word(tail, ctx.elements()))[0]
-                    worst = max(worst, d)
-            case.notes.append(f"max distance over degree-(k+1) cosets: {worst}"
-                              f" (radius {q - k})")
-            cases.append(case.finish(worst < q - k, t0))
-    return cases
+                {"q": q, "k": k}, True, "published", _prop7)
+
+
+def _radius_both(case, threads):
+    """Radius by the syndrome BFS and by the full sweep."""
+    code = _code(case, prs_code)
+    bfs = covering_radius_syndrome(code).rho
+    sweep = covering_radius_sweep(code, variant="full", threads=threads).rho
+    case.notes.append(f"bfs={bfs} sweep={sweep}")
+    return _agreed(bfs, sweep)
+
+
+def _repetition_deep_holes(case, threads):
+    code = _code(case, prs_code)
+    q = code.ctx.q
+    if q == 5:
+        case.notes.append("checked all words of the ambient space")
+        return all((error_distance_mds(code, w)[0] == q - 1)
+                   == (max(map(w.count, w)) == 2)
+                   for w in itertools.product(range(q), repeat=q + 1))
+    case.notes.append("checked every deep coset representative")
+    words = (r.representative_word(code)
+             for r in deep_holes(code, threads=threads).reps)
+    return all(max(map(w.count, w)) == 2 for w in words)
+
+
+def _kq1_deep_holes(case, threads):
+    code = _code(case, prs_code)
+    q = code.ctx.q
+    report = deep_holes(code, threads=threads)
+    shaped = set()
+    for a in range(q):
+        for v in range(q):
+            w = (a,) * (q - 1) + (0, v)
+            if not code.contains(w):
+                shaped.add(dist.reduce_to_coset_rep(code, w))
+    nonconst = [r for r in report.reps
+                if not r.tail and r.v is not None and r.v != 0]
+    case.notes.append(
+        f"deep cosets {report.count}; the a != 0 sub-family covers "
+        f"{report.family_size} of them; {len(nonconst)} further deep "
+        "cosets have a constant-zero word part with a mismatched last "
+        "coordinate")
+    return set(report.reps) == shaped
+
+
+def _weight1_deep_holes(case, threads):
+    code = _code(case, prs_code)
+    n, q = code.n, code.ctx.q
+    w1 = {dist.reduce_to_coset_rep(code, tuple(c if i == pos else 0
+                                               for i in range(n)))
+          for pos in range(n) for c in range(1, q)}
+    return set(deep_holes(code, threads=threads).reps) == w1
 
 
 def suite_boundary(qs=(5,), threads=1, **_):
     """The dimension 1, q-1 and q boundary cases of PRS(q+1,k)."""
-    cases = []
+    radius = partial(_radius_both, threads=threads)
     for q in qs:
-        ctx = field_for_size(q)
-
         # k = 1: repetition code of length q+1
-        code = prs_code(ctx, 1)
-        t0 = time.perf_counter()
-        case = VerificationCase(
+        yield VerificationCase(
             f"boundary-k1-radius-q{q}",
             f"covering radius of PRS({q + 1},1) equals q-1 (= d-2)",
-            {"q": q, "k": 1}, q - 1, "published")
-        r1 = covering_radius_syndrome(code)
-        r2 = covering_radius_sweep(code, variant="full", threads=threads)
-        case.notes.append(f"bfs={r1.rho} sweep={r2.rho}")
-        cases.append(case.finish(r1.rho, t0, ok=r1.rho == r2.rho == q - 1))
-
-        t0 = time.perf_counter()
-        case = VerificationCase(
+            {"q": q, "k": 1}, q - 1, "published", radius)
+        yield VerificationCase(
             f"boundary-k1-deepholes-q{q}",
             "deep holes of the repetition code are exactly the words whose "
             "coordinate multiset has maximum multiplicity 2",
-            {"q": q, "k": 1}, True, "published")
-        ok = True
-        if q == 5:
-            for widx in range(q ** (q + 1)):
-                w = []
-                t = widx
-                for _ in range(q + 1):
-                    w.append(t % q)
-                    t //= q
-                maxmult = max(w.count(x) for x in set(w))
-                d = error_distance_mds(code, tuple(w))[0]
-                if (d == q - 1) != (maxmult == 2):
-                    ok = False
-                    break
-            case.notes.append("checked all words of the ambient space")
-        else:
-            report = deep_holes(code, threads=threads)
-            for rep in report.reps:
-                w = rep.representative_word(code)
-                if max(w.count(x) for x in set(w)) != 2:
-                    ok = False
-            case.notes.append("checked every deep coset representative")
-        cases.append(case.finish(ok, t0))
-
+            {"q": q, "k": 1}, True, "published",
+            partial(_repetition_deep_holes, threads=threads))
         # k = q-1: the radius-1 code with minimum distance 3
-        code = prs_code(ctx, q - 1)
-        t0 = time.perf_counter()
-        case = VerificationCase(
+        yield VerificationCase(
             f"boundary-kq1-mindist-q{q}",
             f"minimum distance of PRS({q + 1},{q - 1}) is 3",
-            {"q": q, "k": q - 1}, 3, "published")
-        cases.append(case.finish(min_distance(code), t0))
-
-        t0 = time.perf_counter()
-        case = VerificationCase(
+            {"q": q, "k": q - 1}, 3, "published",
+            lambda case: min_distance(_code(case, prs_code)))
+        yield VerificationCase(
             f"boundary-kq1-radius-q{q}",
             f"covering radius of PRS({q + 1},{q - 1}) is 1 (= d-2), by both "
-            "algorithms", {"q": q, "k": q - 1}, 1, "published")
-        r1 = covering_radius_syndrome(code)
-        r2 = covering_radius_sweep(code, variant="full", threads=threads)
-        case.notes.append(f"bfs={r1.rho} sweep={r2.rho}")
-        cases.append(case.finish(r1.rho, t0, ok=r1.rho == r2.rho == 1))
-
-        t0 = time.perf_counter()
-        case = VerificationCase(
+            "algorithms", {"q": q, "k": q - 1}, 1, "published", radius)
+        yield VerificationCase(
             f"boundary-kq1-deepholes-q{q}",
             "deep holes are the cosets of the words (a,...,a,0,v)",
-            {"q": q, "k": q - 1}, True, "published")
-        report = deep_holes(code, threads=threads)
-        shaped = set()
-        for a in range(q):
-            for v in range(q):
-                w = (a,) * (q - 1) + (0, v)
-                if not code.contains(w):
-                    shaped.add(dist.reduce_to_coset_rep(code, w))
-        ok = set(report.reps) == shaped
-        nonconst = [r for r in report.reps
-                    if not r.tail and r.v is not None and r.v != 0]
-        case.notes.append(
-            f"deep cosets {report.count}; the a != 0 sub-family covers "
-            f"{report.family_size} of them; {len(nonconst)} further deep "
-            "cosets have a constant-zero word part with a mismatched last "
-            "coordinate")
-        cases.append(case.finish(ok, t0))
-
+            {"q": q, "k": q - 1}, True, "published",
+            partial(_kq1_deep_holes, threads=threads))
         # k = q: radius 1, weight-1 deep holes
-        code = prs_code(ctx, q)
-        t0 = time.perf_counter()
-        case = VerificationCase(
+        yield VerificationCase(
             f"boundary-kq-radius-q{q}",
             f"covering radius of PRS({q + 1},{q}) is 1 (= d-1)",
-            {"q": q, "k": q}, 1, "published")
-        r1 = covering_radius_syndrome(code)
-        r2 = covering_radius_sweep(code, variant="full", threads=threads)
-        case.notes.append(f"bfs={r1.rho} sweep={r2.rho}")
-        cases.append(case.finish(r1.rho, t0, ok=r1.rho == r2.rho == 1))
-
-        t0 = time.perf_counter()
-        case = VerificationCase(
+            {"q": q, "k": q}, 1, "published", radius)
+        yield VerificationCase(
             f"boundary-kq-deepholes-q{q}",
             "deep holes are exactly the cosets of the weight-1 words",
-            {"q": q, "k": q}, True, "published")
-        report = deep_holes(code, threads=threads)
-        w1 = set()
-        for pos in range(q + 1):
-            for c in range(1, q):
-                w = [0] * (q + 1)
-                w[pos] = c
-                w1.add(dist.reduce_to_coset_rep(code, tuple(w)))
-        cases.append(case.finish(set(report.reps) == w1, t0))
-    return cases
+            {"q": q, "k": q}, True, "published",
+            partial(_weight1_deep_holes, threads=threads))
 
 
 SUITES = {
@@ -540,31 +479,38 @@ SUITES = {
 
 
 def run_verification(suite: str, qs=None, ks=None, threads: int = 1,
-                     mem_budget: int = dist.DEFAULT_MEM_BUDGET,
-                     enum_budget: int = dist.DEFAULT_ENUM_BUDGET) -> dict:
-    """Run a suite (or 'all'); returns the machine-readable report."""
+                     mem_budget: int = dist.DEFAULT_MEM_BUDGET) -> dict:
+    """Run a suite (or 'all') and return the machine-readable report.
+
+    `qs` replaces every suite's default field sizes; `ks` keeps only the
+    cases whose `k` parameter it lists (cases without a `k` are kept).
+    """
     names = list(SUITES) if suite == "all" else [suite]
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite {unknown[0]!r}; choose from "
                          f"{['all'] + list(SUITES)}")
+    kwargs = {"threads": threads, "mem_budget": mem_budget}
+    if qs:
+        kwargs["qs"] = tuple(qs)
     cases = []
     for name in names:
-        kwargs = {"threads": threads, "mem_budget": mem_budget,
-                  "enum_budget": enum_budget}
-        if qs:
-            if name == "thm3":
-                kwargs["ps"] = tuple(q for q in qs if q != 9)
-                kwargs["include_psquare"] = 9 in qs
+        for case in SUITES[name](**kwargs):
+            if ks and "k" in case.params and case.params["k"] not in ks:
+                continue
+            if case.check is None:
+                case.status = SKIP
             else:
-                kwargs["qs"] = tuple(qs)
-        if ks:
-            kwargs["ks"] = tuple(ks)
-        cases.extend(SUITES[name](**kwargs))
+                t0 = time.perf_counter()
+                case.computed = case.check(case)
+                case.elapsed_ms = (time.perf_counter() - t0) * 1e3
+                case.status = PASS if case.computed == case.expected else FAIL
+            # keep only the JSON row, so a case's check (and the listing it
+            # holds) is released once the case has run
+            cases.append(case.to_json())
     summary = {
-        "pass": sum(c.status == PASS for c in cases),
-        "fail": sum(c.status == FAIL for c in cases),
-        "skipped": sum(c.status == SKIP for c in cases),
+        "pass": sum(c["status"] == PASS for c in cases),
+        "fail": sum(c["status"] == FAIL for c in cases),
+        "skipped": sum(c["status"] == SKIP for c in cases),
     }
-    return {"suite": suite, "cases": [c.to_json() for c in cases],
-            "summary": summary}
+    return {"suite": suite, "cases": cases, "summary": summary}

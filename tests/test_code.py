@@ -240,6 +240,16 @@ def test_codeword_matrix_matches_iteration():
     assert [tuple(int(v) for v in row) for row in mat] == it
 
 
+def test_codeword_matrix_is_built_once_and_read_only():
+    code = prs_code(field_create(5), 2)
+    mat = code.codeword_matrix()
+    assert code.codeword_matrix() is mat
+    with pytest.raises(ValueError):
+        mat[0, 0] = 1
+    with pytest.raises(ValueError, match="budget"):
+        code.codeword_matrix(enum_budget=24)
+
+
 def test_min_distance_budget_error():
     code = rs_code(field_create(11), 9)
     with pytest.raises(ValueError, match="budget"):

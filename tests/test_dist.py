@@ -13,7 +13,7 @@ from covrad.dist import (CosetRep, covering_radius, covering_radius_brute,
                          nested_max_distance, prs_bound_via_rs,
                          reduce_to_coset_rep)
 from covrad.gf import field_create, field_for_size
-from covrad.poly import Poly, evaluate_word, hamming, lagrange_basis
+from covrad.poly import Poly, evaluate_word, hamming, lagrange_basis, weight
 
 
 def rand_word(rng, q, n):
@@ -157,6 +157,13 @@ def test_full_sweep_radius_beyond_int16_products():
     assert covering_radius_sweep(code, variant="full").rho == 2  # q - k
 
 
+def test_prs_sweep_rejects_fields_beyond_value_bitset():
+    # the PRS extra-coordinate values are an int64 bitset: q = 67 > 63
+    code = prs_code(field_for_size(67), 66)
+    with pytest.raises(ValueError, match="q < 64"):
+        covering_radius_sweep(code, variant="full")
+
+
 def test_sliced_equals_full_on_f9():
     ctx = field_create(3, 2)
     for k in (2, 5, 6, 7):
@@ -208,6 +215,24 @@ def test_bfs_level_counts_monotone_coverage():
     # idempotence: a rerun yields the same level profile
     again = syndrome_bfs(code, 10**6, stop_early=False)
     assert again.level_counts == out.level_counts
+
+
+def test_bfs_witnesses_beyond_int64_word_encoding():
+    # 17^18 > 2^63: witness words must not be packed into one integer
+    code = prs_code(field_for_size(17), 15)
+    report = deep_holes(code, algo="syndrome")
+    assert report.rho == 2 and report.count == 4624
+    words = [rep.word for rep in report.reps]
+    # 4624 distinct cosets with a weight-2 leader, none within distance 1
+    # of the code: together with the 289 cosets of weight <= 1 they fill
+    # all 17^3 syndromes, so every witness is at distance exactly 2
+    near = {code.syndrome(tuple(c if i == pos else 0 for i in range(18)))
+            for pos in range(18) for c in range(17)}
+    found = {code.syndrome(w) for w in words}
+    assert all(weight(w) == 2 for w in words)
+    assert len(found) == 4624 and not found & near
+    for w in words[::16]:
+        assert error_distance_mds(code, w)[0] == 2
 
 
 def test_glynn_radius():
