@@ -120,15 +120,13 @@ def digit_decode_cols(ctx: FieldCtx, digit_mat: np.ndarray, ncols: int) -> np.nd
     return (digit_mat.reshape(-1, ncols, a) @ enc).astype(np.int64)
 
 
-def encoding_weights(ctx: FieldCtx, ncols: int, radix: int | None = None) -> np.ndarray:
+def encoding_weights(ctx: FieldCtx, ncols: int) -> np.ndarray:
     """Weight vector w (length ncols*a) with digits @ w = mixed-radix encoding.
 
-    Column j contributes radix**j * (its element encoding); radix defaults
-    to q, giving the canonical integer encoding of a length-ncols vector.
+    Column j contributes q**j * (its element encoding), giving the canonical
+    integer encoding of a length-ncols vector.
     """
-    if radix is None:
-        radix = ctx.q
-    qp = np.asarray([radix**j for j in range(ncols)], dtype=np.int64)
+    qp = np.asarray([ctx.q**j for j in range(ncols)], dtype=np.int64)
     pp = ctx.p ** np.arange(ctx.a, dtype=np.int64)
     return np.kron(qp, pp)
 

@@ -4,11 +4,12 @@ Three exact algorithms live here:
 
 * a coset-profile sweep for RS/PRS-structured codes: cosets are tail
   polynomials; for each tail the best agreement A with lower-degree
-  polynomials (and, for PRS, the set of degree-(k-1) coefficients realizing
-  it) determines every error distance in the coset.  Candidate polynomials
-  come from decoding on k-point subsets, batched as float32 matmuls on
-  base-p digit vectors (exact while k*a*(p-1)^2 < 2^24; float64 beyond).
-  The PRS coefficient set is an int64 bitset, so PRS sweeps need q < 64.
+  polynomials (and, for PRS, the best agreement per degree-(k-1)
+  coefficient value) determines every error distance in the coset and
+  which extra-coordinate values are deep.  Candidate polynomials come from
+  decoding on k-point subsets, batched as float32 matmuls on base-p digit
+  vectors (exact while k*a*(p-1)^2 < 2^24; float64 beyond).  Agreements
+  are at most n and are kept in np.min_scalar_type(n), for any q.
 
 * a syndrome coset-leader BFS for arbitrary linear codes: words are
   enumerated by increasing weight and their syndromes marked; the radius is
@@ -20,8 +21,9 @@ Three exact algorithms live here:
 The sweep optionally enumerates only degree-normalized slices (monic tails,
 subleading coefficient removed where the characteristic allows): every coset
 orbit under the substitutions x -> ax+b and scalar multiples meets the
-slice, and both the agreement profile and the coefficient-set fullness are
-orbit invariants, so the maximum over slices is the exact radius.
+slice, and both the best agreement and whether every extra-coordinate
+value reaches it are orbit invariants, so the maximum over slices is the
+exact radius.
 """
 
 from __future__ import annotations
@@ -127,7 +129,8 @@ def sliced_plans(ctx: FieldCtx, k: int) -> list[TailPlan]:
 class SweepOutcome:
     max_contrib: int
     cosets: int                 # tails scanned
-    candidates: list            # (tail tuple, A, vmask) rows at max_contrib
+    candidates: list            # (tail tuple, deep v values; (None,) for RS)
+                                # rows at max_contrib
     truncated: bool = False
 
 
@@ -168,8 +171,7 @@ COMPACT_EVERY = 16
 
 
 def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
-                  plans, collect: bool, chunk: int = CHUNK,
-                  floor: int = -1) -> SweepOutcome:
+                  plans, collect: bool, floor: int = -1) -> SweepOutcome:
     """Scan tail cosets; a tail's contribution is its worst error distance
     (max over the extra coordinate for PRS).
 
@@ -177,20 +179,27 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
     contribution of one known coset); rows whose best possible remaining
     contribution falls below the running maximum are dropped early.
 
-    For PRS the set of extra-coordinate values that reach the best agreement
-    is an int64 bitset (bit v for value v), exact only while q < 64: a PRS
-    sweep over a larger field raises ValueError.
+    Every k-subset decodes one candidate polynomial f per tail; bestA is
+    the best agreement of the tail word u_t with any candidate and, for
+    PRS, bestV[v] the best agreement among candidates whose x^(k-1)
+    coefficient is v (0 if none).  Both are agreements, at most n, held in
+    np.min_scalar_type(n).  A codeword that agrees with u_t on >= k points
+    is decoded by some k-subset of them, and bestA >= k, so for PRS
+
+        d((u_t, v), PRS) = q - max(bestV[v], bestA - 1).
+
+    Hence the tail contributes q + 1 - bestA - full, where full means
+    every value reaches bestA, and its deep values are all v when full,
+    otherwise the v with bestV[v] < bestA.
     """
     n, a, q, p = len(D), ctx.a, ctx.q, ctx.p
-    if prs and q >= 64:
-        raise ValueError(f"PRS sweep over F_{q}: the int64 value bitset "
-                         "needs q < 64; use the syndrome BFS")
     col_gather, ops, _ = subset_ops(ctx, _sweep_generator(ctx, D, k), n)
     _, idt = _linops.exact_dtypes(k * a, p)
+    adt = np.min_scalar_type(n)
     na = n * a
-    enc = p ** np.arange(a, dtype=np.int64)
-    fullmask = (1 << q) - 1
+    enc = p ** np.arange(a, dtype=idt)
     extra = 1 if prs else 0  # contribution is at most n + extra - bestA
+    allv = tuple(range(q)) if prs else (None,)
 
     gmax = floor
     cands: list = []
@@ -198,12 +207,16 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
     truncated = False
 
     for plan in plans:
-        for u, coeffs in _plan_batches(ctx, D, plan, chunk):
+        for u, coeffs in _plan_batches(ctx, D, plan):
             rows = len(u)
             cosets += rows
             u8 = u.astype(idt)
-            bestA = np.zeros(rows, dtype=np.int16)
-            vmask = np.zeros(rows, dtype=np.int64)
+            bestA = np.zeros(rows, dtype=adt)
+            if prs:
+                bestV = np.zeros((rows, q), dtype=adt)
+                # flat index row*q + v, in a signed dtype that holds rows*q
+                base = np.arange(0, rows * q, q,
+                                 dtype=np.min_scalar_type(-rows * q))
             alive = None  # original row positions after compaction
             for si in range(len(ops)):
                 us = u[:, col_gather[si]]
@@ -212,35 +225,32 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
                 eq = ci[:, :na] == u8
                 if a > 1:
                     agree = eq.reshape(len(u), n, a).all(axis=2).sum(
-                        axis=1, dtype=np.int16)
+                        axis=1, dtype=adt)
                 else:
-                    agree = eq.sum(axis=1, dtype=np.int16)
+                    agree = eq.sum(axis=1, dtype=adt)
+                np.maximum(bestA, agree, out=bestA)
                 if prs:
-                    bits = np.left_shift(1, ci[:, na:] @ enc)
-                    upd = agree > bestA
-                    np.maximum(bestA, agree, out=bestA)
-                    hit = agree == bestA
-                    vmask = np.where(upd, 0, vmask)
-                    vmask |= np.where(hit, bits, 0)
-                else:
-                    np.maximum(bestA, agree, out=bestA)
+                    v = ci[:, na] if a == 1 else ci[:, na:] @ enc
+                    np.maximum.at(bestV.reshape(-1), base + v, agree)
                 if (gmax >= 0 and len(u) > 2048 and si % COMPACT_EVERY
                         == COMPACT_EVERY - 1 and si + 1 < len(ops)):
                     # a row can still reach gmax only if n+extra-bestA >= gmax
                     keep = bestA <= n + extra - gmax
                     if not keep.all():
-                        u, u8 = u[keep], u8[keep]
-                        bestA, vmask = bestA[keep], vmask[keep]
+                        u, u8, bestA = u[keep], u8[keep], bestA[keep]
+                        if prs:
+                            bestV = bestV[keep]
+                            base = base[:len(u)]
                         kept = np.nonzero(keep)[0]
                         alive = kept if alive is None else alive[kept]
                         if len(u) == 0:
                             break
             if len(u) == 0:
                 continue
+            contrib = (n + extra) - bestA.astype(np.int64)
             if prs:
-                contrib = (q + 1) - bestA.astype(np.int64) - (vmask == fullmask)
-            else:
-                contrib = n - bestA.astype(np.int64)
+                full = bestV.min(axis=1) == bestA
+                contrib -= full
             cmax = int(contrib.max())
             if cmax > gmax:
                 gmax = cmax
@@ -254,13 +264,17 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
                     orig = int(r) if alive is None else int(alive[r])
                     tail = _tail_tuple(plan,
                                        None if coeffs is None else coeffs[orig])
-                    cands.append((tail, int(bestA[r]), int(vmask[r])))
+                    if not prs or full[r]:
+                        vs = allv
+                    else:
+                        vs = tuple(np.nonzero(bestV[r] < bestA[r])[0].tolist())
+                    cands.append((tail, vs))
     return SweepOutcome(gmax, cosets, cands, truncated)
 
 
-def _plan_batches(ctx, D, plan, chunk):
-    for s in range(plan.start, plan.end, chunk):
-        idx = np.arange(s, min(s + chunk, plan.end))
+def _plan_batches(ctx, D, plan):
+    for s in range(plan.start, plan.end, CHUNK):
+        idx = np.arange(s, min(s + CHUNK, plan.end))
         yield _tail_values_digits(ctx, D, plan, idx)
 
 
@@ -327,8 +341,8 @@ class BfsOutcome:
     witnesses: np.ndarray | None  # (len(deep_syndromes), n) word digit rows
 
 
-def syndrome_bfs(code, mem_budget: int, want_witness: bool = False,
-                 stop_early: bool = True) -> BfsOutcome:
+def syndrome_bfs(code, mem_budget: int,
+                 want_witness: bool = False) -> BfsOutcome:
     """Mark syndromes of all words by increasing weight until covered.
 
     Exact for any linear code; marking is idempotent (first mark wins), so
@@ -378,7 +392,7 @@ def syndrome_bfs(code, mem_budget: int, want_witness: bool = False,
                 if want_witness:
                     witness[uniq[:, None], list(S)] = vals_enc[unseen][first]
                 marked += len(uniq)
-                if stop_early and marked >= remaining:
+                if marked >= remaining:
                     break
         level_counts.append(marked)
         remaining -= marked

@@ -11,7 +11,6 @@ import numpy as np
 
 from . import _linops, _sweeps
 from .gf import FieldCtx, parse_descriptor
-from .poly import weight
 
 DEFAULT_ENUM_BUDGET = 10**8
 
@@ -185,16 +184,22 @@ def glynn_code(ctx: FieldCtx, w: int | None = None) -> LinearCode:
         raise ValueError(
             f"invalid parameter w={w}: need w^4 = -1 (w of multiplicative "
             "order 8), otherwise the construction is not MDS")
+    return LinearCode(ctx, _glynn_rows(ctx, w), f"Glynn(10,5;w={w})/F_9",
+                      {"kind": "glynn", "w": w, "eval": ctx.elements()})
+
+
+def _glynn_rows(ctx: FieldCtx, w: int) -> list:
+    """Generator rows of the Glynn construction over F_9 for any w (no
+    check on w): rows 1, x, x^2 + w*x^6, x^3, x^4 over the canonical
+    elements, plus a last column e_5."""
     D = ctx.elements()
-    rows = [
+    return [
         [1] * 9 + [0],
         list(D) + [0],
         [ctx.add(ctx.pow(x, 2), ctx.mul(w, ctx.pow(x, 6))) for x in D] + [0],
         [ctx.pow(x, 3) for x in D] + [0],
         [ctx.pow(x, 4) for x in D] + [1],
     ]
-    return LinearCode(ctx, rows, f"Glynn(10,5;w={w})/F_9",
-                      {"kind": "glynn", "w": w, "eval": D})
 
 
 def from_matrix(ctx: FieldCtx, rows, label: str = "") -> LinearCode:
@@ -229,21 +234,17 @@ def min_distance(code: LinearCode, enum_budget: int = DEFAULT_ENUM_BUDGET) -> in
         raise ValueError(
             f"q^k = {total} exceeds enumeration budget {enum_budget}; "
             "use is_mds for the Singleton check or raise the budget")
-    if total <= 4096:
-        d = min(weight(c) for c in code.codewords() if any(c))
-    else:
-        gd = _linops.digit_expand(ctx, code.G).astype(np.float64)
-        dt = ctx.digit_table()
-        best = code.n
-        chunk = 1 << 16
-        for start in range(1, total, chunk):
-            idx = np.arange(start, min(start + chunk, total))
-            msgs = _linops.mixed_radix(idx, ctx.q, code.k)
-            md = dt[msgs].reshape(len(idx), code.k * ctx.a).astype(np.float64)
-            vals = (md @ gd) % ctx.p
-            nz = vals.reshape(len(idx), code.n, ctx.a).any(axis=2)
-            best = min(best, int(nz.sum(axis=1).min()))
-        d = best
+    gd = _linops.digit_expand(ctx, code.G).astype(np.float64)
+    dt = ctx.digit_table()
+    d = code.n
+    chunk = 1 << 16
+    for start in range(1, total, chunk):
+        idx = np.arange(start, min(start + chunk, total))
+        msgs = _linops.mixed_radix(idx, ctx.q, code.k)
+        md = dt[msgs].reshape(len(idx), code.k * ctx.a).astype(np.float64)
+        vals = (md @ gd) % ctx.p
+        nz = vals.reshape(len(idx), code.n, ctx.a).any(axis=2)
+        d = min(d, int(nz.sum(axis=1).min()))
     code._d = d
     return d
 

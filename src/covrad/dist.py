@@ -339,17 +339,7 @@ def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
             raise ValueError(
                 f"supplied rho={rho} but sweep found max distance {out.max_contrib}")
         rho = out.max_contrib
-        reps = []
-        q = ctx.q
-        for tail, A, vmask in out.candidates:
-            if kind == "rs":
-                reps.append(CosetRep(tail=tail))
-                continue
-            if q - A == rho:
-                vs = [v for v in range(q) if vmask >> v & 1]
-            else:
-                vs = [v for v in range(q) if not vmask >> v & 1]
-            reps.extend(CosetRep(tail=tail, v=v) for v in vs)
+        reps = [CosetRep(tail=t, v=v) for t, vs in out.candidates for v in vs]
         algorithm = "rep-sweep"
         notes = []
         if out.truncated:

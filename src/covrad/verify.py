@@ -31,7 +31,8 @@ from functools import lru_cache, partial
 from typing import Callable
 
 from . import dist, ssp
-from .code import from_matrix, glynn_code, is_mds, min_distance, prs_code, rs_code
+from .code import (_glynn_rows, from_matrix, glynn_code, is_mds, min_distance,
+                   prs_code, rs_code)
 from .dist import (covering_radius_sweep, covering_radius_syndrome, deep_holes,
                    error_distance_brute, error_distance_mds)
 from .gf import field_for_size
@@ -253,15 +254,7 @@ def _glynn_stated_family(case):
     for w in range(9):
         if ctx.add(ctx.pow(w, 4), 1) == 0:
             continue
-        rows = [
-            [1] * 9 + [0],
-            list(ctx.elements()) + [0],
-            [ctx.add(ctx.pow(x, 2), ctx.mul(w, ctx.pow(x, 6)))
-             for x in ctx.elements()] + [0],
-            [ctx.pow(x, 3) for x in ctx.elements()] + [0],
-            [ctx.pow(x, 4) for x in ctx.elements()] + [1],
-        ]
-        dd[w] = min_distance(from_matrix(ctx, rows))
+        dd[w] = min_distance(from_matrix(ctx, _glynn_rows(ctx, w)))
     newmds = {w: d for w, d in dd.items() if d == 6 and w != 0}
     case.notes.append(f"minimum distances by w: {dd} (w=0 reproduces the "
                       "projective RS code itself)")

@@ -157,11 +157,14 @@ def test_full_sweep_radius_beyond_int16_products():
     assert covering_radius_sweep(code, variant="full").rho == 2  # q - k
 
 
-def test_prs_sweep_rejects_fields_beyond_value_bitset():
-    # the PRS extra-coordinate values are an int64 bitset: q = 67 > 63
+def test_prs_sweep_beyond_64_values_matches_syndrome_bfs():
+    # 67 extra-coordinate values, more than a 64-bit word has bits
     code = prs_code(field_for_size(67), 66)
-    with pytest.raises(ValueError, match="q < 64"):
-        covering_radius_sweep(code, variant="full")
+    assert covering_radius_sweep(code, variant="full").rho == 1
+    assert covering_radius_syndrome(code).rho == 1
+    sweep = deep_holes(code, algo="sweep")
+    assert sweep.rho == 1
+    assert sweep.count == deep_holes(code, algo="syndrome").count == 4488
 
 
 def test_sliced_equals_full_on_f9():
@@ -208,12 +211,12 @@ def test_mds_radius_dichotomy():
 def test_bfs_level_counts_monotone_coverage():
     code = prs_code(field_create(5), 3)
     from covrad._sweeps import syndrome_bfs
-    out = syndrome_bfs(code, 10**6, stop_early=False)
+    out = syndrome_bfs(code, 10**6)
     assert sum(out.level_counts) == 5 ** (code.n - code.k)
     assert all(c >= 0 for c in out.level_counts)
     assert out.rho == len(out.level_counts) - 1
     # idempotence: a rerun yields the same level profile
-    again = syndrome_bfs(code, 10**6, stop_early=False)
+    again = syndrome_bfs(code, 10**6)
     assert again.level_counts == out.level_counts
 
 
@@ -295,10 +298,10 @@ def test_prs62_deep_holes_exceed_family():
 
 
 def test_prs_deep_sets_match_syndrome_bfs():
-    # independent cross-validation of the full deep-hole listing
-    ctx = field_create(5)
-    for k in (2, 3, 4):
-        code = prs_code(ctx, k)
+    # independent cross-validation of the full deep-hole listing; over F_9
+    # the extra-coordinate value is decoded from a = 2 digits
+    for q, k in [(5, 2), (5, 3), (5, 4), (7, 4), (9, 6), (9, 7)]:
+        code = prs_code(field_for_size(q), k)
         sweep = deep_holes(code, algo="sweep")
         bfs = deep_holes(code, algo="syndrome")
         assert sweep.rho == bfs.rho
