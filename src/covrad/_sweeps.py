@@ -230,8 +230,9 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
                     agree = eq.sum(axis=1, dtype=adt)
                 np.maximum(bestA, agree, out=bestA)
                 if prs:
-                    v = ci[:, na] if a == 1 else ci[:, na:] @ enc
-                    np.maximum.at(bestV.reshape(-1), base + v, agree)
+                    idx = base + ci[:, na:] @ enc
+                    flat = bestV.reshape(-1)
+                    flat[idx] = np.maximum(flat[idx], agree)
                 if (gmax >= 0 and len(u) > 2048 and si % COMPACT_EVERY
                         == COMPACT_EVERY - 1 and si + 1 < len(ops)):
                     # a row can still reach gmax only if n+extra-bestA >= gmax
