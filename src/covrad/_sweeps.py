@@ -342,7 +342,7 @@ class BfsOutcome:
     witnesses: np.ndarray | None  # (len(deep_syndromes), n) word digit rows
 
 
-def syndrome_bfs(code, mem_budget: int,
+def syndrome_bfs(code, enum_budget: int,
                  want_witness: bool = False) -> BfsOutcome:
     """Mark syndromes of all words by increasing weight until covered.
 
@@ -355,10 +355,10 @@ def syndrome_bfs(code, mem_budget: int,
     n, q, a, p = code.n, ctx.q, ctx.a, ctx.p
     m = n - code.k
     size = q**m
-    if size > mem_budget:
+    if size > enum_budget:
         raise ValueError(
-            f"syndrome table q^(n-k) = {size} exceeds memory budget "
-            f"{mem_budget}; use the representative sweep")
+            f"syndrome table q^(n-k) = {size} exceeds budget {enum_budget}; "
+            "use the representative sweep")
     table = np.full(size, 255, dtype=np.uint8)
     witness = (np.zeros((size, n), dtype=np.min_scalar_type(q - 1))
                if want_witness else None)

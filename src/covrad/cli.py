@@ -109,12 +109,11 @@ def cmd_code(args) -> int:
 def cmd_analyze(args) -> int:
     code = build_code(args.code)
     if args.what == "radius":
-        rep = dist.covering_radius(code, args.algo, args.mem_budget,
-                                   args.enum_budget, args.threads)
+        rep = dist.covering_radius(code, args.algo, args.enum_budget,
+                                   args.threads)
         _emit(rep.to_json(), args.format)
     elif args.what == "deep-holes":
         rep = dist.deep_holes(code, rho=args.rho, algo=args.algo_dh,
-                              mem_budget=args.mem_budget,
                               enum_budget=args.enum_budget,
                               threads=args.threads)
         _emit(rep.to_json(), args.format)
@@ -153,8 +152,7 @@ def cmd_ssp(args) -> int:
 def cmd_verify(args) -> int:
     qs = tuple(args.q) if args.q else None
     ks = tuple(args.k) if args.k else None
-    report = run_verification(args.suite, qs=qs, ks=ks, threads=args.threads,
-                              mem_budget=args.mem_budget)
+    report = run_verification(args.suite, qs=qs, ks=ks, threads=args.threads)
     if args.format == "csv":
         print("claim_id,q,k,expected,computed,status")
         for c in report["cases"]:
@@ -179,10 +177,15 @@ def cmd_verify(args) -> int:
 # parser
 # ----------------------------------------------------------------------
 
-def _add_budgets(p):
-    p.add_argument("--mem-budget", type=int, default=dist.DEFAULT_MEM_BUDGET)
-    p.add_argument("--enum-budget", type=int, default=dist.DEFAULT_ENUM_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
+def _add_enum_budget(p):
+    p.add_argument("--enum-budget", type=int, default=dist.DEFAULT_ENUM_BUDGET,
+                   help="the most cosets, codewords, words or syndromes an "
+                        "engine may enumerate or tabulate")
+
+
+def _add_threads(p):
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for the representative sweep")
 
 
 def _add_format(p):
@@ -233,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True)
     p.add_argument("--algo", choices=("auto", "syndrome", "sweep", "brute"),
                    default="auto")
-    _add_budgets(p)
+    _add_enum_budget(p)
+    _add_threads(p)
     _add_format(p)
     p.set_defaults(func=cmd_analyze)
     p = asub.add_parser("deep-holes")
@@ -241,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=int)
     p.add_argument("--algo", dest="algo_dh",
                    choices=("auto", "sweep", "syndrome"), default="auto")
-    _add_budgets(p)
+    _add_enum_budget(p)
+    _add_threads(p)
     _add_format(p)
     p.set_defaults(func=cmd_analyze)
     p = asub.add_parser("distance")
@@ -249,19 +254,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.add_argument("--algo", dest="dist_algo", choices=("mds", "brute"),
                    default="mds")
-    _add_budgets(p)
+    _add_enum_budget(p)
     _add_format(p)
     p.set_defaults(func=cmd_analyze)
     for name in ("min-distance", "mds-check"):
         p = asub.add_parser(name)
         p.add_argument("--code", required=True)
-        _add_budgets(p)
+        if name == "min-distance":
+            _add_enum_budget(p)
         _add_format(p)
         p.set_defaults(func=cmd_analyze)
     p = asub.add_parser("nested-max")
     p.add_argument("--code", required=True, help="inner code C1")
     p.add_argument("--code2", required=True, help="outer code C2 containing C1")
-    _add_budgets(p)
+    _add_enum_budget(p)
     _add_format(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -280,8 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, action="append",
                    help="keep only the cases of these dimensions; cases "
                         "without a dimension are kept (repeatable)")
-    p.add_argument("--mem-budget", type=int, default=dist.DEFAULT_MEM_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
+    _add_threads(p)
     _add_format(p)
     p.set_defaults(func=cmd_verify)
     return ap

@@ -12,6 +12,8 @@ import numpy as np
 from . import _linops, _sweeps
 from .gf import FieldCtx, parse_descriptor
 
+# The one size limit of every exact engine: the most cosets, codewords,
+# words or syndromes it may enumerate or tabulate.
 DEFAULT_ENUM_BUDGET = 10**8
 
 

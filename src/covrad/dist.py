@@ -3,8 +3,10 @@
 Coset representatives: for RS-structured codes a tail polynomial supported
 in degrees k..n-1 (the degree-<k part is the code); for PRS additionally a
 last-coordinate value, obtained by subtracting the codeword that matches the
-word's degree-<k truncation; for generic codes the set of minimum-weight
-words of the coset, canonicalized by (weight, lexicographic) order.
+word's degree-<k truncation; for generic codes `reduce_to_coset_rep` returns
+the (weight, lexicographic) least word of the coset.  Syndrome listings
+return one minimum-weight witness word per deep coset, for any code; the
+witness is not canonical.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from . import _linops, _sweeps
 from .code import DEFAULT_ENUM_BUDGET, LinearCode, is_mds, min_distance, rs_code
 from .gf import FieldCtx
 from .poly import Poly, evaluate_word, hamming, interpolate
-
-DEFAULT_MEM_BUDGET = 10**8
 
 
 # ----------------------------------------------------------------------
@@ -198,10 +198,10 @@ def _strip(t):
 # ----------------------------------------------------------------------
 
 def covering_radius_syndrome(code: LinearCode,
-                             mem_budget: int = DEFAULT_MEM_BUDGET) -> RadiusReport:
+                             enum_budget: int = DEFAULT_ENUM_BUDGET) -> RadiusReport:
     """Coset-leader BFS over the q^(n-k) syndrome table."""
     t0 = time.perf_counter()
-    out = _sweeps.syndrome_bfs(code, mem_budget)
+    out = _sweeps.syndrome_bfs(code, enum_budget)
     return RadiusReport(
         code=code.label, n=code.n, k=code.k, rho=out.rho,
         algorithm="syndrome-bfs",
@@ -217,7 +217,8 @@ def covering_radius_sweep(code: LinearCode, variant: str = "auto",
 
     variant 'full' enumerates every tail coset; 'degree-sliced' enumerates
     one normalized slice per tail degree (exact radius by orbit invariance,
-    full-field evaluation sets only); 'auto' picks by size.
+    full-field evaluation sets only); 'auto' picks degree-sliced for a
+    full-field set with more than min(2^16, enum_budget) tails, else full.
     """
     t0 = time.perf_counter()
     kind = code.structure.get("kind")
@@ -230,19 +231,16 @@ def covering_radius_sweep(code: LinearCode, variant: str = "auto",
     ntails = ctx.q ** (len(D) - k)
     full_field = kind == "prs" or code.structure.get("full_field", False)
     if variant == "auto":
-        if full_field and ntails > 2**16:
-            variant = "degree-sliced"
-        elif ntails <= max(1, enum_budget) and ntails <= 2**21:
-            variant = "full"
-        else:
-            variant = "degree-sliced"
+        variant = ("degree-sliced" if full_field
+                   and ntails > min(2**16, enum_budget) else "full")
     if variant == "degree-sliced" and not full_field:
         raise ValueError("degree-sliced sweep requires the full-field "
                          "evaluation set")
     if variant == "full":
         if ntails > enum_budget:
-            raise ValueError(f"{ntails} tail cosets exceed budget {enum_budget}; "
-                             "use variant='degree-sliced'")
+            raise ValueError(
+                f"{ntails} tail cosets exceed budget {enum_budget}"
+                + ("; use variant='degree-sliced'" if full_field else ""))
         plans = _sweeps.full_plans(ctx, len(D), k)
     else:
         plans = _sweeps.sliced_plans(ctx, k)
@@ -270,13 +268,12 @@ def covering_radius_brute(code: LinearCode,
 
 
 def covering_radius(code: LinearCode, algo: str = "auto",
-                    mem_budget: int = DEFAULT_MEM_BUDGET,
                     enum_budget: int = DEFAULT_ENUM_BUDGET,
                     threads: int = 1) -> RadiusReport:
-    """Dispatch: syndrome BFS when the table fits the memory budget, else
+    """Dispatch: syndrome BFS when its q^(n-k) table fits the budget, else
     the representative sweep."""
     if algo == "syndrome":
-        return covering_radius_syndrome(code, mem_budget)
+        return covering_radius_syndrome(code, enum_budget)
     if algo == "sweep":
         return covering_radius_sweep(code, enum_budget=enum_budget,
                                      threads=threads)
@@ -284,8 +281,8 @@ def covering_radius(code: LinearCode, algo: str = "auto",
         return covering_radius_brute(code, enum_budget)
     if algo != "auto":
         raise ValueError(f"unknown algorithm {algo!r}")
-    if code.ctx.q ** (code.n - code.k) <= mem_budget:
-        return covering_radius_syndrome(code, mem_budget)
+    if code.ctx.q ** (code.n - code.k) <= enum_budget:
+        return covering_radius_syndrome(code, enum_budget)
     return covering_radius_sweep(code, enum_budget=enum_budget, threads=threads)
 
 
@@ -308,14 +305,14 @@ def deep_hole_family_prs(ctx: FieldCtx, k: int):
 
 
 def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
-               mem_budget: int = DEFAULT_MEM_BUDGET,
                enum_budget: int = DEFAULT_ENUM_BUDGET,
                threads: int = 1) -> DeepHoleReport:
     """All coset representatives at error distance exactly rho(C).
 
-    For RS/PRS codes the reps are (tail, extra-coordinate) pairs and the
-    report compares the set against the degree-k family; for generic codes
-    the reps are minimum-weight witness words.
+    The sweep (RS/PRS codes) lists (tail, extra-coordinate) reps and the
+    report compares them against the degree-k family.  The syndrome BFS
+    (any code) lists one minimum-weight witness word per deep coset and
+    leaves the family fields unset.
     """
     t0 = time.perf_counter()
     kind = code.structure.get("kind")
@@ -345,7 +342,7 @@ def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
         if out.truncated:
             notes.append("deep-hole list truncated at candidate cap")
     elif algo == "syndrome":
-        out = _sweeps.syndrome_bfs(code, mem_budget, want_witness=True)
+        out = _sweeps.syndrome_bfs(code, enum_budget, want_witness=True)
         if rho is not None and rho != out.rho:
             raise ValueError(f"supplied rho={rho} but BFS found {out.rho}")
         rho = out.rho
@@ -360,7 +357,7 @@ def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
         code=code.label, rho=rho, count=len(reps), reps=reps,
         algorithm=algorithm, elapsed_ms=(time.perf_counter() - t0) * 1e3,
         notes=notes)
-    if kind in ("rs", "prs"):
+    if algo == "sweep":
         vs = range(ctx.q) if kind == "prs" else (None,)
         fs, rs = set(_degree_k_family(ctx, code.structure["k"], vs)), set(reps)
         report.family_size = len(fs)

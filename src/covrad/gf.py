@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Full multiplication/inverse lookup tables are precomputed up to this field
-# size; the sweep inner loops are table lookups.
+# Extension fields (a > 1) up to this size precompute full add/neg/mul/inverse
+# lookup tables for scalar arithmetic; prime fields use integer arithmetic.
 TABLE_LIMIT = 1 << 12
 
 
@@ -141,7 +141,7 @@ class FieldCtx:
         self._digits = digs
         self._enc = p_ ** np.arange(a_, dtype=np.int64)
 
-        if q <= TABLE_LIMIT:
+        if a_ > 1 and q <= TABLE_LIMIT:
             self._build_tables()
         else:
             self._add_t = self._mul_t = self._neg_t = self._inv_t = None
@@ -157,8 +157,7 @@ class FieldCtx:
         for x in range(q):
             ux = list(d[x])
             for y in range(x, q):
-                v = _polymod_mul(ux, list(d[y]), mod, p) if a > 1 else [x * y % p]
-                e = int(np.dot(v, self._enc))
+                e = int(np.dot(_polymod_mul(ux, list(d[y]), mod, p), self._enc))
                 mul[x, y] = e
                 mul[y, x] = e
         self._mul_t = mul
@@ -201,9 +200,6 @@ class FieldCtx:
         if self._inv_t is not None:
             return int(self._inv_t[x])
         return self.pow(x, self.q - 2)
-
-    def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
 
     def pow(self, x: int, e: int) -> int:
         """x**e with e a nonnegative integer; x**0 == 1."""

@@ -95,10 +95,6 @@ class Poly:
         return ",".join(str(c) for c in self.coeffs) if self.coeffs else "0"
 
 
-def poly_from_text(ctx: FieldCtx, text: str) -> Poly:
-    return Poly(ctx, [int(t) for t in text.split(",")])
-
-
 # ----------------------------------------------------------------------
 # words
 # ----------------------------------------------------------------------

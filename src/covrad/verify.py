@@ -137,26 +137,25 @@ def suite_thm1(qs=(5, 7, 9), **_):
                 {"q": q, "k": k}, q - k, "published", _family_distance)
 
 
-def _prs_radius(case, threads, mem_budget):
+def _prs_radius(case, threads):
     code = _code(case, prs_code)
     q = code.ctx.q
-    if q == 11 and q ** (code.n - code.k) <= min(mem_budget, 250_000):
-        rep = covering_radius_syndrome(code, mem_budget)
+    if q == 11 and q ** (code.n - code.k) <= 250_000:
+        rep = covering_radius_syndrome(code)
     else:
         rep = covering_radius_sweep(code, threads=threads)
     case.notes.append(f"algorithm={rep.algorithm}/{rep.variant}")
     return rep.rho
 
 
-def suite_thm3(qs=(5, 7, 11, 9), threads=1,
-               mem_budget=dist.DEFAULT_MEM_BUDGET, **_):
+def suite_thm3(qs=(5, 7, 11, 9), threads=1, **_):
     """Covering radius of PRS(q+1,k) equals q-k on the desk-scale grid:
     2 <= k <= p-2 for a prime q = p, and k = 2, 3 for a prime power q.
 
     Large-k cases run the syndrome BFS, the rest the representative sweep;
     the (q,k) = (13,4) case is out of desk scale and reported as skipped.
     """
-    check = partial(_prs_radius, threads=threads, mem_budget=mem_budget)
+    check = partial(_prs_radius, threads=threads)
     for q in qs:
         if field_for_size(q).a == 1:
             for k in range(2, q - 1):
@@ -471,8 +470,7 @@ SUITES = {
 }
 
 
-def run_verification(suite: str, qs=None, ks=None, threads: int = 1,
-                     mem_budget: int = dist.DEFAULT_MEM_BUDGET) -> dict:
+def run_verification(suite: str, qs=None, ks=None, threads: int = 1) -> dict:
     """Run a suite (or 'all') and return the machine-readable report.
 
     `qs` replaces every suite's default field sizes; `ks` keeps only the
@@ -483,7 +481,7 @@ def run_verification(suite: str, qs=None, ks=None, threads: int = 1,
     if unknown:
         raise ValueError(f"unknown suite {unknown[0]!r}; choose from "
                          f"{['all'] + list(SUITES)}")
-    kwargs = {"threads": threads, "mem_budget": mem_budget}
+    kwargs = {"threads": threads}
     if qs:
         kwargs["qs"] = tuple(qs)
     cases = []

@@ -151,6 +151,16 @@ def test_verify_unknown_suite_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "mds-check", "--code", "prs:q=5,k=4", "--threads", "2"),
+    ("verify", "boundary", "--mem-budget", "5"),
+])
+def test_options_a_command_does_not_read_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
 def test_json_output_deterministic(capsys):
     def strip_time(text):
         return re.sub(r'"elapsed_ms": [0-9.]+', '"elapsed_ms": 0', text)

@@ -182,7 +182,7 @@ def test_radius_dispatcher_auto():
     code = prs_code(field_create(5), 4)
     rep = covering_radius(code)
     assert rep.rho == 1 and rep.algorithm == "syndrome-bfs"
-    rep = covering_radius(code, mem_budget=10)  # too small: falls to sweep
+    rep = covering_radius(code, enum_budget=10)  # too small: falls to sweep
     assert rep.rho == 1 and rep.algorithm == "rep-sweep"
 
 
@@ -192,10 +192,20 @@ def test_sweep_rejects_generic_codes():
         covering_radius_sweep(code)
 
 
+def test_partial_evaluation_set_sweep_stays_full_and_names_budget():
+    # RS(D[8],1)/F_9 has 9^7 > 2^21 tails on a non-full-field set: the
+    # degree-sliced sweep does not apply, so the full sweep's budget error
+    # is the one raised, without advising the sliced variant
+    ctx = field_create(3, 2)
+    code = rs_code(ctx, 1, ctx.elements()[:8])
+    with pytest.raises(ValueError, match="exceed budget 1000000$"):
+        covering_radius_sweep(code, enum_budget=10**6)
+
+
 def test_syndrome_budget_error_mentions_sweep():
     code = rs_code(field_create(11), 2)
     with pytest.raises(ValueError, match="sweep"):
-        covering_radius_syndrome(code, mem_budget=100)
+        covering_radius_syndrome(code, enum_budget=100)
 
 
 def test_mds_radius_dichotomy():
@@ -295,6 +305,15 @@ def test_prs62_deep_holes_exceed_family():
     assert not report.matches_degree_k_family
     assert not report.missing_family  # the family is fully deep
     assert len(report.extras) == 340
+
+
+def test_syndrome_deep_holes_leave_family_fields_unset():
+    # witness words are not (tail, v) reps, so no family comparison is made
+    report = deep_holes(prs_code(field_create(5), 2), algo="syndrome")
+    assert report.count == 360
+    assert report.matches_degree_k_family is None
+    assert report.family_size is None
+    assert not report.extras and not report.missing_family
 
 
 def test_prs_deep_sets_match_syndrome_bfs():
