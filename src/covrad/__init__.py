@@ -8,7 +8,8 @@ from .dist import (CosetRep, DeepHoleReport, RadiusReport, covering_radius,
                    covering_radius_brute, covering_radius_sweep,
                    covering_radius_syndrome, deep_hole_family_prs, deep_holes,
                    error_distance_brute, error_distance_mds,
-                   nested_max_distance, prs_bound_via_rs, reduce_to_coset_rep)
+                   error_distances_mds, nested_max_distance,
+                   prs_bound_via_rs, reduce_to_coset_rep)
 from .gf import FieldCtx, field_create, field_for_size
 from .poly import (NEG_INF, Poly, evaluate_word, from_roots, hamming,
                    interpolate, weight)
@@ -25,7 +26,7 @@ __all__ = [
     "from_matrix", "extend_code", "min_distance", "is_mds", "codes_equal",
     "export_code_spec", "parse_code_spec",
     "CosetRep", "RadiusReport", "DeepHoleReport",
-    "error_distance_brute", "error_distance_mds",
+    "error_distance_brute", "error_distance_mds", "error_distances_mds",
     "covering_radius", "covering_radius_syndrome", "covering_radius_sweep",
     "covering_radius_brute", "deep_holes", "deep_hole_family_prs",
     "reduce_to_coset_rep", "nested_max_distance", "prs_bound_via_rs",

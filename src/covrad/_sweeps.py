@@ -7,9 +7,8 @@ Three exact algorithms live here:
   polynomials (and, for PRS, the best agreement per degree-(k-1)
   coefficient value) determines every error distance in the coset and
   which extra-coordinate values are deep.  Candidate polynomials come from
-  decoding on k-point subsets, batched as float32 matmuls on base-p digit
-  vectors (exact while k*a*(p-1)^2 < 2^24; float64 beyond).  Agreements
-  are at most n and are kept in np.min_scalar_type(n), for any q.
+  `decode_step`, the one subset-decoding kernel (`dist.error_distances_mds`
+  runs it too).  Agreements are at most n, in np.min_scalar_type(n).
 
 * a syndrome coset-leader BFS for arbitrary linear codes: words are
   enumerated by increasing weight and their syndromes marked; the radius is
@@ -74,6 +73,25 @@ def subset_ops(ctx: FieldCtx, G: tuple, m: int):
     stack = (col_gather, red.astype(fdt), singular)
     _SUBSET_OPS_CACHE[key] = stack
     return stack
+
+
+def decode_step(ctx: FieldCtx, rows, gather, ops, m: int):
+    """Decode integer digit rows (R, >= m*a) on one subset (gather (k*a,),
+    ops (k*a, N*a)) or a block of C subsets ((C, k*a), (C, k*a, N*a)) of
+    `subset_ops`: (cand, agree), with a leading C axis for a block.  cand
+    (R, N*a) holds the candidates' digits in the exact int dtype of
+    `_linops.exact_dtypes(k*a, p)`; agree (R,) counts the first m
+    coordinates where candidate and row agree, in np.min_scalar_type(m).
+    """
+    a, p = ctx.a, ctx.p
+    _, idt = _linops.exact_dtypes(gather.shape[-1], p)
+    us = np.moveaxis(rows[:, gather], 0, -2).astype(ops.dtype)
+    cand = (us @ ops).astype(idt)
+    np.mod(cand, p, out=cand)
+    eq = cand[..., :m * a] == rows[:, :m * a]
+    if a > 1:
+        eq = eq.reshape(eq.shape[:-1] + (m, a)).all(axis=-1)
+    return cand, eq.sum(axis=-1, dtype=np.min_scalar_type(m))
 
 
 def _sweep_generator(ctx: FieldCtx, D: tuple, k: int) -> tuple:
@@ -196,7 +214,6 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
     col_gather, ops, _ = subset_ops(ctx, _sweep_generator(ctx, D, k), n)
     _, idt = _linops.exact_dtypes(k * a, p)
     adt = np.min_scalar_type(n)
-    na = n * a
     enc = p ** np.arange(a, dtype=idt)
     extra = 1 if prs else 0  # contribution is at most n + extra - bestA
     allv = tuple(range(q)) if prs else (None,)
@@ -210,7 +227,7 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
         for u, coeffs in _plan_batches(ctx, D, plan):
             rows = len(u)
             cosets += rows
-            u8 = u.astype(idt)
+            u = u.astype(idt)
             bestA = np.zeros(rows, dtype=adt)
             if prs:
                 bestV = np.zeros((rows, q), dtype=adt)
@@ -219,18 +236,10 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
                                  dtype=np.min_scalar_type(-rows * q))
             alive = None  # original row positions after compaction
             for si in range(len(ops)):
-                us = u[:, col_gather[si]]
-                ci = (us @ ops[si]).astype(idt)
-                np.mod(ci, p, out=ci)
-                eq = ci[:, :na] == u8
-                if a > 1:
-                    agree = eq.reshape(len(u), n, a).all(axis=2).sum(
-                        axis=1, dtype=adt)
-                else:
-                    agree = eq.sum(axis=1, dtype=adt)
+                ci, agree = decode_step(ctx, u, col_gather[si], ops[si], n)
                 np.maximum(bestA, agree, out=bestA)
                 if prs:
-                    idx = base + ci[:, na:] @ enc
+                    idx = base + ci[:, n * a:] @ enc
                     flat = bestV.reshape(-1)
                     flat[idx] = np.maximum(flat[idx], agree)
                 if (gmax >= 0 and len(u) > 2048 and si % COMPACT_EVERY
@@ -238,7 +247,7 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
                     # a row can still reach gmax only if n+extra-bestA >= gmax
                     keep = bestA <= n + extra - gmax
                     if not keep.all():
-                        u, u8, bestA = u[keep], u8[keep], bestA[keep]
+                        u, bestA = u[keep], bestA[keep]
                         if prs:
                             bestV = bestV[keep]
                             base = base[:len(u)]

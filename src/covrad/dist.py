@@ -6,7 +6,9 @@ last-coordinate value, obtained by subtracting the codeword that matches the
 word's degree-<k truncation; for generic codes `reduce_to_coset_rep` returns
 the (weight, lexicographic) least word of the coset.  Syndrome listings
 return one minimum-weight witness word per deep coset, for any code; the
-witness is not canonical.
+witness is not canonical.  MDS error distances come from
+`error_distances_mds`, which runs the sweep's `_sweeps.decode_step` on
+batches of words.
 """
 
 from __future__ import annotations
@@ -113,14 +115,22 @@ class DeepHoleReport:
 # error distances
 # ----------------------------------------------------------------------
 
+def _words(code: LinearCode, words) -> np.ndarray:
+    """(N, n) int64 words; ValueError on a length != n or an entry not in F_q."""
+    w = np.asarray(words, dtype=np.int64)
+    if w.ndim != 2 or w.shape[1] != code.n:
+        raise ValueError(f"word length {w.shape[-1]} != n={code.n}")
+    if ((w < 0) | (w >= code.ctx.q)).any():
+        raise ValueError(f"word entries must lie in [0, {code.ctx.q})")
+    return w
+
+
 def error_distance_brute(code: LinearCode, word,
                          enum_budget: int = DEFAULT_ENUM_BUDGET):
     """Exact distance and first nearest codeword, by full enumeration."""
-    word = tuple(word)
-    if len(word) != code.n:
-        raise ValueError(f"word length {len(word)} != n={code.n}")
+    w = _words(code, [word])[0]
     cw = code.codeword_matrix(enum_budget)
-    dist = (cw != np.asarray(word)).sum(axis=1)
+    dist = (cw != w).sum(axis=1)
     i = int(np.argmin(dist))
     return int(dist[i]), tuple(int(v) for v in cw[i])
 
@@ -133,26 +143,29 @@ def _mds_stack(code: LinearCode):
     return stack
 
 
-def error_distance_mds(code: LinearCode, word):
-    """Exact distance to an MDS code via all C(n,k) agreeing-subset decodes.
-
-    Any k coordinates determine a unique codeword; a nearest codeword agrees
-    with the word on at least k coordinates, so it is found by some subset.
-    """
-    word = tuple(word)
-    if len(word) != code.n:
-        raise ValueError(f"word length {len(word)} != n={code.n}")
-    ctx = code.ctx
+def error_distances_mds(code: LinearCode, words):
+    """(distances (N,), nearest codewords (N, n)) of N words to an MDS code:
+    a nearest codeword agrees with the word on >= k coordinates, so decoding
+    on all C(n,k) subsets finds it.  Chunks of max(1, CHUNK // C) words; a
+    tie goes to the first subset in itertools.combinations order."""
+    w = _words(code, words)
+    ctx, n = code.ctx, code.n
     gather, ops, _ = _mds_stack(code)
-    dt = ctx.digit_table()
-    ud = dt[list(word)].reshape(-1).astype(ops.dtype)
-    us = ud[gather]                                  # (C, k*a)
-    cand = np.einsum("ck,ckn->cn", us, ops)
-    np.mod(cand, ctx.p, out=cand)
-    enc = _linops.digit_decode_cols(ctx, cand.astype(np.int64), code.n)
-    dist = (enc != np.asarray(word)).sum(axis=1)
-    i = int(np.argmin(dist))
-    return int(dist[i]), tuple(int(v) for v in enc[i])
+    dist, near = np.empty(len(w), dtype=np.int64), np.empty_like(w)
+    step = max(1, _sweeps.CHUNK // len(ops))
+    for s in range(0, len(w), step):
+        ud = ctx.digit_table()[w[s:s + step]].reshape(-1, n * ctx.a)
+        cand, agree = _sweeps.decode_step(ctx, ud, gather, ops, n)
+        best, r = agree.argmax(axis=0), np.arange(agree.shape[1])
+        dist[s:s + step] = n - agree[best, r].astype(np.int64)
+        near[s:s + step] = _linops.digit_decode_cols(ctx, cand[best, r], n)
+    return dist, near
+
+
+def error_distance_mds(code: LinearCode, word):
+    """`error_distances_mds` of one word: (distance, nearest codeword)."""
+    dist, near = error_distances_mds(code, [word])
+    return int(dist[0]), tuple(near[0].tolist())
 
 
 # ----------------------------------------------------------------------
@@ -378,14 +391,10 @@ def nested_max_distance(c1: LinearCode, c2: LinearCode,
         raise ValueError("codes must share field and length")
     if not all(c2.contains(r) for r in c1.G):
         raise ValueError(f"{c1.label} is not contained in {c2.label}")
-    mds1 = is_mds(c1)
-    best = 0
-    for c in c2.codeword_matrix(enum_budget):
-        w = tuple(int(v) for v in c)
-        d = (error_distance_mds(c1, w) if mds1
-             else error_distance_brute(c1, w, enum_budget))[0]
-        best = max(best, d)
-    return best
+    cw = c2.codeword_matrix(enum_budget)
+    if is_mds(c1):
+        return int(error_distances_mds(c1, cw)[0].max())
+    return max(error_distance_brute(c1, c, enum_budget)[0] for c in cw)
 
 
 def prs_bound_via_rs(f: Poly, v: int, k: int) -> int:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Extension fields (a > 1) up to this size precompute full add/neg/mul/inverse
-# lookup tables for scalar arithmetic; prime fields use integer arithmetic.
+# Extension fields (a > 1) up to this size precompute mul/inverse tables;
+# addition is digit-wise mod p and prime fields use integer arithmetic.
 TABLE_LIMIT = 1 << 12
 
 
@@ -131,27 +131,16 @@ class FieldCtx:
                 raise ValueError(f"modulus {list(modulus)} is reducible over F_{p}")
         self.modulus = tuple(modulus)
 
-        q, a_, p_ = self.q, self.a, self.p
-        digs = np.zeros((q, a_), dtype=np.int64)
-        for e in range(q):
-            t = e
-            for i in range(a_):
-                digs[e, i] = t % p_
-                t //= p_
-        self._digits = digs
-        self._enc = p_ ** np.arange(a_, dtype=np.int64)
-
-        if a_ > 1 and q <= TABLE_LIMIT:
+        self._enc = p ** np.arange(a, dtype=np.int64)
+        self._digits = np.arange(self.q)[:, None] // self._enc % p
+        if a > 1 and self.q <= TABLE_LIMIT:
             self._build_tables()
         else:
-            self._add_t = self._mul_t = self._neg_t = self._inv_t = None
+            self._mul_t = self._inv_t = None
 
     def _build_tables(self):
-        q, p, a = self.q, self.p, self.a
+        q, p = self.q, self.p
         d = self._digits
-        add = ((d[:, None, :] + d[None, :, :]) % p) @ self._enc
-        self._add_t = add.astype(np.int64)
-        self._neg_t = (((-d) % p) @ self._enc).astype(np.int64)
         mul = np.zeros((q, q), dtype=np.int64)
         mod = list(self.modulus)
         for x in range(q):
@@ -161,27 +150,29 @@ class FieldCtx:
                 mul[x, y] = e
                 mul[y, x] = e
         self._mul_t = mul
-        inv = np.zeros(q, dtype=np.int64)
-        for x in range(1, q):
-            row = mul[x]
-            inv[x] = int(np.nonzero(row == 1)[0][0])
-        self._inv_t = inv
+        self._inv_t = np.argmax(mul == 1, axis=1)  # 0 for x = 0
 
     # ------------------------------------------------------------------
     # scalar arithmetic
     # ------------------------------------------------------------------
+    def _digitwise(self, x: int, y: int, s: int) -> int:
+        """x + s*y: digit-wise mod p, with plain integer arithmetic."""
+        p, r, m = self.p, 0, 1
+        while x or y:
+            r += (x + s * y) % p * m
+            x, y, m = x // p, y // p, m * p
+        return r
+
     def add(self, x: int, y: int) -> int:
         if self.a == 1:
             return (x + y) % self.p
-        return int(self._add_t[x, y])
+        return self._digitwise(x, y, 1)
 
     def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
+        return self._digitwise(x, y, -1)
 
     def neg(self, x: int) -> int:
-        if self.a == 1:
-            return (-x) % self.p
-        return int(self._neg_t[x])
+        return self._digitwise(0, x, -1)
 
     def mul(self, x: int, y: int) -> int:
         if self.a == 1:

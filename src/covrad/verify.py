@@ -34,7 +34,7 @@ from . import dist, ssp
 from .code import (_glynn_rows, from_matrix, glynn_code, is_mds, min_distance,
                    prs_code, rs_code)
 from .dist import (covering_radius_sweep, covering_radius_syndrome, deep_holes,
-                   error_distance_brute, error_distance_mds)
+                   error_distance_brute, error_distances_mds)
 from .gf import field_for_size
 from .poly import Poly, evaluate_word, hamming
 
@@ -74,9 +74,10 @@ def _agreed(*values):
     return values[0] if len(set(values)) == 1 else list(values)
 
 
-def _word_distance(code, f):
-    """Distance of the evaluation word of f to a full-field RS code."""
-    return error_distance_mds(code, evaluate_word(f, code.ctx.elements()))[0]
+def _word_distances(code, fs):
+    """Distances (ints) of the fs' evaluation words to a full-field RS code."""
+    words = [evaluate_word(f, code.ctx.elements()) for f in fs]
+    return error_distances_mds(code, words)[0].tolist()
 
 
 # ----------------------------------------------------------------------
@@ -112,17 +113,18 @@ def _family_distance(case):
     the subset-sum construction: one value when all agree."""
     code = _code(case, prs_code)
     ctx, k = code.ctx, code.k
-    decoded, built = set(), set()
+    words, built = [], set()
     for rep in dist.deep_hole_family_prs(ctx, k):
         word = rep.representative_word(code)
+        words.append(word)
         g = ssp.nearest_codeword_deg_k(Poly(ctx, rep.tail), rep.v, k)
         cw = evaluate_word(g, ctx.elements()) + (rep.v,)
         if not code.contains(cw):
             case.notes.append(f"constructed word {cw} is not a codeword")
             return None
-        decoded.add(error_distance_mds(code, word)[0])
         built.add(hamming(word, cw))
     case.notes.append(f"constructive witness distance={max(built)}")
+    decoded = set(error_distances_mds(code, words)[0].tolist())
     return _agreed(*sorted(decoded | built))
 
 
@@ -327,9 +329,10 @@ def suite_ssp(qs=(5, 7, 9, 11, 13), **_):
 def _sandwich(case):
     code = _code(case, rs_code)
     ctx, q, k = code.ctx, code.ctx.q, code.k
-    tails = (Poly(ctx, (0,) * k + digs)
-             for digs in itertools.product(range(q), repeat=q - k) if any(digs))
-    return all(q - f.degree <= _word_distance(code, f) <= q - k for f in tails)
+    tails = [Poly(ctx, (0,) * k + digs)
+             for digs in itertools.product(range(q), repeat=q - k) if any(digs)]
+    return all(q - f.degree <= d <= q - k
+               for f, d in zip(tails, _word_distances(code, tails)))
 
 
 def suite_sandwich(qs=(5,), **_):
@@ -346,8 +349,8 @@ def suite_sandwich(qs=(5,), **_):
 def _prop7(case):
     code = _code(case, rs_code)
     ctx, q, k = code.ctx, code.ctx.q, code.k
-    worst = max(_word_distance(code, Poly(ctx, [0] * k + [b, c]))
-                for c in range(1, q) for b in range(q))
+    worst = max(_word_distances(code, [Poly(ctx, [0] * k + [b, c])
+                                       for c in range(1, q) for b in range(q)]))
     case.notes.append(f"max distance over degree-(k+1) cosets: {worst}"
                       f" (radius {q - k})")
     return worst < q - k
@@ -377,9 +380,10 @@ def _repetition_deep_holes(case, threads):
     q = code.ctx.q
     if q == 5:
         case.notes.append("checked all words of the ambient space")
-        return all((error_distance_mds(code, w)[0] == q - 1)
-                   == (max(map(w.count, w)) == 2)
-                   for w in itertools.product(range(q), repeat=q + 1))
+        words = list(itertools.product(range(q), repeat=q + 1))
+        dists = error_distances_mds(code, words)[0].tolist()
+        return all((d == q - 1) == (max(map(w.count, w)) == 2)
+                   for w, d in zip(words, dists))
     case.notes.append("checked every deep coset representative")
     words = (r.representative_word(code)
              for r in deep_holes(code, threads=threads).reps)

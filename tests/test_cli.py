@@ -97,6 +97,15 @@ def test_analyze_distance(capsys):
     assert data["nearest"] == "0,0,0,0,0"
 
 
+@pytest.mark.parametrize("algo", ["mds", "brute"])
+@pytest.mark.parametrize("word", ["9,0,0,0,0,0,0,0,0", "-1,0,0,0,0,0,0,0,0"])
+def test_analyze_distance_rejects_entries_outside_the_field(capsys, algo, word):
+    rc, out, err = run_cli(capsys, "analyze", "distance", "--code",
+                           "rs:q=9,k=2", f"--word={word}", "--algo", algo)
+    assert rc == 2 and out == ""
+    assert "word entries must lie in [0, 9)" in err
+
+
 def test_analyze_min_distance_and_mds(capsys):
     rc, out, _ = run_cli(capsys, "analyze", "min-distance", "--code",
                          "prs:q=5,k=4")

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from covrad import _linops, _sweeps, dist
@@ -10,8 +11,8 @@ from covrad.dist import (CosetRep, covering_radius, covering_radius_brute,
                          covering_radius_sweep, covering_radius_syndrome,
                          deep_hole_family_prs, deep_holes,
                          error_distance_brute, error_distance_mds,
-                         nested_max_distance, prs_bound_via_rs,
-                         reduce_to_coset_rep)
+                         error_distances_mds, nested_max_distance,
+                         prs_bound_via_rs, reduce_to_coset_rep)
 from covrad.gf import field_create, field_for_size
 from covrad.poly import Poly, evaluate_word, hamming, lagrange_basis, weight
 
@@ -63,13 +64,16 @@ def test_mds_equals_brute_exhaustive_f5():
         assert error_distance_mds(code, w)[0] == error_distance_brute(code, w)[0]
 
 
-@pytest.mark.parametrize("make,q,k,trials", [
+MDS_RANDOM_CASES = [
     pytest.param(rs_code, 7, 3, 500, id="7-3-500"),
     pytest.param(rs_code, 9, 4, 500, id="9-4-500"),
     # a=2 with the extra coordinate, and an MDS G that is not Vandermonde
     pytest.param(prs_code, 9, 4, 300, id="prs-9-4-300"),
     pytest.param(lambda ctx, k: glynn_code(ctx), 9, 5, 40, id="glynn-9-5-40"),
-])
+]
+
+
+@pytest.mark.parametrize("make,q,k,trials", MDS_RANDOM_CASES)
 def test_mds_equals_brute_random(make, q, k, trials):
     ctx = field_for_size(q)
     code = make(ctx, k)
@@ -77,6 +81,38 @@ def test_mds_equals_brute_random(make, q, k, trials):
     for _ in range(trials):
         w = rand_word(rng, q, code.n)
         assert error_distance_mds(code, w)[0] == error_distance_brute(code, w)[0]
+
+
+@pytest.mark.parametrize("make,q,k,trials", MDS_RANDOM_CASES)
+def test_batched_mds_matches_one_word_calls_and_brute(make, q, k, trials):
+    ctx = field_for_size(q)
+    code = make(ctx, k)
+    rng = random.Random(q * 100 + k)
+    words = [rand_word(rng, q, code.n) for _ in range(trials)]
+    dists, nearest = error_distances_mds(code, words)
+    assert list(zip(dists.tolist(), map(tuple, nearest.tolist()))) == [
+        error_distance_mds(code, w) for w in words]
+    assert dists.tolist() == [error_distance_brute(code, w)[0] for w in words]
+
+
+def test_batched_mds_at_the_int32_edge_of_the_decode_step():
+    # k*a*(p-1)^2 = 36*36^2 >= 2^15, so the candidates need int32.  The
+    # left-out coordinate of a subset is -1 (= 36) times the sum of the
+    # other 36, so words with large entries reach that bound.  The 1937
+    # words span two chunks of CHUNK // 37 words.
+    ctx = field_create(37)
+    code = rs_code(ctx, 36)
+    assert _linops.exact_dtypes(36, 37)[1] == np.int32
+    rng = random.Random(37)
+    words = [rand_word(rng, 37, 37) for _ in range(1000)]
+    words += [tuple(rng.randrange(25, 37) for _ in range(37))
+              for _ in range(800)]
+    words += [code.encode(rand_word(rng, 37, 36)) for _ in range(100)]
+    words += [(c,) * 37 for c in range(37)]
+    dists, nearest = error_distances_mds(code, words)
+    for w, d, c in zip(words, dists.tolist(), nearest.tolist()):
+        assert d == (0 if code.contains(w) else 1)
+        assert code.contains(c) and hamming(w, c) == d
 
 
 @pytest.mark.parametrize("q,k", [(7, 3), (9, 3)])
@@ -244,8 +280,7 @@ def test_bfs_witnesses_beyond_int64_word_encoding():
     found = {code.syndrome(w) for w in words}
     assert all(weight(w) == 2 for w in words)
     assert len(found) == 4624 and not found & near
-    for w in words[::16]:
-        assert error_distance_mds(code, w)[0] == 2
+    assert (error_distances_mds(code, words)[0] == 2).all()
 
 
 def test_glynn_radius():

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
-from covrad.gf import (FieldCtx, field_create, field_for_size, is_prime,
-                       parse_descriptor, smallest_irreducible)
+from covrad.gf import (TABLE_LIMIT, FieldCtx, field_create, field_for_size,
+                       is_prime, parse_descriptor, smallest_irreducible)
 
 
 def naive_polymul_mod(u, v, modulus, p):
@@ -134,6 +136,26 @@ def test_digit_roundtrip():
     ctx = field_create(3, 3)
     for e in range(27):
         assert ctx.undigits(ctx.digits(e)) == e
+
+
+def test_extension_add_neg_sub_beyond_table_limit():
+    # q = 3^8 > TABLE_LIMIT: addition is digit-wise mod 3 with no table
+    ctx = field_create(3, 8)
+    assert ctx.q > TABLE_LIMIT
+
+    def digits(x):
+        return [x // 3**i % 3 for i in range(8)]
+
+    def enc(ds):
+        return sum(d % 3 * 3**i for i, d in enumerate(ds))
+
+    rng = random.Random(38)
+    for _ in range(2000):
+        x, y = rng.randrange(ctx.q), rng.randrange(ctx.q)
+        dx, dy = digits(x), digits(y)
+        assert ctx.add(x, y) == enc([u + v for u, v in zip(dx, dy)])
+        assert ctx.sub(x, y) == enc([u - v for u, v in zip(dx, dy)])
+        assert ctx.neg(x) == enc([-u for u in dx])
 
 
 def test_smallest_irreducible_is_irreducible():
