@@ -152,50 +152,41 @@ class SweepOutcome:
     truncated: bool = False
 
 
-def _tail_values_digits(ctx, D, plan, idx):
-    """Digit value matrix (len(idx), n*a) for the plan's tails at indices idx."""
+def _tail_values_digits(ctx, D, plan, idx, dtype):
+    """Digit value matrix (len(idx), n*a), in `dtype`, of the plan's tails at
+    indices idx."""
     n, a, q = len(D), ctx.a, ctx.q
     dt = ctx.digit_table()
     fixed = np.zeros(n * a, dtype=np.float32)
     for deg, c in plan.fixed.items():
         vals = [ctx.mul(c, ctx.pow(x, deg)) for x in D]
         fixed += dt[vals].reshape(-1).astype(np.float32)
-    fixed %= ctx.p
     if not plan.free_degrees:
-        return np.repeat(fixed[None, :], len(idx), axis=0), None
+        return np.tile(fixed % ctx.p, (len(idx), 1)).astype(dtype)
     mat = [[ctx.pow(x, deg) for x in D] for deg in plan.free_degrees]
     vd = _linops.digit_expand(ctx, mat).astype(np.float32)
     coeffs = _linops.mixed_radix(idx, q, len(plan.free_degrees))
-    cd = dt[coeffs].reshape(len(idx), -1).astype(np.float32)
-    u = cd @ vd
+    u = dt[coeffs].reshape(len(idx), -1).astype(np.float32) @ vd
     u += fixed
     u %= ctx.p
-    return u, coeffs
+    return u.astype(dtype)
 
 
 def _tail_tuple(plan, coeff_row):
     degs = dict(plan.fixed)
-    if coeff_row is not None:
-        for d, c in zip(plan.free_degrees, coeff_row):
-            if c:
-                degs[d] = int(c)
+    for d, c in zip(plan.free_degrees, coeff_row):
+        if c:
+            degs[d] = int(c)
     if not degs:
         return ()
     top = max(degs)
     return tuple(degs.get(i, 0) for i in range(top + 1))
 
 
-COMPACT_EVERY = 16
-
-
 def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
                   plans, collect: bool, floor: int = -1) -> SweepOutcome:
     """Scan tail cosets; a tail's contribution is its worst error distance
     (max over the extra coordinate for PRS).
-
-    `floor` is a measured lower bound for the final maximum (e.g. the
-    contribution of one known coset); rows whose best possible remaining
-    contribution falls below the running maximum are dropped early.
 
     Every k-subset decodes one candidate polynomial f per tail; bestA is
     the best agreement of the tail word u_t with any candidate and, for
@@ -209,6 +200,14 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
     Hence the tail contributes q + 1 - bestA - full, where full means
     every value reaches bestA, and its deep values are all v when full,
     otherwise the v with bestV[v] < bestA.
+
+    Pruning: gmax is the running maximum, starting at `floor`, the
+    contribution of a measured coset (-1 when none is known).  After every
+    subset a row is kept iff bestA < n + extra - gmax + collect, with
+    extra = 1 for PRS.  This is exact: bestA only grows, so a row with
+    bestA >= n + extra - gmax contributes at most gmax from then on, and
+    gmax is a contribution that some coset attains.  A radius-only sweep
+    thus drops ties at once; a listing keeps them, as they may be deep.
     """
     n, a, q, p = len(D), ctx.a, ctx.q, ctx.p
     col_gather, ops, _ = subset_ops(ctx, _sweep_generator(ctx, D, k), n)
@@ -224,17 +223,17 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
     truncated = False
 
     for plan in plans:
-        for u, coeffs in _plan_batches(ctx, D, plan):
+        for s in range(plan.start, plan.end, CHUNK):
+            pidx = np.arange(s, min(s + CHUNK, plan.end))  # plan index per row
+            u = _tail_values_digits(ctx, D, plan, pidx, idt)
             rows = len(u)
             cosets += rows
-            u = u.astype(idt)
             bestA = np.zeros(rows, dtype=adt)
             if prs:
                 bestV = np.zeros((rows, q), dtype=adt)
                 # flat index row*q + v, in a signed dtype that holds rows*q
                 base = np.arange(0, rows * q, q,
                                  dtype=np.min_scalar_type(-rows * q))
-            alive = None  # original row positions after compaction
             for si in range(len(ops)):
                 ci, agree = decode_step(ctx, u, col_gather[si], ops[si], n)
                 np.maximum(bestA, agree, out=bestA)
@@ -242,19 +241,14 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
                     idx = base + ci[:, n * a:] @ enc
                     flat = bestV.reshape(-1)
                     flat[idx] = np.maximum(flat[idx], agree)
-                if (gmax >= 0 and len(u) > 2048 and si % COMPACT_EVERY
-                        == COMPACT_EVERY - 1 and si + 1 < len(ops)):
-                    # a row can still reach gmax only if n+extra-bestA >= gmax
-                    keep = bestA <= n + extra - gmax
-                    if not keep.all():
-                        u, bestA = u[keep], bestA[keep]
-                        if prs:
-                            bestV = bestV[keep]
-                            base = base[:len(u)]
-                        kept = np.nonzero(keep)[0]
-                        alive = kept if alive is None else alive[kept]
-                        if len(u) == 0:
-                            break
+                keep = bestA < n + extra - gmax + collect
+                if not keep.all():
+                    u, bestA, pidx = u[keep], bestA[keep], pidx[keep]
+                    if prs:
+                        bestV = bestV[keep]
+                        base = base[:len(u)]
+                    if len(u) == 0:
+                        break
             if len(u) == 0:
                 continue
             contrib = (n + extra) - bestA.astype(np.int64)
@@ -265,27 +259,21 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
             if cmax > gmax:
                 gmax = cmax
                 cands = []
+                truncated = False
             if collect and cmax == gmax:
                 take = np.nonzero(contrib == gmax)[0]
                 if len(cands) + len(take) > DEEP_CANDIDATE_CAP:
                     truncated = True
                     take = take[:max(0, DEEP_CANDIDATE_CAP - len(cands))]
-                for r in take:
-                    orig = int(r) if alive is None else int(alive[r])
-                    tail = _tail_tuple(plan,
-                                       None if coeffs is None else coeffs[orig])
+                coeffs = _linops.mixed_radix(pidx[take], q,
+                                             len(plan.free_degrees))
+                for r, coeff_row in zip(take, coeffs):
                     if not prs or full[r]:
                         vs = allv
                     else:
                         vs = tuple(np.nonzero(bestV[r] < bestA[r])[0].tolist())
-                    cands.append((tail, vs))
+                    cands.append((_tail_tuple(plan, coeff_row), vs))
     return SweepOutcome(gmax, cosets, cands, truncated)
-
-
-def _plan_batches(ctx, D, plan):
-    for s in range(plan.start, plan.end, CHUNK):
-        idx = np.arange(s, min(s + CHUNK, plan.end))
-        yield _tail_values_digits(ctx, D, plan, idx)
 
 
 # ----------------------------------------------------------------------
@@ -301,9 +289,14 @@ def _worker(args):
 
 
 def measured_floor(ctx: FieldCtx, D: tuple, k: int, prs: bool) -> int:
-    """Contribution of one cheap coset (the x^k tail, or the zero tail when
-    k is the maximal degree): a measured lower bound for the sweep maximum
-    that lets it drop hopeless rows early."""
+    """Contribution of one coset, measured by the sweep: a lower bound for
+    the sweep maximum that lets it drop hopeless rows from the start.
+
+    The coset is the x^k tail (the zero tail when k = n), the c = 1 member
+    of the paper's Theorem 1 family (c*x^k, v), at distance q - k from
+    PRS(q+1,k) for 2 <= k <= q-2; Theorem 3 makes q - k the radius for
+    2 <= k <= p-2, so there the sweep starts at its answer and only has to
+    refute rows.  For RS(n,k) the x^k tail is at distance n - k."""
     plan = TailPlan({k: 1} if k < len(D) else {}, (), ctx.q)
     out = profile_sweep(ctx, D, k, prs=prs, plans=[plan], collect=False)
     return out.max_contrib
@@ -334,8 +327,9 @@ def run_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool, plans,
     for o in outs:
         if o.max_contrib == gmax:
             cands.extend(o.candidates)
-    return SweepOutcome(gmax, sum(o.cosets for o in outs), cands,
-                        any(o.truncated for o in outs))
+    truncated = (len(cands) > DEEP_CANDIDATE_CAP
+                 or any(o.truncated for o in outs if o.max_contrib == gmax))
+    return SweepOutcome(gmax, sum(o.cosets for o in outs), cands, truncated)
 
 
 # ----------------------------------------------------------------------

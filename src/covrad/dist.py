@@ -188,15 +188,15 @@ def reduce_to_coset_rep(code: LinearCode, word) -> CosetRep:
             return CosetRep(tail=tail)
         v = ctx.sub(word[len(D)], f.coefficient(k - 1))
         return CosetRep(tail=tail, v=v)
-    # generic: minimum-weight coset word, ties broken lexicographically
+    # generic: minimum-weight coset word, ties broken lexicographically;
+    # word - c for every codeword c at once, digit-wise mod p
+    dt = ctx.digit_table()
     cw = code.codeword_matrix(DEFAULT_ENUM_BUDGET)
-    best = None
-    for c in cw:
-        delta = tuple(ctx.sub(a, int(b)) for a, b in zip(word, c))
-        key = (sum(1 for x in delta if x), delta)
-        if best is None or key < best:
-            best = key
-    return CosetRep(word=best[1])
+    delta = _linops.digit_decode_cols(
+        ctx, (dt[_words(code, [word])] - dt[cw]) % ctx.p, code.n)
+    # lexsort's last key is its primary key
+    keys = tuple(delta[:, ::-1].T) + ((delta != 0).sum(axis=1),)
+    return CosetRep(word=tuple(delta[np.lexsort(keys)[0]].tolist()))
 
 
 def _strip(t):
@@ -323,9 +323,11 @@ def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
     """All coset representatives at error distance exactly rho(C).
 
     The sweep (RS/PRS codes) lists (tail, extra-coordinate) reps and the
-    report compares them against the degree-k family.  The syndrome BFS
-    (any code) lists one minimum-weight witness word per deep coset and
-    leaves the family fields unset.
+    report compares them against the degree-k family; more than
+    `_sweeps.DEEP_CANDIDATE_CAP` deep tails raise ValueError rather than
+    return a partial listing.  The syndrome BFS (any code) lists one
+    minimum-weight witness word per deep coset and leaves the family
+    fields unset.
     """
     t0 = time.perf_counter()
     kind = code.structure.get("kind")
@@ -345,6 +347,10 @@ def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
         plans = _sweeps.full_plans(ctx, len(D), k)
         out = _sweeps.run_sweep(ctx, tuple(D), k, prs=(kind == "prs"),
                                 plans=plans, collect=True, threads=threads)
+        if out.truncated:
+            raise ValueError(
+                f"more than {_sweeps.DEEP_CANDIDATE_CAP} deep-hole candidates "
+                "(the candidate cap); the listing would be incomplete")
         if rho is not None and rho != out.max_contrib:
             raise ValueError(
                 f"supplied rho={rho} but sweep found max distance {out.max_contrib}")
@@ -352,8 +358,6 @@ def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
         reps = [CosetRep(tail=t, v=v) for t, vs in out.candidates for v in vs]
         algorithm = "rep-sweep"
         notes = []
-        if out.truncated:
-            notes.append("deep-hole list truncated at candidate cap")
     elif algo == "syndrome":
         out = _sweeps.syndrome_bfs(code, enum_budget, want_witness=True)
         if rho is not None and rho != out.rho:

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from covrad import _sweeps
 from covrad.cli import build_code, main
 
 
@@ -86,6 +87,14 @@ def test_analyze_deep_holes(capsys):
     assert data["deep_hole_count"] == 4
     assert data["matches_degree_k_family"] is True
     assert data["deep_holes"][0] == {"tail": "0,0,1"}
+
+
+def test_deep_holes_over_the_candidate_cap_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(_sweeps, "DEEP_CANDIDATE_CAP", 10)
+    rc, out, err = run_cli(capsys, "analyze", "deep-holes", "--code",
+                           "prs:q=5,k=2")
+    assert rc == 2 and not out
+    assert "more than 10 deep-hole candidates" in err
 
 
 def test_analyze_distance(capsys):

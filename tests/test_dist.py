@@ -214,6 +214,48 @@ def test_sliced_equals_full_on_f9():
         assert a == 9 - k
 
 
+# every RS and PRS code over F_5, F_7, F_9 and F_11 with at most 2^21 tails
+SLICE_GATE = [(kind, q, k) for q in (5, 7, 9, 11) for k in range(1, q)
+              for kind in ("rs", "prs") if q ** (q - k) <= 2**21]
+
+
+@pytest.mark.parametrize("kind,q,k", SLICE_GATE)
+def test_sliced_radius_equals_full(kind, q, k):
+    code = (rs_code if kind == "rs" else prs_code)(field_for_size(q), k)
+    full = covering_radius_sweep(code, variant="full").rho
+    assert covering_radius_sweep(code, variant="degree-sliced").rho == full
+
+
+# codes whose whole tail plan is one sweep chunk
+ONE_CHUNK = [(kind, q, k) for q in (5, 7, 9) for k in range(1, q)
+             for kind in ("rs", "prs") if q ** (q - k) <= _sweeps.CHUNK]
+
+
+@pytest.mark.parametrize("kind,q,k", ONE_CHUNK)
+def test_pruned_sweep_equals_unpruned(monkeypatch, kind, q, k):
+    # with floor=-1 the running maximum stays -1 until the one chunk is
+    # scanned, so the reference sweep decodes every row on every subset
+    code = (rs_code if kind == "rs" else prs_code)(field_for_size(q), k)
+    ctx, D, prs = code.ctx, tuple(code.structure["eval"]), kind == "prs"
+    plans = _sweeps.full_plans(ctx, len(D), k)
+    decode, rows = _sweeps.decode_step, []
+
+    def counted(ctx, u, *args):
+        rows.append(len(u))
+        return decode(ctx, u, *args)
+
+    monkeypatch.setattr(_sweeps, "decode_step", counted)
+    ref = _sweeps.profile_sweep(ctx, D, k, prs=prs, plans=plans,
+                                collect=True, floor=-1)
+    monkeypatch.setattr(_sweeps, "decode_step", decode)
+    assert set(rows) == {q ** (len(D) - k)}
+    radius = _sweeps.run_sweep(ctx, D, k, prs=prs, plans=plans, collect=False)
+    assert radius.max_contrib == ref.max_contrib
+    listing = _sweeps.run_sweep(ctx, D, k, prs=prs, plans=plans, collect=True)
+    assert listing.max_contrib == ref.max_contrib
+    assert sorted(listing.candidates) == sorted(ref.candidates)
+
+
 def test_radius_dispatcher_auto():
     code = prs_code(field_create(5), 4)
     rep = covering_radius(code)
@@ -320,6 +362,35 @@ def test_generic_rep_is_min_weight():
     assert sum(1 for x in rep.word if x) == d
 
 
+def _reduce_by_loop(code, word):
+    """Reference: the least (weight, word) of word - c, one codeword c and
+    one field subtraction at a time."""
+    ctx, best = code.ctx, None
+    for c in code.codeword_matrix():
+        delta = tuple(ctx.sub(a, int(b)) for a, b in zip(word, c))
+        key = (sum(1 for x in delta if x), delta)
+        if best is None or key < best:
+            best = key
+    return CosetRep(word=best[1])
+
+
+@pytest.mark.parametrize("make,trials", [
+    pytest.param(lambda: from_matrix(field_create(5), [[1, 2, 0, 3],
+                                                       [0, 1, 4, 4]]),
+                 40, id="f5-4-2"),
+    pytest.param(lambda: from_matrix(field_create(3, 2), [[1, 0, 2, 5, 7],
+                                                          [0, 1, 3, 8, 1]]),
+                 40, id="f9-5-2"),
+    pytest.param(lambda: glynn_code(field_create(3, 2)), 2, id="glynn"),
+])
+def test_generic_rep_matches_per_codeword_loop(make, trials):
+    code = make()
+    rng = random.Random(5)
+    for _ in range(trials):
+        w = rand_word(rng, code.ctx.q, code.n)
+        assert reduce_to_coset_rep(code, w) == _reduce_by_loop(code, w)
+
+
 # ----------------------------------------------------------------------
 # deep holes
 # ----------------------------------------------------------------------
@@ -362,6 +433,32 @@ def test_prs_deep_sets_match_syndrome_bfs():
         sweep_set = set(sweep.reps)
         bfs_set = {reduce_to_coset_rep(code, r.word) for r in bfs.reps}
         assert sweep_set == bfs_set
+
+
+def test_deep_hole_listing_over_the_candidate_cap_raises(monkeypatch):
+    code = prs_code(field_create(5), 2)
+    ctx, D = code.ctx, tuple(code.structure["eval"])
+    tails = len(_sweeps.run_sweep(ctx, D, 2, prs=True, collect=True,
+                                  plans=_sweeps.full_plans(ctx, len(D), 2))
+                .candidates)
+    monkeypatch.setattr(_sweeps, "DEEP_CANDIDATE_CAP", tails)
+    assert deep_holes(code).count == 360
+    monkeypatch.setattr(_sweeps, "DEEP_CANDIDATE_CAP", tails - 1)
+    with pytest.raises(ValueError, match=f"more than {tails - 1} "):
+        deep_holes(code)
+    monkeypatch.setattr(_sweeps, "CHUNK", 64)  # two tasks, each under the cap
+    with pytest.raises(ValueError, match=f"more than {tails - 1} "):
+        deep_holes(code, threads=2)
+    monkeypatch.setattr(_sweeps, "DEEP_CANDIDATE_CAP", 10)
+    with pytest.raises(ValueError, match="more than 10 "):
+        deep_holes(code)
+    # the five codewords c*x overflow a cap of 1 at distance 1; x^2 then
+    # raises the maximum to 3, which discards them and the overflow
+    monkeypatch.setattr(_sweeps, "DEEP_CANDIDATE_CAP", 1)
+    plans = [_sweeps.TailPlan({}, (1,), 5), _sweeps.TailPlan({2: 1}, (), 5)]
+    out = _sweeps.profile_sweep(ctx, D, 2, prs=True, plans=plans, collect=True)
+    assert (out.max_contrib, out.truncated) == (3, False)
+    assert [t for t, _ in out.candidates] == [(0, 0, 1)]
 
 
 def test_deep_holes_respects_supplied_rho():
