@@ -1,10 +1,12 @@
 """Internal helpers: exact F_q linear algebra on small matrices, a batched
 mod-p Gauss-Jordan over column subsets, and the base-p digit expansion that
-turns F_q-linear maps into F_p matrices so the vectorized kernels can run
-them as BLAS matmuls.  The float matmuls are exact because every value is a
-sum of at most `width` products of residues, below width*(p-1)^2;
-`exact_dtypes` picks float32 when that bound is below 2^24 and float64
-otherwise.
+turns F_q-linear maps into F_p matrices.
+
+Every F_q matmul of the package is one call of `digit_matmul`: digit rows
+times a digit matrix, as a BLAS float matmul, cast to an integer dtype and
+reduced mod p in integers.  It is exact because every value is a sum of at
+most `width` products of residues, at most width*(p-1)^2; `exact_dtypes`
+picks float32 below 2^24, float64 below 2^53, and raises beyond.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ def mat_rref(ctx: FieldCtx, rows):
         if r == nrows:
             break
     return m, pivots
-
-
-def mat_rank(ctx: FieldCtx, rows) -> int:
-    return len(mat_rref(ctx, rows)[1])
 
 
 def subset_reduce(Gd: np.ndarray, gather: np.ndarray, p: int):
@@ -89,6 +87,17 @@ def exact_dtypes(width: int, p: int):
     fdt = np.float32 if bound < 2**24 else np.float64
     idt = np.int16 if bound < 2**15 else np.int32 if bound < 2**31 else np.int64
     return fdt, idt
+
+
+def digit_matmul(xd: np.ndarray, Md: np.ndarray, p: int) -> np.ndarray:
+    """(xd @ Md) mod p for residue arrays xd (..., w) and Md (..., w, N),
+    exact: the matmul runs in the float dtype of `exact_dtypes(w, p)` and
+    the mod in its int dtype, which is also the result's.  Operands already
+    in that float dtype are not copied."""
+    fdt, idt = exact_dtypes(Md.shape[-2], p)
+    out = (xd.astype(fdt, copy=False) @ Md.astype(fdt, copy=False)).astype(idt)
+    np.mod(out, p, out=out)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,10 @@ Three exact algorithms live here:
 
 * a tiny full-space brute force used as an oracle.
 
+Tail values, subset decodes and BFS syndromes are each one F_q-linear map
+applied as `_linops.digit_matmul`, the package's one digit product: a
+float matmul exact below 2^53, reduced mod p in integers.
+
 The sweep optionally enumerates only degree-normalized slices (monic tails,
 subleading coefficient removed where the characteristic allows): every coset
 orbit under the substitutions x -> ax+b and scalar multiples meets the
@@ -54,10 +58,11 @@ def subset_ops(ctx: FieldCtx, G: tuple, m: int):
     codeword's values on S to its values on all n columns.
 
     Returns (col_gather, ops, singular): col_gather (C, k*a) digit-column
-    indices of S; ops (C, k*a, n*a), float32 when k*a*(p-1)^2 < 2^24 (then
-    every digit matmul against it is exact) and float64 otherwise; singular
-    (C,) flags the subsets whose columns are dependent.  Cached per
-    (ctx, G, m); a cache hit returns the same tuple.
+    indices of S; ops (C, k*a, n*a) in the float dtype of
+    `_linops.exact_dtypes(k*a, p)` (float32 when k*a*(p-1)^2 < 2^24, else
+    float64), so `_linops.digit_matmul` takes it uncopied; singular (C,)
+    flags the subsets whose columns are dependent.  Cached per (ctx, G, m);
+    a cache hit returns the same tuple.
     """
     key = (ctx, G, m)
     stack = _SUBSET_OPS_CACHE.get(key)
@@ -83,11 +88,9 @@ def decode_step(ctx: FieldCtx, rows, gather, ops, m: int):
     `_linops.exact_dtypes(k*a, p)`; agree (R,) counts the first m
     coordinates where candidate and row agree, in np.min_scalar_type(m).
     """
-    a, p = ctx.a, ctx.p
-    _, idt = _linops.exact_dtypes(gather.shape[-1], p)
-    us = np.moveaxis(rows[:, gather], 0, -2).astype(ops.dtype)
-    cand = (us @ ops).astype(idt)
-    np.mod(cand, p, out=cand)
+    a = ctx.a
+    cand = _linops.digit_matmul(np.moveaxis(rows[:, gather], 0, -2), ops,
+                                ctx.p)
     eq = cand[..., :m * a] == rows[:, :m * a]
     if a > 1:
         eq = eq.reshape(eq.shape[:-1] + (m, a)).all(axis=-1)
@@ -154,22 +157,19 @@ class SweepOutcome:
 
 def _tail_values_digits(ctx, D, plan, idx, dtype):
     """Digit value matrix (len(idx), n*a), in `dtype`, of the plan's tails at
-    indices idx."""
-    n, a, q = len(D), ctx.a, ctx.q
-    dt = ctx.digit_table()
-    fixed = np.zeros(n * a, dtype=np.float32)
-    for deg, c in plan.fixed.items():
-        vals = [ctx.mul(c, ctx.pow(x, deg)) for x in D]
-        fixed += dt[vals].reshape(-1).astype(np.float32)
-    if not plan.free_degrees:
-        return np.tile(fixed % ctx.p, (len(idx), 1)).astype(dtype)
-    mat = [[ctx.pow(x, deg) for x in D] for deg in plan.free_degrees]
-    vd = _linops.digit_expand(ctx, mat).astype(np.float32)
-    coeffs = _linops.mixed_radix(idx, q, len(plan.free_degrees))
-    u = dt[coeffs].reshape(len(idx), -1).astype(np.float32) @ vd
-    u += fixed
-    u %= ctx.p
-    return u.astype(dtype)
+    indices idx: one digit product of the coefficient rows, free ones
+    decoded from idx and fixed ones constant, with the monomials on D."""
+    free, degs = len(plan.free_degrees), plan.free_degrees + tuple(plan.fixed)
+    if not degs:
+        return np.zeros((len(idx), len(D) * ctx.a), dtype=dtype)
+    coeffs = np.empty((len(idx), len(degs)), dtype=np.int64)
+    coeffs[:, :free] = _linops.mixed_radix(idx, ctx.q, free)
+    coeffs[:, free:] = tuple(plan.fixed.values())
+    mat = _linops.digit_expand(ctx, [[ctx.pow(x, d) for x in D] for d in degs])
+    # digits in the smallest dtype: a chunk's gathered digits stay small
+    dt = ctx.digit_table().astype(np.min_scalar_type(ctx.p - 1))
+    u = _linops.digit_matmul(dt[coeffs].reshape(len(idx), -1), mat, ctx.p)
+    return u.astype(dtype, copy=False)
 
 
 def _tail_tuple(plan, coeff_row):
@@ -361,10 +361,11 @@ def syndrome_bfs(code, enum_budget: int,
     if size > enum_budget:
         raise ValueError(
             f"syndrome table q^(n-k) = {size} exceeds budget {enum_budget}; "
-            "use the representative sweep")
+            "raise it, or use the representative sweep (RS/PRS codes)")
     table = np.full(size, 255, dtype=np.uint8)
     witness = (np.zeros((size, n), dtype=np.min_scalar_type(q - 1))
                if want_witness else None)
+    # float64 syndrome encodings are exact: they are below q^m, the table size
     enc_w = _linops.encoding_weights(ctx, m).astype(np.float64)
     dt = ctx.digit_table()
     Hcols = list(zip(*code.H))
@@ -381,12 +382,11 @@ def syndrome_bfs(code, enum_budget: int,
         marked = 0
         nvals = (q - 1) ** w
         vals_enc = _linops.mixed_radix(np.arange(nvals), q - 1, w) + 1
-        vd = dt[vals_enc].reshape(nvals, w * a).astype(np.float64)
+        fdt, _ = _linops.exact_dtypes(w * a, p)  # cast vd once, for every S
+        vd = dt[vals_enc].reshape(nvals, w * a).astype(fdt)
         for S in itertools.combinations(range(n), w):
-            hd = _linops.digit_expand(ctx, [Hcols[j] for j in S]).astype(np.float64)
-            syn = vd @ hd
-            np.mod(syn, p, out=syn)
-            enc = (syn @ enc_w).astype(np.int64)
+            hd = _linops.digit_expand(ctx, [Hcols[j] for j in S])
+            enc = (_linops.digit_matmul(vd, hd, p) @ enc_w).astype(np.int64)
             words += nvals
             unseen = table[enc] == 255
             if unseen.any():
@@ -410,8 +410,8 @@ def syndrome_bfs(code, enum_budget: int,
 # brute force over the whole ambient space (oracle scale only)
 # ----------------------------------------------------------------------
 
-def brute_radius(code, enum_budget: int):
-    """(rho, deep words) by scanning every word against every codeword."""
+def brute_radius(code, enum_budget: int) -> int:
+    """The radius rho, by scanning every word against every codeword."""
     ctx = code.ctx
     q, n = ctx.q, code.n
     total = q**n
@@ -421,17 +421,10 @@ def brute_radius(code, enum_budget: int):
             f"q^n * q^k = {total * len(cw)} distance pairs exceed budget "
             f"{enum_budget}")
     rho = 0
-    deep: list[tuple] = []
     chunk = max(1, (1 << 22) // max(1, len(cw)))
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total))
         words = _linops.mixed_radix(idx, q, n)
         dist = (words[:, None, :] != cw[None, :, :]).sum(axis=2).min(axis=1)
-        cmax = int(dist.max())
-        if cmax > rho:
-            rho = cmax
-            deep = []
-        if cmax == rho:
-            for r in np.nonzero(dist == rho)[0]:
-                deep.append(tuple(int(v) for v in words[r]))
-    return rho, deep
+        rho = max(rho, int(dist.max()))
+    return rho

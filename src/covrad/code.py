@@ -43,13 +43,14 @@ class LinearCode:
         k = len(rows)
         if not 0 < k <= n:
             raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
-        if _linops.mat_rank(ctx, rows) != k:
+        red, piv = _linops.mat_rref(ctx, rows)
+        if len(piv) != k:
             raise ValueError("generator matrix is rank-deficient")
         self.ctx = ctx
         self.n = n
         self.k = k
         self.G = tuple(rows)
-        self.H = tuple(tuple(r) for r in _parity_check(ctx, rows))
+        self.H = tuple(tuple(r) for r in _parity_check(ctx, red, piv))
         self.label = label or f"[{n},{k}]/F_{ctx.q}"
         self.structure = structure or {"kind": "generic"}
         self._d = None
@@ -99,13 +100,12 @@ class LinearCode:
             raise ValueError(
                 f"q^k = {total} codewords exceeds enumeration budget {enum_budget}")
         if self._codewords is None:
-            gd = _linops.digit_expand(ctx, self.G).astype(np.float64)
+            gd = _linops.digit_expand(ctx, self.G)
             # message-vector order: last component varies fastest
             msgs = _linops.mixed_radix(np.arange(total), ctx.q, self.k)[:, ::-1]
-            md = ctx.digit_table()[msgs].reshape(
-                total, self.k * ctx.a).astype(np.float64)
-            vals = (md @ gd) % ctx.p
-            cw = _linops.digit_decode_cols(ctx, vals.astype(np.int64), self.n)
+            md = ctx.digit_table()[msgs].reshape(total, self.k * ctx.a)
+            cw = _linops.digit_decode_cols(
+                ctx, _linops.digit_matmul(md, gd, ctx.p), self.n)
             cw.flags.writeable = False
             self._codewords = cw
         return self._codewords
@@ -118,10 +118,10 @@ class LinearCode:
         return f"LinearCode({self.label})"
 
 
-def _parity_check(ctx: FieldCtx, rows):
-    """(n-k) x n parity-check matrix via row reduction and back-permutation."""
-    n, k = len(rows[0]), len(rows)
-    red, piv = _linops.mat_rref(ctx, rows)
+def _parity_check(ctx: FieldCtx, red, piv):
+    """(n-k) x n parity-check matrix from the reduced row echelon form `red`
+    of a full-rank generator and its pivot columns, by back-permutation."""
+    n = len(red[0])
     free = [j for j in range(n) if j not in piv]
     h = []
     for fj in free:
@@ -236,15 +236,14 @@ def min_distance(code: LinearCode, enum_budget: int = DEFAULT_ENUM_BUDGET) -> in
         raise ValueError(
             f"q^k = {total} exceeds enumeration budget {enum_budget}; "
             "use is_mds for the Singleton check or raise the budget")
-    gd = _linops.digit_expand(ctx, code.G).astype(np.float64)
+    gd = _linops.digit_expand(ctx, code.G)
     dt = ctx.digit_table()
     d = code.n
-    chunk = 1 << 16
-    for start in range(1, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
+    for start in range(1, total, _sweeps.CHUNK):
+        idx = np.arange(start, min(start + _sweeps.CHUNK, total))
         msgs = _linops.mixed_radix(idx, ctx.q, code.k)
-        md = dt[msgs].reshape(len(idx), code.k * ctx.a).astype(np.float64)
-        vals = (md @ gd) % ctx.p
+        md = dt[msgs].reshape(len(idx), code.k * ctx.a)
+        vals = _linops.digit_matmul(md, gd, ctx.p)
         nz = vals.reshape(len(idx), code.n, ctx.a).any(axis=2)
         d = min(d, int(nz.sum(axis=1).min()))
     code._d = d

@@ -273,7 +273,7 @@ def covering_radius_brute(code: LinearCode,
                           enum_budget: int = DEFAULT_ENUM_BUDGET) -> RadiusReport:
     """Max of error_distance_brute over the whole ambient space (tiny codes)."""
     t0 = time.perf_counter()
-    rho, _ = _sweeps.brute_radius(code, enum_budget)
+    rho = _sweeps.brute_radius(code, enum_budget)
     return RadiusReport(
         code=code.label, n=code.n, k=code.k, rho=rho, algorithm="brute",
         cosets_examined=code.ctx.q ** code.n,
@@ -283,8 +283,9 @@ def covering_radius_brute(code: LinearCode,
 def covering_radius(code: LinearCode, algo: str = "auto",
                     enum_budget: int = DEFAULT_ENUM_BUDGET,
                     threads: int = 1) -> RadiusReport:
-    """Dispatch: syndrome BFS when its q^(n-k) table fits the budget, else
-    the representative sweep."""
+    """Dispatch.  'auto' runs the sweep on an RS/PRS code with q^(n-k) >
+    min(2^16, enum_budget) cosets (the bound of its 'auto' variant), where
+    it is measured faster, and the syndrome BFS otherwise."""
     if algo == "syndrome":
         return covering_radius_syndrome(code, enum_budget)
     if algo == "sweep":
@@ -294,9 +295,11 @@ def covering_radius(code: LinearCode, algo: str = "auto",
         return covering_radius_brute(code, enum_budget)
     if algo != "auto":
         raise ValueError(f"unknown algorithm {algo!r}")
-    if code.ctx.q ** (code.n - code.k) <= enum_budget:
-        return covering_radius_syndrome(code, enum_budget)
-    return covering_radius_sweep(code, enum_budget=enum_budget, threads=threads)
+    if (code.structure.get("kind") in ("rs", "prs")
+            and code.ctx.q ** (code.n - code.k) > min(2**16, enum_budget)):
+        return covering_radius_sweep(code, enum_budget=enum_budget,
+                                     threads=threads)
+    return covering_radius_syndrome(code, enum_budget)
 
 
 # ----------------------------------------------------------------------

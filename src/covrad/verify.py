@@ -140,12 +140,7 @@ def suite_thm1(qs=(5, 7, 9), **_):
 
 
 def _prs_radius(case, threads):
-    code = _code(case, prs_code)
-    q = code.ctx.q
-    if q == 11 and q ** (code.n - code.k) <= 250_000:
-        rep = covering_radius_syndrome(code)
-    else:
-        rep = covering_radius_sweep(code, threads=threads)
+    rep = covering_radius_sweep(_code(case, prs_code), threads=threads)
     case.notes.append(f"algorithm={rep.algorithm}/{rep.variant}")
     return rep.rho
 
@@ -154,8 +149,8 @@ def suite_thm3(qs=(5, 7, 11, 9), threads=1, **_):
     """Covering radius of PRS(q+1,k) equals q-k on the desk-scale grid:
     2 <= k <= p-2 for a prime q = p, and k = 2, 3 for a prime power q.
 
-    Large-k cases run the syndrome BFS, the rest the representative sweep;
-    the (q,k) = (13,4) case is out of desk scale and reported as skipped.
+    Every case runs the representative sweep; the (q,k) = (13,4) case is
+    out of desk scale and reported as skipped.
     """
     check = partial(_prs_radius, threads=threads)
     for q in qs:

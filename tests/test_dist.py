@@ -115,6 +115,47 @@ def test_batched_mds_at_the_int32_edge_of_the_decode_step():
         assert code.contains(c) and hamming(w, c) == d
 
 
+# (width, p) at the largest width of each dtype pair: width*(p-1)^2 is
+# just below 2^15, 2^24, 2^31 and 2^53, and width + 1 crosses the edge
+@pytest.mark.parametrize("width,p,fdt,idt", [
+    (2, 127, np.float32, np.int16),
+    (255, 257, np.float32, np.int32),
+    (127, 4099, np.float64, np.int32),
+    (2, 2**26 - 5, np.float64, np.int64),
+])
+def test_digit_matmul_is_exact_at_each_dtype_edge(width, p, fdt, idt):
+    assert _linops.exact_dtypes(width, p) == (fdt, idt)
+    if idt != np.int64:  # the int64 edge is the raise tested below
+        assert _linops.exact_dtypes(width + 1, p) != (fdt, idt)
+    rng = np.random.default_rng(p)
+    x = rng.integers(0, p, (64, width))
+    M = rng.integers(0, p, (2, width, 5))
+    x[0], M[:, :, 0] = p - 1, p - 1   # the largest sum, width*(p-1)^2
+    out = _linops.digit_matmul(x, M, p)
+    assert out.dtype == idt
+    assert np.array_equal(out, (x.astype(np.int64) @ M) % p)
+
+
+def test_digit_matmul_raises_beyond_the_float64_mantissa():
+    ones = np.ones((3, 3), dtype=np.int64)
+    with pytest.raises(ValueError, match="float64 mantissa"):
+        _linops.digit_matmul(ones, ones, 2**26 - 5)  # 3*(p-1)^2 > 2^53
+
+
+def test_tail_values_exact_beyond_the_float32_mantissa():
+    # 2*4098^2 > 2^24: a float32 tail product rounds.  It gave 128 wrong
+    # rows here, e.g. coefficients (4088, 4081) gave (4092, 4049, 3969)
+    # where the tail is (4092, 4049, 3970)
+    ctx, D = field_create(4099), (4098, 4097, 4096)
+    plan = _sweeps.full_plans(ctx, 3, 1)[0]
+    idx = np.arange(plan.count - 70000, plan.count)
+    u = _sweeps._tail_values_digits(ctx, D, plan, idx, np.int64)
+    assert tuple(u[4088 + 4081 * 4099 - idx[0]]) == (4092, 4049, 3970)
+    coeffs = _linops.mixed_radix(idx, 4099, 2)
+    mono = np.array([D, [x * x % 4099 for x in D]])
+    assert np.array_equal(u, coeffs @ mono % 4099)
+
+
 @pytest.mark.parametrize("q,k", [(7, 3), (9, 3)])
 def test_sweep_operators_match_lagrange_reference(q, k):
     # row j of the operator for subset S: L_j evaluated on D, then the
@@ -262,6 +303,16 @@ def test_radius_dispatcher_auto():
     assert rep.rho == 1 and rep.algorithm == "syndrome-bfs"
     rep = covering_radius(code, enum_budget=10)  # too small: falls to sweep
     assert rep.rho == 1 and rep.algorithm == "rep-sweep"
+
+
+@pytest.mark.parametrize("make,q,k,algorithm,rho", [
+    (prs_code, 11, 5, "rep-sweep", 6),      # 11^7 cosets: the sweep is faster
+    (rs_code, 53, 51, "syndrome-bfs", 2),   # 53^2 cosets: the BFS is faster
+])
+def test_radius_dispatcher_picks_the_engine_by_coset_count(make, q, k,
+                                                           algorithm, rho):
+    rep = covering_radius(make(field_create(q), k))
+    assert (rep.algorithm, rep.rho) == (algorithm, rho)
 
 
 def test_sweep_rejects_generic_codes():
