@@ -361,7 +361,7 @@ def syndrome_bfs(code, enum_budget: int,
     if size > enum_budget:
         raise ValueError(
             f"syndrome table q^(n-k) = {size} exceeds budget {enum_budget}; "
-            "raise it, or use the representative sweep (RS/PRS codes)")
+            "use the representative sweep")
     table = np.full(size, 255, dtype=np.uint8)
     witness = (np.zeros((size, n), dtype=np.min_scalar_type(q - 1))
                if want_witness else None)

@@ -283,9 +283,9 @@ def covering_radius_brute(code: LinearCode,
 def covering_radius(code: LinearCode, algo: str = "auto",
                     enum_budget: int = DEFAULT_ENUM_BUDGET,
                     threads: int = 1) -> RadiusReport:
-    """Dispatch.  'auto' runs the sweep on an RS/PRS code with q^(n-k) >
-    min(2^16, enum_budget) cosets (the bound of its 'auto' variant), where
-    it is measured faster, and the syndrome BFS otherwise."""
+    """Dispatch.  'auto' runs the syndrome BFS when its q^(n-k) table fits
+    enum_budget, unless the code is RS/PRS with n-k >= 5: the sweep was
+    measured faster there and slower below.  Over budget it runs the sweep."""
     if algo == "syndrome":
         return covering_radius_syndrome(code, enum_budget)
     if algo == "sweep":
@@ -295,11 +295,11 @@ def covering_radius(code: LinearCode, algo: str = "auto",
         return covering_radius_brute(code, enum_budget)
     if algo != "auto":
         raise ValueError(f"unknown algorithm {algo!r}")
-    if (code.structure.get("kind") in ("rs", "prs")
-            and code.ctx.q ** (code.n - code.k) > min(2**16, enum_budget)):
-        return covering_radius_sweep(code, enum_budget=enum_budget,
-                                     threads=threads)
-    return covering_radius_syndrome(code, enum_budget)
+    if (code.ctx.q ** (code.n - code.k) <= enum_budget
+            and (code.structure.get("kind") not in ("rs", "prs")
+                 or code.n - code.k < 5)):
+        return covering_radius_syndrome(code, enum_budget)
+    return covering_radius_sweep(code, enum_budget=enum_budget, threads=threads)
 
 
 # ----------------------------------------------------------------------

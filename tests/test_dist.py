@@ -305,12 +305,19 @@ def test_radius_dispatcher_auto():
     assert rep.rho == 1 and rep.algorithm == "rep-sweep"
 
 
+# 'auto' picks by redundancy n-k: on a 2-core host the BFS was faster on
+# every RS/PRS code tried with n-k <= 4 and the sweep on every one with
+# n-k >= 5, whatever q^(n-k); times are BFS / sweep, one run each
 @pytest.mark.parametrize("make,q,k,algorithm,rho", [
-    (prs_code, 11, 5, "rep-sweep", 6),      # 11^7 cosets: the sweep is faster
-    (rs_code, 53, 51, "syndrome-bfs", 2),   # 53^2 cosets: the BFS is faster
+    (prs_code, 11, 5, "rep-sweep", 6),      # 55 s / 0.06 s
+    (rs_code, 53, 51, "syndrome-bfs", 2),   # 3 ms / 2.1 s
+    (rs_code, 41, 38, "syndrome-bfs", 3),   # 41^3 cosets: 0.09 s / 8.4 s
+    (prs_code, 67, 65, "syndrome-bfs", 2),  # 67^3 cosets: 0.05 s / 10 s
+    (rs_code, 13, 9, "syndrome-bfs", 4),    # n-k = 4: 0.05 s / 0.05 s
+    (rs_code, 13, 8, "rep-sweep", 5),       # n-k = 5: 0.66 s / 0.04 s
 ])
-def test_radius_dispatcher_picks_the_engine_by_coset_count(make, q, k,
-                                                           algorithm, rho):
+def test_radius_dispatcher_picks_the_engine_by_redundancy(make, q, k,
+                                                          algorithm, rho):
     rep = covering_radius(make(field_create(q), k))
     assert (rep.algorithm, rep.rho) == (algorithm, rho)
 
