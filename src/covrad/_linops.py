@@ -1,6 +1,12 @@
-"""Internal helpers: exact F_q linear algebra on small matrices, a batched
-mod-p Gauss-Jordan over column subsets, and the base-p digit expansion that
-turns F_q-linear maps into F_p matrices.
+"""Internal helpers: the package's one Gauss-Jordan, its one digit
+product, and the base-p digit expansion that turns F_q-linear maps into
+F_p matrices.
+
+Every row reduction is one call of `subset_reduce`, a batched mod-p
+Gauss-Jordan over column subsets: `subset_ops` reduces a generator on
+every k-subset of columns, and `LinearCode` reduces its digit generator
+once over all columns.  The F_p rref of `digit_expand(G)` is the digit
+expansion of G's F_q rref, with pivots in whole blocks of a columns.
 
 Every F_q matmul of the package is one call of `digit_matmul`: digit rows
 times a digit matrix, as a BLAS float matmul, cast to an integer dtype and
@@ -16,63 +22,41 @@ import numpy as np
 from .gf import FieldCtx
 
 
-# ----------------------------------------------------------------------
-# exact linear algebra over F_q (lists of lists of encodings)
-# ----------------------------------------------------------------------
-
-def mat_rref(ctx: FieldCtx, rows):
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = ctx.inv(m[r][c])
-        m[r] = [ctx.mul(inv, v) for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [ctx.sub(m[i][j], ctx.mul(f, m[r][j])) for j in range(ncols)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
 def subset_reduce(Gd: np.ndarray, gather: np.ndarray, p: int):
-    """Batched Gauss-Jordan mod p: for every row S of `gather` (K column
-    indices of the K x N matrix Gd over F_p), reduce Gd so that its columns
-    S become the identity.
+    """Batched Gauss-Jordan mod p, the package's one row reduction: for
+    every row S of `gather` (J column indices of the K x N matrix Gd over
+    F_p), row-reduce a copy of Gd taking pivots in the columns S, in order.
 
-    Returns (ops, singular): ops (C, K, N) int64 holds Gd_S^-1 @ Gd mod p
-    and singular (C,) flags the subsets whose Gd_S is not invertible (their
-    ops rows are meaningless).  Vectorised over subsets; loops over the K
-    pivot columns only.
+    A row pointer per subset marks its next pivot row.  A column with no
+    nonzero entry at or below the pointer is skipped (an identity step on
+    that subset) and the subset's rank stays short.  Returns (red, rank):
+    red (C, K, N) int64 and rank (C,).  With J = K and rank K, red is
+    Gd_S^-1 @ Gd; with S all N columns, red is the reduced row echelon form
+    of Gd.  Vectorised over subsets; loops over the J columns only.
     """
-    C, K = gather.shape
+    C, J = gather.shape
+    K = Gd.shape[0]
     A = np.broadcast_to(Gd % p, (C,) + Gd.shape).copy()
     inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
-    singular = np.zeros(C, dtype=bool)
-    b = np.arange(C)
-    for c in range(K):
+    rank = np.zeros(C, dtype=np.int64)
+    b, rows = np.arange(C), np.arange(K)
+    for c in range(J):
+        if (rank == K).all():
+            break
+        r = np.minimum(rank, K - 1)
         col = A[b, :, gather[:, c]]                    # (C, K)
-        piv = c + np.argmax(col[:, c:] != 0, axis=1)
-        singular |= col[b, piv] == 0
-        row = A[b, piv].copy()
-        A[b, piv] = A[b, c]
-        A[b, c] = row * inv[row[b, gather[:, c]]][:, None] % p
-        f = A[b, :, gather[:, c]]
-        f[:, c] = 0
-        A -= f[:, :, None] * A[:, c:c + 1, :]
+        cand = (col != 0) & (rows >= rank[:, None])
+        has = cand.any(axis=1)
+        piv = np.where(has, cand.argmax(axis=1), r)
+        row = A[b, piv]
+        A[b, piv] = A[b, r]
+        A[b, r] = row * np.where(has, inv[col[b, piv]], 1)[:, None] % p
+        f = A[b, :, gather[:, c]] * has[:, None]
+        f[b, r] = 0
+        A -= f[:, :, None] * A[b, r][:, None, :]
         np.mod(A, p, out=A)
-    return A, singular
+        rank += has
+    return A, rank
 
 
 def exact_dtypes(width: int, p: int):
@@ -111,6 +95,8 @@ def digit_expand(ctx: FieldCtx, M) -> np.ndarray:
     of v @ M over F_q equals (vd @ digit_expand(M)) mod p.
     """
     a = ctx.a
+    if a == 1:
+        return np.array(M, dtype=np.int64).reshape(len(M), -1) % ctx.p
     M = [list(row) for row in M]
     r, c = len(M), len(M[0])
     out = np.zeros((r * a, c * a), dtype=np.int64)
@@ -126,18 +112,7 @@ def digit_decode_cols(ctx: FieldCtx, digit_mat: np.ndarray, ncols: int) -> np.nd
     """Collapse an (N, ncols*a) digit array back to (N, ncols) encodings."""
     a = ctx.a
     enc = ctx.p ** np.arange(a, dtype=np.int64)
-    return (digit_mat.reshape(-1, ncols, a) @ enc).astype(np.int64)
-
-
-def encoding_weights(ctx: FieldCtx, ncols: int) -> np.ndarray:
-    """Weight vector w (length ncols*a) with digits @ w = mixed-radix encoding.
-
-    Column j contributes q**j * (its element encoding), giving the canonical
-    integer encoding of a length-ncols vector.
-    """
-    qp = np.asarray([ctx.q**j for j in range(ncols)], dtype=np.int64)
-    pp = ctx.p ** np.arange(ctx.a, dtype=np.int64)
-    return np.kron(qp, pp)
+    return (digit_mat.reshape(len(digit_mat), ncols, a) @ enc).astype(np.int64)
 
 
 def mixed_radix(indices: np.ndarray, base: int, ndigits: int) -> np.ndarray:

@@ -32,6 +32,7 @@ exact radius.
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -40,6 +41,9 @@ import numpy as np
 from . import _linops
 from .gf import FieldCtx, field_create
 
+# The one size limit of every exact engine: the most cosets, codewords,
+# words, syndromes or subset-operator entries it may enumerate or tabulate.
+DEFAULT_ENUM_BUDGET = 10**8
 CHUNK = 1 << 16
 DEEP_CANDIDATE_CAP = 5_000_000
 
@@ -62,20 +66,27 @@ def subset_ops(ctx: FieldCtx, G: tuple, m: int):
     `_linops.exact_dtypes(k*a, p)` (float32 when k*a*(p-1)^2 < 2^24, else
     float64), so `_linops.digit_matmul` takes it uncopied; singular (C,)
     flags the subsets whose columns are dependent.  Cached per (ctx, G, m);
-    a cache hit returns the same tuple.
+    a cache hit returns the same tuple.  Raises ValueError, before
+    allocating, when the stack has more than DEFAULT_ENUM_BUDGET entries.
     """
     key = (ctx, G, m)
     stack = _SUBSET_OPS_CACHE.get(key)
     if stack is not None:
         return stack
     k, a = len(G), ctx.a
+    entries = math.comb(m, k) * k * a * len(G[0]) * a
+    if entries > DEFAULT_ENUM_BUDGET:
+        raise ValueError(
+            f"C({m},{k}) subset operators of {k * a} x {len(G[0]) * a} digits "
+            f"= {entries} entries exceed budget {DEFAULT_ENUM_BUDGET}; "
+            "use algo='syndrome'")
     subs = np.array(list(itertools.combinations(range(m), k)),
                     dtype=np.int64).reshape(-1, k)
     col_gather = (subs[:, :, None] * a + np.arange(a)).reshape(len(subs), k * a)
-    red, singular = _linops.subset_reduce(_linops.digit_expand(ctx, G),
-                                          col_gather, ctx.p)
+    red, rank = _linops.subset_reduce(_linops.digit_expand(ctx, G),
+                                      col_gather, ctx.p)
     fdt, _ = _linops.exact_dtypes(k * a, ctx.p)
-    stack = (col_gather, red.astype(fdt), singular)
+    stack = (col_gather, red.astype(fdt), rank < k * a)
     _SUBSET_OPS_CACHE[key] = stack
     return stack
 
@@ -365,10 +376,10 @@ def syndrome_bfs(code, enum_budget: int,
     table = np.full(size, 255, dtype=np.uint8)
     witness = (np.zeros((size, n), dtype=np.min_scalar_type(q - 1))
                if want_witness else None)
-    # float64 syndrome encodings are exact: they are below q^m, the table size
-    enc_w = _linops.encoding_weights(ctx, m).astype(np.float64)
+    # a syndrome's m*a digits read as one base-p integer: exact in float64,
+    # as it is below q^m, the table size
+    enc_w = np.float64(p) ** np.arange(m * a)
     dt = ctx.digit_table()
-    Hcols = list(zip(*code.H))
 
     table[0] = 0
     remaining = size - 1
@@ -382,10 +393,12 @@ def syndrome_bfs(code, enum_budget: int,
         marked = 0
         nvals = (q - 1) ** w
         vals_enc = _linops.mixed_radix(np.arange(nvals), q - 1, w) + 1
-        fdt, _ = _linops.exact_dtypes(w * a, p)  # cast vd once, for every S
+        # cast vd and the rows of H^T once, for every S
+        fdt, _ = _linops.exact_dtypes(w * a, p)
         vd = dt[vals_enc].reshape(nvals, w * a).astype(fdt)
+        HTd = code.HTd.reshape(n, -1).astype(fdt)
         for S in itertools.combinations(range(n), w):
-            hd = _linops.digit_expand(ctx, [Hcols[j] for j in S])
+            hd = HTd[list(S)].reshape(w * a, m * a)
             enc = (_linops.digit_matmul(vd, hd, p) @ enc_w).astype(np.int64)
             words += nvals
             unseen = table[enc] == 255

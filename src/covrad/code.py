@@ -10,11 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linops, _sweeps
+from ._sweeps import DEFAULT_ENUM_BUDGET
 from .gf import FieldCtx, parse_descriptor
-
-# The one size limit of every exact engine: the most cosets, codewords,
-# words or syndromes it may enumerate or tabulate.
-DEFAULT_ENUM_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -28,9 +25,15 @@ class CodeParams:
 class LinearCode:
     """A linear [n, k] code given by a full-rank generator matrix over F_q.
 
-    Immutable after construction.  `structure` records how the code was
-    built ('rs', 'prs', 'glynn' or 'generic'); the distance machinery uses
-    it to pick coset parameterizations.
+    Immutable after construction.  Besides the generator G and the
+    parity check H (tuples of row tuples) it stores two read-only digit
+    arrays: `Gd`, the (k*a, n*a) digit expansion of G, and `HTd`, the
+    (n*a, (n-k)*a) digit expansion of H^T.  `codeword_matrix`,
+    `min_distance`, `syndrome` and the syndrome BFS are digit products
+    with them; `encode` and `codewords()` stay scalar, as the reference
+    the digit products are tested against.  `structure` records how the
+    code was built ('rs', 'prs', 'glynn' or 'generic'); the distance
+    machinery uses it to pick coset parameterizations.
     """
 
     def __init__(self, ctx: FieldCtx, rows, label: str = "", structure=None):
@@ -43,14 +46,21 @@ class LinearCode:
         k = len(rows)
         if not 0 < k <= n:
             raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
-        red, piv = _linops.mat_rref(ctx, rows)
-        if len(piv) != k:
+        a = ctx.a
+        Gd = _linops.digit_expand(ctx, rows)
+        red, rank = _linops.subset_reduce(Gd, np.arange(n * a)[None], ctx.p)
+        if rank[0] < k * a:
             raise ValueError("generator matrix is rank-deficient")
         self.ctx = ctx
         self.n = n
         self.k = k
         self.G = tuple(rows)
-        self.H = tuple(tuple(r) for r in _parity_check(ctx, red, piv))
+        self.Gd = Gd
+        self.HTd = _parity_check_t(red[0], ctx.p)
+        for arr in (self.Gd, self.HTd):
+            arr.flags.writeable = False
+        self.H = tuple(map(tuple, _linops.digit_decode_cols(
+            ctx, self.HTd[::a], n - k).T.tolist()))
         self.label = label or f"[{n},{k}]/F_{ctx.q}"
         self.structure = structure or {"kind": "generic"}
         self._d = None
@@ -58,7 +68,7 @@ class LinearCode:
 
     # ------------------------------------------------------------------
     def encode(self, message) -> tuple:
-        """Codeword for a length-k message vector."""
+        """Codeword for a length-k message vector (scalar reference)."""
         ctx = self.ctx
         out = [0] * self.n
         for i, m in enumerate(message):
@@ -70,42 +80,44 @@ class LinearCode:
         return tuple(out)
 
     def syndrome(self, word) -> tuple:
+        """H @ word, one digit product of the word's digits with HTd."""
         ctx = self.ctx
-        out = []
-        for row in self.H:
-            s = 0
-            for a, b in zip(word, row):
-                if a and b:
-                    s = ctx.add(s, ctx.mul(a, b))
-            out.append(s)
-        return tuple(out)
+        wd = ctx.digit_table()[check_words(self, [word])].reshape(1, -1)
+        s = _linops.digit_matmul(wd, self.HTd, ctx.p)
+        return tuple(_linops.digit_decode_cols(ctx, s, self.n - self.k)[0].tolist())
 
     def contains(self, word) -> bool:
-        if len(word) != self.n:
-            raise ValueError(f"word length {len(word)} != n={self.n}")
-        return all(s == 0 for s in self.syndrome(word))
+        return not any(self.syndrome(word))
 
     def codewords(self):
-        """Iterate all q^k codewords in message-vector order."""
+        """Iterate all q^k codewords in message-vector order (scalar reference)."""
         ctx = self.ctx
         for msg in itertools.product(range(ctx.q), repeat=self.k):
             yield self.encode(msg)
 
-    def codeword_matrix(self, enum_budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
-        """All codewords as a read-only (q^k, n) int array, message-vector
-        order.  Built once per code; the budget is checked on every call."""
-        ctx = self.ctx
+    def _codeword_digits(self, enum_budget: int):
+        """All q^k codewords as chunks of digit rows (<= CHUNK, n*a), in
+        message-vector order, each one digit product with Gd.  The budget
+        is checked at the call, the chunks are built as they are read."""
+        ctx, step = self.ctx, _sweeps.CHUNK
         total = ctx.q**self.k
         if total > enum_budget:
             raise ValueError(
                 f"q^k = {total} codewords exceeds enumeration budget {enum_budget}")
+        # message-vector order: last component varies fastest
+        msgs = (_linops.mixed_radix(np.arange(s, min(s + step, total)),
+                                    ctx.q, self.k)[:, ::-1]
+                for s in range(0, total, step))
+        return (_linops.digit_matmul(ctx.digit_table()[m].reshape(len(m), -1),
+                                     self.Gd, ctx.p) for m in msgs)
+
+    def codeword_matrix(self, enum_budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+        """All codewords as a read-only (q^k, n) int array, message-vector
+        order.  Built once per code; the budget is checked on every call."""
+        chunks = self._codeword_digits(enum_budget)
         if self._codewords is None:
-            gd = _linops.digit_expand(ctx, self.G)
-            # message-vector order: last component varies fastest
-            msgs = _linops.mixed_radix(np.arange(total), ctx.q, self.k)[:, ::-1]
-            md = ctx.digit_table()[msgs].reshape(total, self.k * ctx.a)
-            cw = _linops.digit_decode_cols(
-                ctx, _linops.digit_matmul(md, gd, ctx.p), self.n)
+            cw = np.concatenate([_linops.digit_decode_cols(self.ctx, c, self.n)
+                                 for c in chunks])
             cw.flags.writeable = False
             self._codewords = cw
         return self._codewords
@@ -118,19 +130,29 @@ class LinearCode:
         return f"LinearCode({self.label})"
 
 
-def _parity_check(ctx: FieldCtx, red, piv):
-    """(n-k) x n parity-check matrix from the reduced row echelon form `red`
-    of a full-rank generator and its pivot columns, by back-permutation."""
-    n = len(red[0])
-    free = [j for j in range(n) if j not in piv]
-    h = []
-    for fj in free:
-        row = [0] * n
-        row[fj] = 1
-        for r, pj in enumerate(piv):
-            row[pj] = ctx.neg(red[r][fj])
-        h.append(row)
-    return h
+def check_words(code: LinearCode, words) -> np.ndarray:
+    """(N, n) int64 words; ValueError on a length != n or an entry not in F_q."""
+    w = np.asarray(words, dtype=np.int64)
+    if w.ndim != 2 or w.shape[1] != code.n:
+        raise ValueError(f"word length {w.shape[-1]} != n={code.n}")
+    if ((w < 0) | (w >= code.ctx.q)).any():
+        raise ValueError(f"word entries must lie in [0, {code.ctx.q})")
+    return w
+
+
+def _parity_check_t(red: np.ndarray, p: int) -> np.ndarray:
+    """Digit expansion of H^T, (N, N-K), from the digit rref `red` (K x N)
+    of a full-rank generator: a pivot row gets minus the rref's free
+    columns, the free rows the identity.  Pivots come in whole blocks of a
+    digit columns, so this is the F_q back-permutation digit by digit."""
+    K, N = red.shape
+    lead = (red != 0).argmax(axis=1)
+    free = np.ones(N, dtype=bool)
+    free[lead] = False
+    HTd = np.zeros((N, N - K), dtype=np.int64)
+    HTd[lead] = -red[:, free] % p
+    HTd[free] = np.eye(N - K, dtype=np.int64)
+    return HTd
 
 
 # ----------------------------------------------------------------------
@@ -228,26 +250,13 @@ def extend_code(code: LinearCode, word, tail: int = 1) -> LinearCode:
 
 def min_distance(code: LinearCode, enum_budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Exact minimum weight over all nonzero codewords (exhaustive)."""
-    if code._d is not None:
-        return code._d
-    ctx = code.ctx
-    total = ctx.q**code.k
-    if total > enum_budget:
-        raise ValueError(
-            f"q^k = {total} exceeds enumeration budget {enum_budget}; "
-            "use is_mds for the Singleton check or raise the budget")
-    gd = _linops.digit_expand(ctx, code.G)
-    dt = ctx.digit_table()
-    d = code.n
-    for start in range(1, total, _sweeps.CHUNK):
-        idx = np.arange(start, min(start + _sweeps.CHUNK, total))
-        msgs = _linops.mixed_radix(idx, ctx.q, code.k)
-        md = dt[msgs].reshape(len(idx), code.k * ctx.a)
-        vals = _linops.digit_matmul(md, gd, ctx.p)
-        nz = vals.reshape(len(idx), code.n, ctx.a).any(axis=2)
-        d = min(d, int(nz.sum(axis=1).min()))
-    code._d = d
-    return d
+    if code._d is None:
+        d = code.n
+        for cd in code._codeword_digits(enum_budget):
+            wt = cd.reshape(len(cd), code.n, code.ctx.a).any(axis=2).sum(axis=1)
+            d = min(d, int(wt[wt > 0].min()))
+        code._d = d
+    return code._d
 
 
 def is_mds(code: LinearCode) -> bool:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import _linops, _sweeps
-from .code import DEFAULT_ENUM_BUDGET, LinearCode, is_mds, min_distance, rs_code
+from .code import (DEFAULT_ENUM_BUDGET, LinearCode, check_words, is_mds,
+                   min_distance, rs_code)
 from .gf import FieldCtx
 from .poly import Poly, evaluate_word, hamming, interpolate
 
@@ -115,20 +116,10 @@ class DeepHoleReport:
 # error distances
 # ----------------------------------------------------------------------
 
-def _words(code: LinearCode, words) -> np.ndarray:
-    """(N, n) int64 words; ValueError on a length != n or an entry not in F_q."""
-    w = np.asarray(words, dtype=np.int64)
-    if w.ndim != 2 or w.shape[1] != code.n:
-        raise ValueError(f"word length {w.shape[-1]} != n={code.n}")
-    if ((w < 0) | (w >= code.ctx.q)).any():
-        raise ValueError(f"word entries must lie in [0, {code.ctx.q})")
-    return w
-
-
 def error_distance_brute(code: LinearCode, word,
                          enum_budget: int = DEFAULT_ENUM_BUDGET):
     """Exact distance and first nearest codeword, by full enumeration."""
-    w = _words(code, [word])[0]
+    w = check_words(code, [word])[0]
     cw = code.codeword_matrix(enum_budget)
     dist = (cw != w).sum(axis=1)
     i = int(np.argmin(dist))
@@ -148,7 +139,7 @@ def error_distances_mds(code: LinearCode, words):
     a nearest codeword agrees with the word on >= k coordinates, so decoding
     on all C(n,k) subsets finds it.  Chunks of max(1, CHUNK // C) words; a
     tie goes to the first subset in itertools.combinations order."""
-    w = _words(code, words)
+    w = check_words(code, words)
     ctx, n = code.ctx, code.n
     gather, ops, _ = _mds_stack(code)
     dist, near = np.empty(len(w), dtype=np.int64), np.empty_like(w)
@@ -174,10 +165,11 @@ def error_distance_mds(code: LinearCode, word):
 
 def reduce_to_coset_rep(code: LinearCode, word) -> CosetRep:
     """Canonical CosetRep of word + code."""
-    word = tuple(word)
+    w = check_words(code, [word])
     ctx = code.ctx
     kind = code.structure["kind"]
     if kind in ("rs", "prs"):
+        word = w[0].tolist()
         k = code.structure["k"]
         D = code.structure["eval"]
         uf = word[:len(D)]
@@ -192,8 +184,7 @@ def reduce_to_coset_rep(code: LinearCode, word) -> CosetRep:
     # word - c for every codeword c at once, digit-wise mod p
     dt = ctx.digit_table()
     cw = code.codeword_matrix(DEFAULT_ENUM_BUDGET)
-    delta = _linops.digit_decode_cols(
-        ctx, (dt[_words(code, [word])] - dt[cw]) % ctx.p, code.n)
+    delta = _linops.digit_decode_cols(ctx, (dt[w] - dt[cw]) % ctx.p, code.n)
     # lexsort's last key is its primary key
     keys = tuple(delta[:, ::-1].T) + ((delta != 0).sum(axis=1),)
     return CosetRep(word=tuple(delta[np.lexsort(keys)[0]].tolist()))

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# Extension fields (a > 1) up to this size precompute mul/inverse tables;
-# addition is digit-wise mod p and prime fields use integer arithmetic.
+# Extension fields (a > 1) up to this size precompute exp/log tables of a
+# primitive element (O(q) memory and time) for mul and inv; larger ones
+# multiply residue polynomials.  Addition is digit-wise mod p and prime
+# fields use integer arithmetic.
 TABLE_LIMIT = 1 << 12
 
 
@@ -133,24 +135,28 @@ class FieldCtx:
 
         self._enc = p ** np.arange(a, dtype=np.int64)
         self._digits = np.arange(self.q)[:, None] // self._enc % p
+        self._exp = self._log = None
         if a > 1 and self.q <= TABLE_LIMIT:
             self._build_tables()
-        else:
-            self._mul_t = self._inv_t = None
 
     def _build_tables(self):
+        """exp/log tables of the first primitive element g, in O(q): exp[i]
+        = g^i for i < q-1, built by doubling, since multiplying a batch of
+        elements by g^m is one F_p digit matrix, M_g^m.  g is primitive iff
+        1 does not recur in exp[1:]."""
         q, p = self.q, self.p
-        d = self._digits
-        mul = np.zeros((q, q), dtype=np.int64)
-        mod = list(self.modulus)
-        for x in range(q):
-            ux = list(d[x])
-            for y in range(x, q):
-                e = int(np.dot(_polymod_mul(ux, list(d[y]), mod, p), self._enc))
-                mul[x, y] = e
-                mul[y, x] = e
-        self._mul_t = mul
-        self._inv_t = np.argmax(mul == 1, axis=1)  # 0 for x = 0
+        for g in range(2, q):
+            M = self.mul_digit_matrix(g)
+            exp = np.ones(1, dtype=np.int64)
+            while len(exp) < q - 1:
+                exp = np.concatenate([exp, self._digits[exp] @ M % p @ self._enc])
+                M = M @ M % p
+            exp = exp[:q - 1]
+            if (exp[1:] != 1).all():
+                break
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        self._exp, self._log = exp.tolist(), log.tolist()
 
     # ------------------------------------------------------------------
     # scalar arithmetic
@@ -177,8 +183,9 @@ class FieldCtx:
     def mul(self, x: int, y: int) -> int:
         if self.a == 1:
             return (x * y) % self.p
-        if self._mul_t is not None:
-            return int(self._mul_t[x, y])
+        if self._log is not None:
+            lg = self._log
+            return self._exp[(lg[x] + lg[y]) % (self.q - 1)] if x and y else 0
         v = _polymod_mul(list(self.digits(x)), list(self.digits(y)),
                          list(self.modulus), self.p)
         return int(np.dot(v, self._enc))
@@ -188,8 +195,8 @@ class FieldCtx:
             raise ZeroDivisionError("inverse of 0 in a finite field")
         if self.a == 1:
             return pow(x, self.p - 2, self.p)
-        if self._inv_t is not None:
-            return int(self._inv_t[x])
+        if self._log is not None:
+            return self._exp[-self._log[x]]
         return self.pow(x, self.q - 2)
 
     def pow(self, x: int, e: int) -> int:

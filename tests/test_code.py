@@ -4,9 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from covrad.code import (codes_equal, export_code_spec, extend_code,
-                         from_matrix, glynn_code, is_mds, min_distance,
-                         parse_code_spec, prs_code, rs_code)
+from covrad import _linops
+from covrad.code import (LinearCode, codes_equal, export_code_spec,
+                         extend_code, from_matrix, glynn_code, is_mds,
+                         min_distance, parse_code_spec, prs_code, rs_code)
+from covrad.dist import reduce_to_coset_rep
 from covrad.gf import field_create, field_for_size
 from covrad.poly import Poly, evaluate_word, weight
 
@@ -111,6 +113,128 @@ def test_parity_check_orthogonality():
         assert len(code.H) == code.n - code.k
         for g in code.G:
             assert all(s == 0 for s in code.syndrome(g))
+
+
+def _mat_rref(ctx, rows):
+    """Scalar F_q Gauss-Jordan, kept as the reference for subset_reduce:
+    (rref rows, pivot columns)."""
+    m = [list(r) for r in rows]
+    nrows, ncols = len(m), len(m[0])
+    pivots, r = [], 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = ctx.inv(m[r][c])
+        m[r] = [ctx.mul(inv, v) for v in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [ctx.sub(m[i][j], ctx.mul(f, m[r][j]))
+                        for j in range(ncols)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def _reference_parity_check(ctx, rows):
+    """H by back-permutation of the scalar rref, or the rank error text."""
+    red, piv = _mat_rref(ctx, rows)
+    if len(piv) != len(rows):
+        return "generator matrix is rank-deficient"
+    n = len(rows[0])
+    h = []
+    for fj in (j for j in range(n) if j not in piv):
+        row = [0] * n
+        row[fj] = 1
+        for r, pj in enumerate(piv):
+            row[pj] = ctx.neg(red[r][fj])
+        h.append(tuple(row))
+    return tuple(h)
+
+
+def _random_generators(q, count, seed):
+    rng = random.Random(seed)
+    for i in range(count):
+        k = rng.randint(1, 5)
+        n = rng.randint(k, 8)
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        if i % 3 == 0 and k > 1:  # rank-deficient: a repeated row
+            rows[-1] = list(rows[0])
+        yield rows
+
+
+@pytest.mark.parametrize("q", [5, 9, 27])
+def test_digit_rref_matches_scalar_rref(q):
+    # the F_p rref of digit_expand(G) is the digit expansion of G's F_q
+    # rref, pivots in whole blocks of a; H and the rank error follow
+    ctx = field_for_size(q)
+    a, deficient = ctx.a, 0
+    for rows in _random_generators(q, 60, q):
+        ref, piv = _mat_rref(ctx, rows)
+        n = len(rows[0])
+        red, rank = _linops.subset_reduce(_linops.digit_expand(ctx, rows),
+                                          np.arange(n * a)[None], ctx.p)
+        r = len(piv)
+        assert rank[0] == r * a
+        if r:
+            assert (red[0, :r * a] == _linops.digit_expand(ctx, ref[:r])).all()
+        assert not red[0, r * a:].any()
+        lead = (red[0, :r * a:a] != 0).argmax(axis=1)
+        assert (lead // a).tolist() == piv and not (lead % a).any()
+        expected = _reference_parity_check(ctx, rows)
+        if isinstance(expected, str):
+            deficient += 1
+            with pytest.raises(ValueError, match=f"^{expected}$"):
+                from_matrix(ctx, rows)
+        else:
+            assert from_matrix(ctx, rows).H == expected
+    assert deficient >= 10
+
+
+def test_glynn_parity_check_matches_scalar_rref():
+    code = glynn_code(field_create(3, 2))
+    assert code.H == _reference_parity_check(code.ctx, code.G)
+
+
+@pytest.mark.parametrize("q", [9, 27])
+def test_syndrome_matches_scalar_sum(q):
+    ctx = field_for_size(q)
+    rng = random.Random(q)
+    for code in (prs_code(ctx, 3), rs_code(ctx, q - 2),
+                 from_matrix(ctx, [[1, 0, 2, 5, 7, 3], [0, 1, 3, 8, 1, 4]])):
+        for _ in range(40):
+            w = [rng.randrange(q) for _ in range(code.n)]
+            ref = []
+            for h in code.H:
+                s = 0
+                for wj, hj in zip(w, h):
+                    s = ctx.add(s, ctx.mul(wj, hj))
+                ref.append(s)
+            assert code.syndrome(w) == tuple(ref)
+            assert code.contains(w) == (not any(ref))
+
+
+@pytest.mark.parametrize("call,word", [
+    pytest.param(lambda c, w: reduce_to_coset_rep(c, w), (0, 0, 0, 0, 0, 5),
+                 id="prs-rep-entry-q"),
+    pytest.param(lambda c, w: reduce_to_coset_rep(c, w), (0, 0, 0, 0, 0),
+                 id="prs-rep-short"),
+    pytest.param(lambda c, w: reduce_to_coset_rep(
+        rs_code(c.ctx, 2), w), (0, 0, 0, 0, 0, 1), id="rs-rep-long"),
+    pytest.param(lambda c, w: c.contains(w), (5, 0, 0, 0, 0, 0),
+                 id="contains-entry-q"),
+    pytest.param(lambda c, w: c.syndrome(w), (0, 0, 0, 0, 0, 0, 0),
+                 id="syndrome-long"),
+    pytest.param(lambda c, w: c.syndrome(w), (0, 0, 0, 0, 0, -1),
+                 id="syndrome-negative"),
+])
+def test_word_check_guards_every_word_entry(call, word):
+    with pytest.raises(ValueError, match="word"):
+        call(prs_code(field_create(5), 2), word)
 
 
 def test_from_matrix_rank_deficient():

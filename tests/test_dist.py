@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,21 @@ def test_sweep_operators_match_lagrange_reference(q, k):
         assert (ops[si] == _linops.digit_expand(ctx, ref)).all(), S
         assert gather[si].tolist() == [i * ctx.a + d for i in S
                                        for d in range(ctx.a)]
+
+
+def test_subset_ops_budget_raises_before_allocating():
+    # 'auto' sends RS(37,32) (n-k = 5) to the sweep, whose C(37,32) operator
+    # stack would hold 435897 * 32 * 38 entries, over 4 GB in int64
+    code = rs_code(field_create(37), 32)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="530050752 entries exceed "
+                           "budget 100000000; use algo='syndrome'"):
+            covering_radius(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_mds_equals_brute_prs():

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from covrad.gf import (TABLE_LIMIT, FieldCtx, field_create, field_for_size,
-                       is_prime, parse_descriptor, smallest_irreducible)
+from covrad.gf import (TABLE_LIMIT, FieldCtx, _polymod_mul, field_create,
+                       field_for_size, is_prime, parse_descriptor,
+                       smallest_irreducible)
 
 
 def naive_polymul_mod(u, v, modulus, p):
@@ -156,6 +157,25 @@ def test_extension_add_neg_sub_beyond_table_limit():
         assert ctx.add(x, y) == enc([u + v for u, v in zip(dx, dy)])
         assert ctx.sub(x, y) == enc([u - v for u, v in zip(dx, dy)])
         assert ctx.neg(x) == enc([-u for u in dx])
+
+
+def test_log_exp_tables_match_polynomial_product():
+    # q = 3^7 <= TABLE_LIMIT: mul and inv read exp/log tables of a
+    # primitive element; the residue-polynomial product is the reference
+    ctx = field_create(3, 7)
+    assert ctx.q <= TABLE_LIMIT
+
+    def ref_mul(x, y):
+        return ctx.undigits(_polymod_mul(list(ctx.digits(x)),
+                                         list(ctx.digits(y)),
+                                         list(ctx.modulus), 3))
+
+    rng = random.Random(2187)
+    for _ in range(2000):
+        x, y = rng.randrange(ctx.q), rng.randrange(1, ctx.q)
+        assert ctx.mul(x, y) == ref_mul(x, y)
+        assert ref_mul(y, ctx.inv(y)) == 1
+    assert ctx.mul(0, 5) == ctx.mul(5, 0) == 0
 
 
 def test_smallest_irreducible_is_irreducible():
