@@ -1,6 +1,6 @@
 """Internal helpers: the package's one Gauss-Jordan, its one digit
-product, and the base-p digit expansion that turns F_q-linear maps into
-F_p matrices.
+product, and its one digit expansion, `digit_expand`, which turns an F_q
+matrix into an F_p matrix with one vectorized `mul_digit_matrix` call.
 
 Every row reduction is one call of `subset_reduce`, a batched mod-p
 Gauss-Jordan over column subsets: `subset_ops` reduces a generator on
@@ -89,23 +89,15 @@ def digit_matmul(xd: np.ndarray, Md: np.ndarray, p: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def digit_expand(ctx: FieldCtx, M) -> np.ndarray:
-    """Expand an F_q matrix (r x c) to an F_p matrix (r*a x c*a).
+    """Expand an F_q matrix (r x c) to an F_p matrix (r*a x c*a): block
+    (i, j) is `ctx.mul_digit_matrix(M[i][j])`, all blocks in one call.
 
     If v (length r) has digit vector vd (length r*a), then the digit vector
     of v @ M over F_q equals (vd @ digit_expand(M)) mod p.
     """
-    a = ctx.a
-    if a == 1:
-        return np.array(M, dtype=np.int64).reshape(len(M), -1) % ctx.p
-    M = [list(row) for row in M]
-    r, c = len(M), len(M[0])
-    out = np.zeros((r * a, c * a), dtype=np.int64)
-    for i in range(r):
-        for j in range(c):
-            e = M[i][j]
-            if e:
-                out[i * a:(i + 1) * a, j * a:(j + 1) * a] = ctx.mul_digit_matrix(e)
-    return out
+    M = np.asarray(M, dtype=np.int64)
+    (r, c), a = M.shape, ctx.a
+    return ctx.mul_digit_matrix(M).transpose(0, 2, 1, 3).reshape(r * a, c * a)
 
 
 def digit_decode_cols(ctx: FieldCtx, digit_mat: np.ndarray, ncols: int) -> np.ndarray:

@@ -19,7 +19,9 @@ Three exact algorithms live here:
 
 Tail values, subset decodes and BFS syndromes are each one F_q-linear map
 applied as `_linops.digit_matmul`, the package's one digit product: a
-float matmul exact below 2^53, reduced mod p in integers.
+float matmul exact below 2^53, reduced mod p in integers.  The RS/PRS
+generators, sweep operators and tail monomials are one evaluation matrix,
+`_sweep_generator`.
 
 The sweep optionally enumerates only degree-normalized slices (monic tails,
 subleading coefficient removed where the characteristic allows): every coset
@@ -108,12 +110,15 @@ def decode_step(ctx: FieldCtx, rows, gather, ops, m: int):
     return cand, eq.sum(axis=-1, dtype=np.min_scalar_type(m))
 
 
-def _sweep_generator(ctx: FieldCtx, D: tuple, k: int) -> tuple:
-    """PRS-form generator: Vandermonde rows over D plus the column e_(k-1),
-    so a codeword's last coordinate is its x^(k-1) coefficient (for PRS
-    codes this is code.G)."""
-    return tuple(tuple(ctx.pow(x, i) for x in D) + (int(i == k - 1),)
-                 for i in range(k))
+def _sweep_generator(ctx: FieldCtx, D: tuple, k: int, prs=True) -> tuple:
+    """The one evaluation matrix: rows x^0 ... x^(k-1) over D by running
+    products (one `ctx.mul` per entry), plus the column e_(k-1) when `prs`,
+    so a codeword's last coordinate is its x^(k-1) coefficient.  It is
+    code.G of `code.rs_code` (prs=False) and `code.prs_code`."""
+    rows = [(1,) * len(D)]
+    for i in range(k - 1):
+        rows.append(tuple(map(ctx.mul, rows[i], D)))
+    return tuple(r + (int(i == k - 1),) * prs for i, r in enumerate(rows))
 
 
 # ----------------------------------------------------------------------
@@ -168,15 +173,16 @@ class SweepOutcome:
 
 def _tail_values_digits(ctx, D, plan, idx, dtype):
     """Digit value matrix (len(idx), n*a), in `dtype`, of the plan's tails at
-    indices idx: one digit product of the coefficient rows, free ones
-    decoded from idx and fixed ones constant, with the monomials on D."""
+    indices idx: one digit product of the coefficient rows, free ones decoded
+    from idx and fixed ones constant, with `_sweep_generator`'s rows on D."""
     free, degs = len(plan.free_degrees), plan.free_degrees + tuple(plan.fixed)
     if not degs:
         return np.zeros((len(idx), len(D) * ctx.a), dtype=dtype)
     coeffs = np.empty((len(idx), len(degs)), dtype=np.int64)
     coeffs[:, :free] = _linops.mixed_radix(idx, ctx.q, free)
     coeffs[:, free:] = tuple(plan.fixed.values())
-    mat = _linops.digit_expand(ctx, [[ctx.pow(x, d) for x in D] for d in degs])
+    mono = _sweep_generator(ctx, D, max(degs) + 1, prs=False)
+    mat = _linops.digit_expand(ctx, [mono[d] for d in degs])
     # digits in the smallest dtype: a chunk's gathered digits stay small
     dt = ctx.digit_table().astype(np.min_scalar_type(ctx.p - 1))
     u = _linops.digit_matmul(dt[coeffs].reshape(len(idx), -1), mat, ctx.p)
@@ -221,7 +227,7 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
     thus drops ties at once; a listing keeps them, as they may be deep.
     """
     n, a, q, p = len(D), ctx.a, ctx.q, ctx.p
-    col_gather, ops, _ = subset_ops(ctx, _sweep_generator(ctx, D, k), n)
+    col_gather, ops, _ = subset_ops(ctx, _sweep_generator(ctx, D, k, prs), n)
     _, idt = _linops.exact_dtypes(k * a, p)
     adt = np.min_scalar_type(n)
     enc = p ** np.arange(a, dtype=idt)

@@ -48,7 +48,8 @@ def _parse_word(text):
 
 def build_code(selector: str) -> LinearCode:
     """Builtin selector ('rs:q=5,k=2', 'prs:q=7,k=3', 'glynn:w=1') or a
-    code-spec file path."""
+    code-spec file path.  ValueError names a missing or unknown key: rs
+    takes q, k and optionally eval; prs q and k; glynn optionally w."""
     if ":" in selector and selector.split(":", 1)[0] in ("rs", "prs", "glynn"):
         kind, argstr = selector.split(":", 1)
         kv = {}
@@ -57,6 +58,15 @@ def build_code(selector: str) -> LinearCode:
                 continue
             key, _, val = part.partition("=")
             kv[key.strip()] = val.strip()
+        allowed = {"rs": ("q", "k", "eval"), "prs": ("q", "k"),
+                   "glynn": ("w",)}[kind]
+        for key in kv:
+            if key not in allowed:
+                raise ValueError(f"unknown key {key!r} in {kind} selector; "
+                                 f"allowed: {', '.join(allowed)}")
+        for key in () if kind == "glynn" else ("q", "k"):
+            if key not in kv:
+                raise ValueError(f"missing key {key!r} in {kind} selector")
         if kind == "glynn":
             w = int(kv["w"]) if "w" in kv else None
             return glynn_code(field_for_size(9), w)

@@ -171,10 +171,9 @@ def rs_code(ctx: FieldCtx, k: int, evalset=None) -> LinearCode:
         raise ValueError("evaluation set must consist of distinct field elements")
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < |D|, got k={k}, |D|={n}")
-    rows = [[ctx.pow(x, i) for x in D] for i in range(k)]
     full = D == ctx.elements()
     label = f"RS({n},{k})/F_{ctx.q}" if full else f"RS(D[{n}],{k})/F_{ctx.q}"
-    return LinearCode(ctx, rows, label,
+    return LinearCode(ctx, _sweeps._sweep_generator(ctx, D, k, prs=False), label,
                       {"kind": "rs", "k": k, "eval": D, "full_field": full})
 
 
@@ -186,10 +185,8 @@ def prs_code(ctx: FieldCtx, k: int) -> LinearCode:
     if not 1 <= k <= q:
         raise ValueError(f"need 1 <= k <= q, got k={k}")
     D = ctx.elements()
-    rows = [[ctx.pow(x, i) for x in D] + [0] for i in range(k)]
-    rows[k - 1][q] = 1
-    return LinearCode(ctx, rows, f"PRS({q + 1},{k})/F_{q}",
-                      {"kind": "prs", "k": k, "eval": D})
+    return LinearCode(ctx, _sweeps._sweep_generator(ctx, D, k),
+                      f"PRS({q + 1},{k})/F_{q}", {"kind": "prs", "k": k, "eval": D})
 
 
 def glynn_code(ctx: FieldCtx, w: int | None = None) -> LinearCode:
@@ -214,16 +211,12 @@ def glynn_code(ctx: FieldCtx, w: int | None = None) -> LinearCode:
 
 def _glynn_rows(ctx: FieldCtx, w: int) -> list:
     """Generator rows of the Glynn construction over F_9 for any w (no
-    check on w): rows 1, x, x^2 + w*x^6, x^3, x^4 over the canonical
-    elements, plus a last column e_5."""
-    D = ctx.elements()
-    return [
-        [1] * 9 + [0],
-        list(D) + [0],
-        [ctx.add(ctx.pow(x, 2), ctx.mul(w, ctx.pow(x, 6))) for x in D] + [0],
-        [ctx.pow(x, 3) for x in D] + [0],
-        [ctx.pow(x, 4) for x in D] + [1],
-    ]
+    check on w): the PRS(10,5) generator, rows 1, x, ..., x^4 over the
+    canonical elements plus a last column e_5, with x^2 + w*x^6 for x^2."""
+    rows = list(_sweeps._sweep_generator(ctx, ctx.elements(), 5))
+    rows[2] = tuple(ctx.add(x2, ctx.mul(w, ctx.mul(x2, x4)))
+                    for x2, x4 in zip(rows[2], rows[4]))
+    return rows
 
 
 def from_matrix(ctx: FieldCtx, rows, label: str = "") -> LinearCode:

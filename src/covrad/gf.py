@@ -8,6 +8,8 @@ and 1 the multiplicative identity.
 The canonical element order is 1, 2, ..., q-1, 0: nonzero elements ascending
 by integer encoding, with 0 last.  Every construction in this package
 (generator matrices, coset reduction, reports) uses this order.
+Multiplying by e is F_p-linear on digit vectors: its matrix, for one e or
+an array of them, is a sum of precomputed companion-matrix powers.
 """
 
 from __future__ import annotations
@@ -135,6 +137,14 @@ class FieldCtx:
 
         self._enc = p ** np.arange(a, dtype=np.int64)
         self._digits = np.arange(self.q)[:, None] // self._enc % p
+        # the companion matrix X of the modulus, digits(y*x) = digits(y) @ X,
+        # and its powers X^0 ... X^(a-1), flattened
+        X = np.eye(a, k=1, dtype=np.int64)
+        X[-1] = np.negative(self.modulus[:a]) % p
+        xpow = [np.eye(a, dtype=np.int64)]
+        while len(xpow) < a:
+            xpow.append(xpow[-1] @ X % p)
+        self._xpow = np.reshape(xpow, (a, a * a))
         self._exp = self._log = None
         if a > 1 and self.q <= TABLE_LIMIT:
             self._build_tables()
@@ -233,13 +243,12 @@ class FieldCtx:
         """(q, a) int array mapping encoding -> digit vector."""
         return self._digits
 
-    def mul_digit_matrix(self, e: int) -> np.ndarray:
-        """(a, a) matrix M over F_p with digits(e*x) = digits(x) @ M."""
+    def mul_digit_matrix(self, e) -> np.ndarray:
+        """(..., a, a) matrices M over F_p with digits(e*y) = digits(y) @ M,
+        for one element e or an array of them: M = sum_i e_i X^i mod p, with
+        e_i the digits of e and X^i the precomputed companion powers."""
         a = self.a
-        m = np.zeros((a, a), dtype=np.int64)
-        for s in range(a):
-            m[s] = self._digits[self.mul(e, self.p**s)]
-        return m
+        return (self._digits[e] @ self._xpow % self.p).reshape(np.shape(e) + (a, a))
 
     def descriptor(self) -> str:
         """Field descriptor string, e.g. '5^1' or '3^2'."""

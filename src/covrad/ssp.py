@@ -51,6 +51,8 @@ def ssp_solve(ctx: FieldCtx, k: int, g: int) -> set:
     q = ctx.q
     if not 1 <= k <= q:
         raise ValueError(f"need 1 <= k <= q, got k={k}")
+    if not 0 <= g < q:
+        raise ValueError(f"target must be a field element in [0, {q}), got {g}")
     if k == q:
         if g != 0:
             raise ValueError(

@@ -145,6 +145,29 @@ def test_ssp_unsolvable_exit_2(capsys):
     assert "unsolvable" in err
 
 
+@pytest.mark.parametrize("target", ["7", "-1"])
+def test_ssp_target_outside_the_field_exit_2(capsys, target):
+    rc, _, err = run_cli(capsys, "ssp", "--q", "5", "--k", "2",
+                         "--target", target)
+    assert rc == 2
+    assert f"got {target}" in err
+
+
+@pytest.mark.parametrize("selector, key", [
+    ("rs:q=5", "'k'"),
+    ("rs:k=2", "'q'"),
+    ("prs:k=2", "'q'"),
+    ("prs:q=5", "'k'"),
+    ("rs:q=5,k=2,evl=1+2+3", "'evl'"),
+    ("prs:q=5,k=2,eval=1+2+3", "'eval'"),
+    ("glynn:w=1,q=9", "'q'"),
+])
+def test_selector_with_a_missing_or_unknown_key_exit_2(capsys, selector, key):
+    rc, _, err = run_cli(capsys, "analyze", "mds-check", "--code", selector)
+    assert rc == 2
+    assert key in err and "selector" in err
+
+
 def test_verify_boundary_exit_zero(capsys):
     rc, out, _ = run_cli(capsys, "verify", "boundary", "--format", "table")
     assert rc == 0

@@ -4,12 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from covrad import _linops
-from covrad.code import (LinearCode, codes_equal, export_code_spec,
-                         extend_code, from_matrix, glynn_code, is_mds,
-                         min_distance, parse_code_spec, prs_code, rs_code)
+from covrad import _linops, _sweeps
+from covrad.code import (LinearCode, _glynn_rows, codes_equal,
+                         export_code_spec, extend_code, from_matrix,
+                         glynn_code, is_mds, min_distance, parse_code_spec,
+                         prs_code, rs_code)
 from covrad.dist import reduce_to_coset_rep
-from covrad.gf import field_create, field_for_size
+from covrad.gf import TABLE_LIMIT, field_create, field_for_size
 from covrad.poly import Poly, evaluate_word, weight
 
 
@@ -85,6 +86,61 @@ def test_prs_mds_all_k(q):
         assert is_mds(code), (q, k)
         if q**k <= 10**6:  # exhaustive cross-check where cheap
             assert min_distance(code) == q + 2 - k
+
+
+def _pow_generator(ctx, D, k, prs):
+    """Reference evaluation matrix, one ctx.pow per entry: rows x^i over D,
+    plus the column e_(k-1) for PRS."""
+    return tuple(tuple(ctx.pow(x, i) for x in D)
+                 + ((int(i == k - 1),) if prs else ()) for i in range(k))
+
+
+@pytest.mark.parametrize("q", [5, 9, 27, 6561])
+def test_generators_match_pow_reference(q):
+    # F_3^8 is above TABLE_LIMIT (products of residue polynomials); its
+    # full-field codes are too long to build, so it checks partial sets only
+    ctx = field_for_size(q)
+    D = tuple(random.Random(q).sample(range(q), min(q - 1, 12)))
+    for k in (1, 2, 3):
+        assert rs_code(ctx, k, D).G == _pow_generator(ctx, D, k, False)
+        assert (_sweeps._sweep_generator(ctx, D, k)
+                == _pow_generator(ctx, D, k, True))
+    if q > TABLE_LIMIT:
+        return
+    full = ctx.elements()
+    for k in (1, 2, q // 2, q - 1):
+        assert rs_code(ctx, k).G == _pow_generator(ctx, full, k, False)
+        assert prs_code(ctx, k + 1).G == _pow_generator(ctx, full, k + 1, True)
+
+
+def test_glynn_rows_match_pow_reference():
+    ctx = field_create(3, 2)
+    D = ctx.elements()
+    for w in range(9):
+        ref = [
+            [1] * 9 + [0],
+            list(D) + [0],
+            [ctx.add(ctx.pow(x, 2), ctx.mul(w, ctx.pow(x, 6))) for x in D] + [0],
+            [ctx.pow(x, 3) for x in D] + [0],
+            [ctx.pow(x, 4) for x in D] + [1],
+        ]
+        assert [list(r) for r in _glynn_rows(ctx, w)] == ref, w
+
+
+@pytest.mark.parametrize("q", [5, 9, 27, 6561])
+def test_digit_expand_matches_block_reference(q):
+    # row s of block (i, j) is the digit vector of M[i][j] * x^s
+    ctx = field_for_size(q)
+    p, a = ctx.p, ctx.a
+    rng = random.Random(q)
+    for _ in range(10):
+        r, c = rng.randint(1, 5), rng.randint(1, 6)
+        M = [[rng.choice((0, rng.randrange(q))) for _ in range(c)]
+             for _ in range(r)]
+        ref = np.zeros((r * a, c * a), dtype=np.int64)
+        for i, j, s in itertools.product(range(r), range(c), range(a)):
+            ref[i * a + s, j * a:(j + 1) * a] = ctx.digits(ctx.mul(M[i][j], p**s))
+        assert (_linops.digit_expand(ctx, M) == ref).all()
 
 
 def test_singleton_bound_assorted():

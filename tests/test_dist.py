@@ -177,13 +177,24 @@ def test_sweep_operators_match_lagrange_reference(q, k):
                                        for d in range(ctx.a)]
 
 
+def test_rs_sweep_and_decoder_share_one_operator_stack(monkeypatch):
+    # the RS sweep decodes with code.G itself, so the radius, the decoder
+    # and the MDS check all read one cached C(13,9) stack
+    monkeypatch.setattr(_sweeps, "_SUBSET_OPS_CACHE", {})
+    code = rs_code(field_create(13), 9)
+    assert covering_radius_sweep(code).rho == 4
+    d, _ = error_distances_mds(code, code.G[:2])
+    assert d.tolist() == [0, 0] and is_mds(code)
+    assert len(_sweeps._SUBSET_OPS_CACHE) == 1
+
+
 def test_subset_ops_budget_raises_before_allocating():
     # 'auto' sends RS(37,32) (n-k = 5) to the sweep, whose C(37,32) operator
-    # stack would hold 435897 * 32 * 38 entries, over 4 GB in int64
+    # stack would hold 435897 * 32 * 37 entries, over 4 GB in int64
     code = rs_code(field_create(37), 32)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="530050752 entries exceed "
+        with pytest.raises(ValueError, match="516102048 entries exceed "
                            "budget 100000000; use algo='syndrome'"):
             covering_radius(code)
         peak = tracemalloc.get_traced_memory()[1]
