@@ -9,7 +9,8 @@ from .dist import (CosetRep, DeepHoleReport, RadiusReport, covering_radius,
                    covering_radius_syndrome, deep_hole_family_prs, deep_holes,
                    error_distance_brute, error_distance_mds,
                    error_distances_mds, nested_max_distance,
-                   prs_bound_via_rs, reduce_to_coset_rep)
+                   prs_bound_via_rs, reduce_to_coset_rep,
+                   reduce_to_coset_reps)
 from .gf import FieldCtx, field_create, field_for_size
 from .poly import (NEG_INF, Poly, evaluate_word, from_roots, hamming,
                    interpolate, weight)
@@ -29,7 +30,8 @@ __all__ = [
     "error_distance_brute", "error_distance_mds", "error_distances_mds",
     "covering_radius", "covering_radius_syndrome", "covering_radius_sweep",
     "covering_radius_brute", "deep_holes", "deep_hole_family_prs",
-    "reduce_to_coset_rep", "nested_max_distance", "prs_bound_via_rs",
+    "reduce_to_coset_rep", "reduce_to_coset_reps", "nested_max_distance",
+    "prs_bound_via_rs",
     "ssp_solve", "validate_certificate", "nearest_codeword_deg_k",
     "run_verification",
 ]

@@ -20,8 +20,8 @@ Three exact algorithms live here:
 Tail values, subset decodes and BFS syndromes are each one F_q-linear map
 applied as `_linops.digit_matmul`, the package's one digit product: a
 float matmul exact below 2^53, reduced mod p in integers.  The RS/PRS
-generators, sweep operators and tail monomials are one evaluation matrix,
-`_sweep_generator`.
+generators and sweep operators are one evaluation matrix, `_sweep_generator`;
+its full-degree form V and V^-1, `eval_operators`, are the one coset map.
 
 The sweep optionally enumerates only degree-normalized slices (monic tails,
 subleading coefficient removed where the characteristic allows): every coset
@@ -121,6 +121,43 @@ def _sweep_generator(ctx: FieldCtx, D: tuple, k: int, prs=True) -> tuple:
     return tuple(r + (int(i == k - 1),) * prs for i, r in enumerate(rows))
 
 
+# the 32 latest maps.  Not an lru_cache: perfbench's tests take a module
+# function with `__wrapped__` for a tracer wrapper left installed.
+_EVAL_OPS_CACHE: dict = {}
+
+
+def eval_operators(ctx: FieldCtx, D: tuple):
+    """The coset-coordinate map over D, cached per (ctx, D): (Vd, Vinvd),
+    the read-only digit expansions of V, rows x^0 ... x^(|D|-1) over D, and
+    of V^-1, from one `subset_reduce` of [Vd | I].  Coefficient rows c have
+    the values c @ V on D, and values u the coefficients u @ V^-1.  Raises
+    ValueError, before allocating, when [Vd | I] has more than
+    DEFAULT_ENUM_BUDGET entries."""
+    if (ctx, D) in _EVAL_OPS_CACHE:
+        return _EVAL_OPS_CACHE[(ctx, D)]
+    N = len(D) * ctx.a
+    if 2 * N * N > DEFAULT_ENUM_BUDGET:
+        raise ValueError(f"evaluation matrix [Vd | I] of {N} x {2 * N} "
+                         f"digits exceeds budget {DEFAULT_ENUM_BUDGET}")
+    Vd = _linops.digit_expand(ctx, _sweep_generator(ctx, D, len(D), prs=False))
+    red, _ = _linops.subset_reduce(np.hstack([Vd, np.eye(N, dtype=np.int64)]),
+                                   np.arange(N)[None], ctx.p)
+    ops = (Vd, red[0, :, N:].copy())
+    Vd.flags.writeable = ops[1].flags.writeable = False
+    if len(_EVAL_OPS_CACHE) >= 32:
+        del _EVAL_OPS_CACHE[next(iter(_EVAL_OPS_CACHE))]
+    _EVAL_OPS_CACHE[(ctx, D)] = ops
+    return ops
+
+
+def _tail_tuples(coeffs: np.ndarray) -> list:
+    """Canonical tails of coefficient rows (N, m): tuples of plain ints,
+    constant first, with the trailing zeros stripped."""
+    nz = coeffs != 0
+    top = np.where(nz.any(axis=1), coeffs.shape[1] - nz[:, ::-1].argmax(axis=1), 0)
+    return [tuple(r[:t]) for r, t in zip(coeffs.tolist(), top.tolist())]
+
+
 # ----------------------------------------------------------------------
 # tail enumeration plans
 # ----------------------------------------------------------------------
@@ -174,30 +211,17 @@ class SweepOutcome:
 def _tail_values_digits(ctx, D, plan, idx, dtype):
     """Digit value matrix (len(idx), n*a), in `dtype`, of the plan's tails at
     indices idx: one digit product of the coefficient rows, free ones decoded
-    from idx and fixed ones constant, with `_sweep_generator`'s rows on D."""
+    from idx and fixed ones constant, with the rows of `eval_operators`' Vd."""
     free, degs = len(plan.free_degrees), plan.free_degrees + tuple(plan.fixed)
-    if not degs:
-        return np.zeros((len(idx), len(D) * ctx.a), dtype=dtype)
     coeffs = np.empty((len(idx), len(degs)), dtype=np.int64)
     coeffs[:, :free] = _linops.mixed_radix(idx, ctx.q, free)
     coeffs[:, free:] = tuple(plan.fixed.values())
-    mono = _sweep_generator(ctx, D, max(degs) + 1, prs=False)
-    mat = _linops.digit_expand(ctx, [mono[d] for d in degs])
+    Vd = eval_operators(ctx, tuple(D))[0]
+    mat = Vd.reshape(len(D), ctx.a, -1)[list(degs)].reshape(-1, Vd.shape[1])
     # digits in the smallest dtype: a chunk's gathered digits stay small
     dt = ctx.digit_table().astype(np.min_scalar_type(ctx.p - 1))
     u = _linops.digit_matmul(dt[coeffs].reshape(len(idx), -1), mat, ctx.p)
     return u.astype(dtype, copy=False)
-
-
-def _tail_tuple(plan, coeff_row):
-    degs = dict(plan.fixed)
-    for d, c in zip(plan.free_degrees, coeff_row):
-        if c:
-            degs[d] = int(c)
-    if not degs:
-        return ()
-    top = max(degs)
-    return tuple(degs.get(i, 0) for i in range(top + 1))
 
 
 def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
@@ -241,8 +265,8 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
 
     for plan in plans:
         for s in range(plan.start, plan.end, CHUNK):
-            pidx = np.arange(s, min(s + CHUNK, plan.end))  # plan index per row
-            u = _tail_values_digits(ctx, D, plan, pidx, idt)
+            u = _tail_values_digits(ctx, D, plan,
+                                    np.arange(s, min(s + CHUNK, plan.end)), idt)
             rows = len(u)
             cosets += rows
             bestA = np.zeros(rows, dtype=adt)
@@ -260,7 +284,7 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
                     flat[idx] = np.maximum(flat[idx], agree)
                 keep = bestA < n + extra - gmax + collect
                 if not keep.all():
-                    u, bestA, pidx = u[keep], bestA[keep], pidx[keep]
+                    u, bestA = u[keep], bestA[keep]
                     if prs:
                         bestV = bestV[keep]
                         base = base[:len(u)]
@@ -282,14 +306,15 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
                 if len(cands) + len(take) > DEEP_CANDIDATE_CAP:
                     truncated = True
                     take = take[:max(0, DEEP_CANDIDATE_CAP - len(cands))]
-                coeffs = _linops.mixed_radix(pidx[take], q,
-                                             len(plan.free_degrees))
-                for r, coeff_row in zip(take, coeffs):
+                # the tails' coefficients are their values times V^-1
+                cd = _linops.digit_matmul(u[take], eval_operators(ctx, D)[1], p)
+                tails = _tail_tuples(_linops.digit_decode_cols(ctx, cd, n))
+                for r, tail in zip(take, tails):
                     if not prs or full[r]:
                         vs = allv
                     else:
                         vs = tuple(np.nonzero(bestV[r] < bestA[r])[0].tolist())
-                    cands.append((_tail_tuple(plan, coeff_row), vs))
+                    cands.append((tail, vs))
     return SweepOutcome(gmax, cosets, cands, truncated)
 
 

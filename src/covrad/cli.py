@@ -306,7 +306,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, ZeroDivisionError) as e:
+    except (ValueError, OSError, ZeroDivisionError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

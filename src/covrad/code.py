@@ -4,6 +4,7 @@ the one-row extension construction."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -25,10 +26,12 @@ class CodeParams:
 class LinearCode:
     """A linear [n, k] code given by a full-rank generator matrix over F_q.
 
-    Immutable after construction.  Besides the generator G and the
-    parity check H (tuples of row tuples) it stores two read-only digit
-    arrays: `Gd`, the (k*a, n*a) digit expansion of G, and `HTd`, the
-    (n*a, (n-k)*a) digit expansion of H^T.  `codeword_matrix`,
+    Immutable after construction.  Besides the generator G (a tuple of
+    row tuples) it stores `Gd`, the read-only (k*a, n*a) digit expansion
+    of G, and Gd's digit rref.  The parity check H and `HTd`, the
+    read-only (n*a, (n-k)*a) digit expansion of H^T, are built from that
+    rref on first use; `HTd` raises ValueError, before allocating, when it
+    has more than DEFAULT_ENUM_BUDGET entries.  `codeword_matrix`,
     `min_distance`, `syndrome` and the syndrome BFS are digit products
     with them; `encode` and `codewords()` stay scalar, as the reference
     the digit products are tested against.  `structure` records how the
@@ -56,15 +59,28 @@ class LinearCode:
         self.k = k
         self.G = tuple(rows)
         self.Gd = Gd
-        self.HTd = _parity_check_t(red[0], ctx.p)
-        for arr in (self.Gd, self.HTd):
-            arr.flags.writeable = False
-        self.H = tuple(map(tuple, _linops.digit_decode_cols(
-            ctx, self.HTd[::a], n - k).T.tolist()))
+        Gd.flags.writeable = False
+        self._rref = red[0]
         self.label = label or f"[{n},{k}]/F_{ctx.q}"
         self.structure = structure or {"kind": "generic"}
         self._d = None
         self._codewords = None
+
+    @functools.cached_property
+    def HTd(self) -> np.ndarray:
+        n, m, a = self.n, self.n - self.k, self.ctx.a
+        if n * a * m * a > DEFAULT_ENUM_BUDGET:
+            raise ValueError(
+                f"parity check of {n * a} x {m * a} digits exceeds budget "
+                f"{DEFAULT_ENUM_BUDGET}")
+        HTd = _parity_check_t(self._rref, self.ctx.p)
+        HTd.flags.writeable = False
+        return HTd
+
+    @functools.cached_property
+    def H(self) -> tuple:
+        return tuple(map(tuple, _linops.digit_decode_cols(
+            self.ctx, self.HTd[::self.ctx.a], self.n - self.k).T.tolist()))
 
     # ------------------------------------------------------------------
     def encode(self, message) -> tuple:
@@ -131,8 +147,11 @@ class LinearCode:
 
 
 def check_words(code: LinearCode, words) -> np.ndarray:
-    """(N, n) int64 words; ValueError on a length != n or an entry not in F_q."""
+    """(N, n) int64 words, (0, n) for none; ValueError on a length != n or
+    an entry not in F_q."""
     w = np.asarray(words, dtype=np.int64)
+    if w.shape == (0,):
+        w = w.reshape(0, code.n)
     if w.ndim != 2 or w.shape[1] != code.n:
         raise ValueError(f"word length {w.shape[-1]} != n={code.n}")
     if ((w < 0) | (w >= code.ctx.q)).any():

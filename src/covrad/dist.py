@@ -2,9 +2,9 @@
 
 Coset representatives: for RS-structured codes a tail polynomial supported
 in degrees k..n-1 (the degree-<k part is the code); for PRS additionally a
-last-coordinate value, obtained by subtracting the codeword that matches the
-word's degree-<k truncation; for generic codes `reduce_to_coset_rep` returns
-the (weight, lexicographic) least word of the coset.  Syndrome listings
+last-coordinate value v, the last entry minus the x^(k-1) coefficient,
+both from the one coset map `_sweeps.eval_operators`.  For generic codes a
+rep is the (weight, lexicographic) least word of the coset.  Syndrome listings
 return one minimum-weight witness word per deep coset, for any code; the
 witness is not canonical.  MDS error distances come from
 `error_distances_mds`, which runs the sweep's `_sweeps.decode_step` on
@@ -20,9 +20,9 @@ import numpy as np
 
 from . import _linops, _sweeps
 from .code import (DEFAULT_ENUM_BUDGET, LinearCode, check_words, is_mds,
-                   min_distance, rs_code)
+                   rs_code)
 from .gf import FieldCtx
-from .poly import Poly, evaluate_word, hamming, interpolate
+from .poly import Poly
 
 
 # ----------------------------------------------------------------------
@@ -52,14 +52,12 @@ class CosetRep:
     def representative_word(self, code: LinearCode) -> tuple:
         if self.word is not None:
             return self.word
-        ctx = code.ctx
-        kind = code.structure["kind"]
-        D = code.structure["eval"]
-        f = Poly(ctx, self.tail)
-        u = evaluate_word(f, D)
-        if kind == "prs":
-            return u + (self.v,)
-        return u
+        ctx, D = code.ctx, tuple(code.structure["eval"])
+        td = ctx.digit_table()[list(self.tail)].reshape(1, -1)
+        Vd = _sweeps.eval_operators(ctx, D)[0][:td.shape[1]]
+        u = _linops.digit_decode_cols(ctx, _linops.digit_matmul(td, Vd, ctx.p),
+                                      len(D))[0].tolist()
+        return tuple(u) + ((self.v,) if code.structure["kind"] == "prs" else ())
 
 
 @dataclass
@@ -163,38 +161,37 @@ def error_distance_mds(code: LinearCode, word):
 # coset reduction
 # ----------------------------------------------------------------------
 
+def reduce_to_coset_reps(code: LinearCode, words) -> list:
+    """Canonical CosetReps of a batch of words.  RS/PRS: the words' values
+    on D times V^-1 of `_sweeps.eval_operators` are their coefficients."""
+    w = check_words(code, words)
+    ctx, kind = code.ctx, code.structure["kind"]
+    if kind not in ("rs", "prs"):
+        # min weight, then lexicographic: w - c for all codewords c at once
+        dt, cw = ctx.digit_table(), code.codeword_matrix(DEFAULT_ENUM_BUDGET)
+        reps = []
+        for x in w:
+            delta = _linops.digit_decode_cols(ctx, (dt[x] - dt[cw]) % ctx.p,
+                                              code.n)
+            # lexsort's last key is its primary key
+            keys = tuple(delta[:, ::-1].T) + ((delta != 0).sum(axis=1),)
+            reps.append(CosetRep(word=tuple(delta[np.lexsort(keys)[0]].tolist())))
+        return reps
+    k, D = code.structure["k"], tuple(code.structure["eval"])
+    m = len(D)
+    cd = _linops.digit_matmul(ctx.digit_table()[w[:, :m]].reshape(-1, m * ctx.a),
+                              _sweeps.eval_operators(ctx, D)[1], ctx.p)
+    coeffs = _linops.digit_decode_cols(ctx, cd, m)
+    vs = (list(map(ctx.sub, w[:, m].tolist(), coeffs[:, k - 1].tolist()))
+          if kind == "prs" else [None] * len(w))
+    coeffs[:, :k] = 0
+    return [CosetRep(tail=t, v=v)
+            for t, v in zip(_sweeps._tail_tuples(coeffs), vs)]
+
+
 def reduce_to_coset_rep(code: LinearCode, word) -> CosetRep:
-    """Canonical CosetRep of word + code."""
-    w = check_words(code, [word])
-    ctx = code.ctx
-    kind = code.structure["kind"]
-    if kind in ("rs", "prs"):
-        word = w[0].tolist()
-        k = code.structure["k"]
-        D = code.structure["eval"]
-        uf = word[:len(D)]
-        f = interpolate(ctx, D, uf)
-        tail = tuple(0 if i < k else c for i, c in enumerate(f.coeffs))
-        tail = _strip(tail)
-        if kind == "rs":
-            return CosetRep(tail=tail)
-        v = ctx.sub(word[len(D)], f.coefficient(k - 1))
-        return CosetRep(tail=tail, v=v)
-    # generic: minimum-weight coset word, ties broken lexicographically;
-    # word - c for every codeword c at once, digit-wise mod p
-    dt = ctx.digit_table()
-    cw = code.codeword_matrix(DEFAULT_ENUM_BUDGET)
-    delta = _linops.digit_decode_cols(ctx, (dt[w] - dt[cw]) % ctx.p, code.n)
-    # lexsort's last key is its primary key
-    keys = tuple(delta[:, ::-1].T) + ((delta != 0).sum(axis=1),)
-    return CosetRep(word=tuple(delta[np.lexsort(keys)[0]].tolist()))
-
-
-def _strip(t):
-    t = list(t)
-    while t and t[-1] == 0:
-        t.pop()
-    return tuple(t)
+    """`reduce_to_coset_reps` of one word: its canonical CosetRep."""
+    return reduce_to_coset_reps(code, [word])[0]
 
 
 # ----------------------------------------------------------------------
@@ -406,5 +403,5 @@ def prs_bound_via_rs(f: Poly, v: int, k: int) -> int:
     shift = Poly(ctx, [0] * (k - 1) + [v])
     g = f - shift
     rs = rs_code(ctx, k - 1)
-    word = evaluate_word(g, ctx.elements())
+    word = tuple(map(g, ctx.elements()))
     return error_distance_mds(rs, word)[0]

@@ -123,22 +123,12 @@ def evaluate_word(f: Poly, D) -> tuple:
 # interpolation
 # ----------------------------------------------------------------------
 
-# Per-evaluation-set cache of Lagrange basis coefficient matrices for
-# `interpolate`, which coset reduction calls over the same D for every word
-# it reduces; the cache is read-only after first use and safe to share.
-_BASIS_CACHE: dict = {}
-
-
 def lagrange_basis(ctx: FieldCtx, D) -> list[list[int]]:
     """Coefficient vectors of the Lagrange basis polynomials L_j over D.
 
     L_j(x_j) = 1, L_j(x_m) = 0 for m != j; each vector has length |D|.
     """
     D = tuple(D)
-    key = (ctx, D)
-    basis = _BASIS_CACHE.get(key)
-    if basis is not None:
-        return basis
     n = len(D)
     basis = []
     for j in range(n):
@@ -155,7 +145,6 @@ def lagrange_basis(ctx: FieldCtx, D) -> list[list[int]]:
             den = ctx.mul(den, ctx.sub(D[j], D[m]))
         w = ctx.inv(den)  # barycentric weight of point j
         basis.append([ctx.mul(w, c) for c in num] + [0] * (n - len(num)))
-    _BASIS_CACHE[key] = basis
     return basis
 
 

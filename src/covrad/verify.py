@@ -389,12 +389,9 @@ def _kq1_deep_holes(case, threads):
     code = _code(case, prs_code)
     q = code.ctx.q
     report = deep_holes(code, threads=threads)
-    shaped = set()
-    for a in range(q):
-        for v in range(q):
-            w = (a,) * (q - 1) + (0, v)
-            if not code.contains(w):
-                shaped.add(dist.reduce_to_coset_rep(code, w))
+    words = [(a,) * (q - 1) + (0, v) for a in range(q) for v in range(q)]
+    # every word but the codewords, whose rep is the zero coset's
+    shaped = set(dist.reduce_to_coset_reps(code, words)) - {dist.CosetRep((), 0)}
     nonconst = [r for r in report.reps
                 if not r.tail and r.v is not None and r.v != 0]
     case.notes.append(
@@ -408,10 +405,9 @@ def _kq1_deep_holes(case, threads):
 def _weight1_deep_holes(case, threads):
     code = _code(case, prs_code)
     n, q = code.n, code.ctx.q
-    w1 = {dist.reduce_to_coset_rep(code, tuple(c if i == pos else 0
-                                               for i in range(n)))
-          for pos in range(n) for c in range(1, q)}
-    return set(deep_holes(code, threads=threads).reps) == w1
+    w1 = dist.reduce_to_coset_reps(code, [[c * (i == pos) for i in range(n)]
+                                          for pos in range(n) for c in range(1, q)])
+    return set(deep_holes(code, threads=threads).reps) == set(w1)
 
 
 def suite_boundary(qs=(5,), threads=1, **_):

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from covrad import _sweeps
+from covrad import _sweeps, cli
 from covrad.cli import build_code, main
 
 
@@ -95,6 +95,16 @@ def test_deep_holes_over_the_candidate_cap_exit_2(capsys, monkeypatch):
                            "prs:q=5,k=2")
     assert rc == 2 and not out
     assert "more than 10 deep-hole candidates" in err
+
+
+def test_memory_error_exit_2(capsys, monkeypatch):
+    def exhausted(code):
+        raise MemoryError("Unable to allocate 20.5 GiB")
+    monkeypatch.setattr(cli, "is_mds", exhausted)
+    rc, out, err = run_cli(capsys, "analyze", "mds-check", "--code",
+                           "prs:q=5,k=2")
+    assert rc == 2 and not out
+    assert "Unable to allocate 20.5 GiB" in err
 
 
 def test_analyze_distance(capsys):

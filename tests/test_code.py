@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -459,3 +460,21 @@ def test_code_spec_diagnostics_carry_line_numbers():
 def test_code_spec_rank_deficient_rows():
     with pytest.raises(ValueError, match="rank"):
         parse_code_spec("5^1\n1,2,3\n2,4,1\n3,1,4\n")
+
+
+def test_parity_check_is_built_on_first_use_within_the_budget():
+    small = prs_code(field_create(5), 2)
+    assert "HTd" not in vars(small) and "H" not in vars(small)
+    assert small.contains(small.G[0]) and "HTd" in vars(small)
+    # PRS(6562,2)/F_3^8: a dense H^T would hold 52496 x 52480 int64 digits
+    ctx = field_create(3, 8)
+    tracemalloc.start()
+    try:
+        code = prs_code(ctx, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    with pytest.raises(ValueError, match="parity check of 52496 x 52480 "
+                       "digits exceeds budget 100000000"):
+        code.syndrome((0,) * code.n)

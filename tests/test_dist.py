@@ -13,9 +13,11 @@ from covrad.dist import (CosetRep, covering_radius, covering_radius_brute,
                          deep_hole_family_prs, deep_holes,
                          error_distance_brute, error_distance_mds,
                          error_distances_mds, nested_max_distance,
-                         prs_bound_via_rs, reduce_to_coset_rep)
+                         prs_bound_via_rs, reduce_to_coset_rep,
+                         reduce_to_coset_reps)
 from covrad.gf import field_create, field_for_size
-from covrad.poly import Poly, evaluate_word, hamming, lagrange_basis, weight
+from covrad.poly import (Poly, evaluate_word, hamming, interpolate,
+                         lagrange_basis, weight)
 
 
 def rand_word(rng, q, n):
@@ -476,6 +478,80 @@ def test_generic_rep_matches_per_codeword_loop(make, trials):
         assert reduce_to_coset_rep(code, w) == _reduce_by_loop(code, w)
 
 
+def _reduce_by_interpolation(code, word):
+    """Reference: interpolate the word's values on D one word at a time;
+    the tail is the coefficients of degree >= k, and for PRS v is the last
+    entry minus the x^(k-1) coefficient."""
+    ctx, k, D = code.ctx, code.structure["k"], code.structure["eval"]
+    f = interpolate(ctx, D, word[:len(D)])
+    tail = Poly(ctx, [0] * k + list(f.coeffs[k:])).coeffs
+    if code.structure["kind"] == "rs":
+        return CosetRep(tail=tail)
+    return CosetRep(tail=tail, v=ctx.sub(word[len(D)], f.coefficient(k - 1)))
+
+
+REDUCTION_CODES = [
+    pytest.param(5, "prs", 2, None, 300, id="prs6-2-f5"),
+    pytest.param(7, "prs", 3, None, 300, id="prs8-3-f7"),
+    pytest.param(9, "prs", 4, None, 300, id="prs10-4-f9"),
+    pytest.param(9, "rs", 3, None, 300, id="rs9-3-f9"),
+    pytest.param(11, "prs", 7, None, 200, id="prs12-7-f11"),
+    pytest.param(27, "prs", 5, None, 30, id="prs28-5-f27"),
+    pytest.param(25, "rs", 20, None, 30, id="rs25-20-f25"),
+    pytest.param(13, "rs", 1, None, 100, id="rs13-1-f13"),
+    pytest.param(11, "rs", 3, (1, 3, 4, 6, 7, 9, 10), 300, id="rs7-3-f11-partial"),
+    pytest.param(5, "prs", 5, None, 300, id="prs6-5-f5-k-eq-q"),
+]
+
+
+@pytest.mark.parametrize("q,kind,k,evalset,trials", REDUCTION_CODES)
+def test_batched_reduction_matches_interpolation(q, kind, k, evalset, trials):
+    ctx = field_for_size(q)
+    code = (prs_code(ctx, k) if kind == "prs"
+            else rs_code(ctx, k, evalset=evalset))
+    rng = random.Random(q * 100 + k)
+    words = [rand_word(rng, q, code.n) for _ in range(trials)]
+    # the zero word, a codeword and a pure-tail word are edge rows
+    words += [(0,) * code.n, code.encode((1,) * k),
+              CosetRep(tail=(0,) * (len(code.structure["eval"]) - 1) + (1,),
+                       v=0 if kind == "prs" else None).representative_word(code)]
+    got = reduce_to_coset_reps(code, words)
+    assert got == [_reduce_by_interpolation(code, w) for w in words]
+    assert all(type(c) is int for r in got for c in r.tail + (r.v or 0,))
+    assert reduce_to_coset_rep(code, words[0]) == got[0]
+
+
+def test_representative_words_reduce_back_in_one_batch():
+    code = prs_code(field_create(5), 2)
+    reps = deep_holes(code).reps
+    assert len(reps) == 360
+    assert reduce_to_coset_reps(
+        code, [r.representative_word(code) for r in reps]) == reps
+
+
+@pytest.mark.parametrize("q,kind,k,evalset,trials", REDUCTION_CODES)
+def test_representative_word_evaluates_the_tail(q, kind, k, evalset, trials):
+    ctx = field_for_size(q)
+    code = (prs_code(ctx, k) if kind == "prs"
+            else rs_code(ctx, k, evalset=evalset))
+    D = code.structure["eval"]
+    rng = random.Random(q + k)
+    for _ in range(min(trials, 40)):
+        tail = tuple(rng.randrange(q) if i >= k else 0 for i in range(len(D)))
+        v = rng.randrange(q) if kind == "prs" else None
+        want = evaluate_word(Poly(ctx, tail), D) + ((v,) if v is not None else ())
+        assert CosetRep(tail=tail, v=v).representative_word(code) == want
+
+
+def test_batched_reduction_of_no_words_and_of_a_wrong_length():
+    code = prs_code(field_create(5), 2)
+    assert reduce_to_coset_reps(code, []) == []
+    with pytest.raises(ValueError, match="word length 5 != n=6"):
+        reduce_to_coset_reps(code, [(0,) * 5, (1,) * 5])
+    with pytest.raises(ValueError, match="word length 0 != n=6"):
+        reduce_to_coset_reps(code, [()])
+
+
 # ----------------------------------------------------------------------
 # deep holes
 # ----------------------------------------------------------------------
@@ -516,7 +592,7 @@ def test_prs_deep_sets_match_syndrome_bfs():
         bfs = deep_holes(code, algo="syndrome")
         assert sweep.rho == bfs.rho
         sweep_set = set(sweep.reps)
-        bfs_set = {reduce_to_coset_rep(code, r.word) for r in bfs.reps}
+        bfs_set = set(reduce_to_coset_reps(code, [r.word for r in bfs.reps]))
         assert sweep_set == bfs_set
 
 
