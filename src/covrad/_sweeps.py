@@ -1,6 +1,6 @@
 """Internal vectorized engines for the exhaustive distance machinery.
 
-Three exact algorithms live here:
+Two exact algorithms live here:
 
 * a coset-profile sweep for RS/PRS-structured codes: cosets are tail
   polynomials; for each tail the best agreement A with lower-degree
@@ -14,8 +14,6 @@ Three exact algorithms live here:
   enumerated by increasing weight and their syndromes marked; the radius is
   the weight at which the table fills.  Witness words are kept as digit
   rows, so their size does not limit q^n.
-
-* a tiny full-space brute force used as an oracle.
 
 Tail values, subset decodes and BFS syndromes are each one F_q-linear map
 applied as `_linops.digit_matmul`, the package's one digit product: a
@@ -449,26 +447,3 @@ def syndrome_bfs(code, enum_budget: int,
     wit = witness[deep] if want_witness else None
     return BfsOutcome(rho, level_counts, words, deep, wit)
 
-
-# ----------------------------------------------------------------------
-# brute force over the whole ambient space (oracle scale only)
-# ----------------------------------------------------------------------
-
-def brute_radius(code, enum_budget: int) -> int:
-    """The radius rho, by scanning every word against every codeword."""
-    ctx = code.ctx
-    q, n = ctx.q, code.n
-    total = q**n
-    cw = code.codeword_matrix(enum_budget)
-    if total * len(cw) > enum_budget:
-        raise ValueError(
-            f"q^n * q^k = {total * len(cw)} distance pairs exceed budget "
-            f"{enum_budget}")
-    rho = 0
-    chunk = max(1, (1 << 22) // max(1, len(cw)))
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        words = _linops.mixed_radix(idx, q, n)
-        dist = (words[:, None, :] != cw[None, :, :]).sum(axis=2).min(axis=1)
-        rho = max(rho, int(dist.max()))
-    return rho

@@ -40,7 +40,11 @@ class LinearCode:
     """
 
     def __init__(self, ctx: FieldCtx, rows, label: str = "", structure=None):
-        rows = [tuple(int(v) % ctx.q for v in r) for r in rows]
+        # F_p's elements are the integers mod p; F_q's encodings, a > 1, are not
+        rows = [tuple(int(v) % ctx.q if ctx.a == 1 else int(v) for v in r)
+                for r in rows]
+        if any(not 0 <= v < ctx.q for r in rows for v in r):
+            raise ValueError(f"generator entries must be encodings in [0, {ctx.q})")
         if not rows or not rows[0]:
             raise ValueError("empty generator matrix")
         n = len(rows[0])
@@ -147,16 +151,26 @@ class LinearCode:
 
 
 def check_words(code: LinearCode, words) -> np.ndarray:
-    """(N, n) int64 words, (0, n) for none; ValueError on a length != n or
-    an entry not in F_q."""
-    w = np.asarray(words, dtype=np.int64)
+    """(N, n) int64 words, (0, n) for none.  ValueError on a ragged batch,
+    on one flat word instead of a batch, on a length != n, and on an entry
+    that is not an integer or not in F_q."""
+    try:
+        w = np.asarray(words)
+    except ValueError:
+        raise ValueError(f"ragged batch: every word needs length n={code.n}") from None
     if w.shape == (0,):
-        w = w.reshape(0, code.n)
-    if w.ndim != 2 or w.shape[1] != code.n:
-        raise ValueError(f"word length {w.shape[-1]} != n={code.n}")
+        return np.empty((0, code.n), dtype=np.int64)
+    if w.ndim == 1:
+        raise ValueError(f"got one flat word of length {len(w)}, not a batch")
+    if w.ndim != 2:
+        raise ValueError(f"words form shape {w.shape}, not (N, {code.n})")
+    if w.shape[1] != code.n:
+        raise ValueError(f"word length {w.shape[1]} != n={code.n}")
+    if w.dtype.kind not in "iu":
+        raise ValueError(f"word entries must be integers, got {w.dtype}")
     if ((w < 0) | (w >= code.ctx.q)).any():
         raise ValueError(f"word entries must lie in [0, {code.ctx.q})")
-    return w
+    return w.astype(np.int64, copy=False)
 
 
 def _parity_check_t(red: np.ndarray, p: int) -> np.ndarray:
@@ -205,7 +219,8 @@ def prs_code(ctx: FieldCtx, k: int) -> LinearCode:
         raise ValueError(f"need 1 <= k <= q, got k={k}")
     D = ctx.elements()
     return LinearCode(ctx, _sweeps._sweep_generator(ctx, D, k),
-                      f"PRS({q + 1},{k})/F_{q}", {"kind": "prs", "k": k, "eval": D})
+                      f"PRS({q + 1},{k})/F_{q}",
+                      {"kind": "prs", "k": k, "eval": D, "full_field": True})
 
 
 def glynn_code(ctx: FieldCtx, w: int | None = None) -> LinearCode:

@@ -8,7 +8,8 @@ rep is the (weight, lexicographic) least word of the coset.  Syndrome listings
 return one minimum-weight witness word per deep coset, for any code; the
 witness is not canonical.  MDS error distances come from
 `error_distances_mds`, which runs the sweep's `_sweeps.decode_step` on
-batches of words.
+batches of words, and any code's from `error_distances_brute`, the one
+codeword scan.  `_sweep` is the one set-up of the representative sweep.
 """
 
 from __future__ import annotations
@@ -114,14 +115,29 @@ class DeepHoleReport:
 # error distances
 # ----------------------------------------------------------------------
 
+def error_distances_brute(code: LinearCode, words,
+                          enum_budget: int = DEFAULT_ENUM_BUDGET):
+    """(distances (N,), nearest codewords (N, n)) of N words, by comparing
+    each with all q^k codewords: the one codeword scan.  Chunks of at most
+    2^22 word-codeword pairs; a tie goes to the first codeword in
+    message-vector order."""
+    w = check_words(code, words)
+    cw = code.codeword_matrix(enum_budget)
+    dist, near = np.empty(len(w), dtype=np.int64), np.empty_like(w)
+    step = max(1, (1 << 22) // len(cw))
+    for s in range(0, len(w), step):
+        d = (w[s:s + step, None] != cw).sum(axis=2, dtype=np.min_scalar_type(code.n))
+        i = d.argmin(axis=1)
+        dist[s:s + step] = d[np.arange(len(i)), i]
+        near[s:s + step] = cw[i]
+    return dist, near
+
+
 def error_distance_brute(code: LinearCode, word,
                          enum_budget: int = DEFAULT_ENUM_BUDGET):
-    """Exact distance and first nearest codeword, by full enumeration."""
-    w = check_words(code, [word])[0]
-    cw = code.codeword_matrix(enum_budget)
-    dist = (cw != w).sum(axis=1)
-    i = int(np.argmin(dist))
-    return int(dist[i]), tuple(int(v) for v in cw[i])
+    """`error_distances_brute` of one word: (distance, nearest codeword)."""
+    dist, near = error_distances_brute(code, [word], enum_budget)
+    return int(dist[0]), tuple(near[0].tolist())
 
 
 def _mds_stack(code: LinearCode):
@@ -211,60 +227,68 @@ def covering_radius_syndrome(code: LinearCode,
         notes=[f"words_examined={out.words_examined}"])
 
 
-def covering_radius_sweep(code: LinearCode, variant: str = "auto",
-                          enum_budget: int = DEFAULT_ENUM_BUDGET,
-                          threads: int = 1) -> RadiusReport:
-    """Representative sweep for RS/PRS-structured codes (exact).
+def _sweep(code: LinearCode, collect: bool, enum_budget: int, threads: int):
+    """The one set-up of the representative sweep: (variant, SweepOutcome).
 
-    variant 'full' enumerates every tail coset; 'degree-sliced' enumerates
-    one normalized slice per tail degree (exact radius by orbit invariance,
-    full-field evaluation sets only); 'auto' picks degree-sliced for a
-    full-field set with more than min(2^16, enum_budget) tails, else full.
+    A radius (collect=False) over the full field with more than
+    min(2^16, enum_budget) tails scans one normalized slice per tail degree
+    ('degree-sliced', exact by orbit invariance); every other radius and
+    every listing scans all q^(n-k) tails ('full'), at most enum_budget.
     """
-    t0 = time.perf_counter()
     kind = code.structure.get("kind")
     if kind not in ("rs", "prs"):
         raise ValueError(f"{code.label}: representative sweep needs an "
                          "RS- or PRS-structured code")
-    ctx = code.ctx
-    k = code.structure["k"]
-    D = code.structure["eval"]
+    ctx, k, D = code.ctx, code.structure["k"], tuple(code.structure["eval"])
     ntails = ctx.q ** (len(D) - k)
-    full_field = kind == "prs" or code.structure.get("full_field", False)
-    if variant == "auto":
-        variant = ("degree-sliced" if full_field
-                   and ntails > min(2**16, enum_budget) else "full")
-    if variant == "degree-sliced" and not full_field:
-        raise ValueError("degree-sliced sweep requires the full-field "
-                         "evaluation set")
-    if variant == "full":
-        if ntails > enum_budget:
-            raise ValueError(
-                f"{ntails} tail cosets exceed budget {enum_budget}"
-                + ("; use variant='degree-sliced'" if full_field else ""))
-        plans = _sweeps.full_plans(ctx, len(D), k)
+    if (not collect and code.structure["full_field"]
+            and ntails > min(2**16, enum_budget)):
+        variant, plans = "degree-sliced", _sweeps.sliced_plans(ctx, k)
+    elif ntails > enum_budget:
+        raise ValueError(f"{ntails} tail cosets exceed budget {enum_budget}")
     else:
-        plans = _sweeps.sliced_plans(ctx, k)
-    out = _sweeps.run_sweep(ctx, tuple(D), k, prs=(kind == "prs"),
-                            plans=plans, collect=False, threads=threads)
-    cosets = out.cosets * (ctx.q if kind == "prs" else 1)
-    notes = []
-    if variant == "degree-sliced":
-        notes.append("orbit-normalized slices; radius exact by invariance")
+        variant, plans = "full", _sweeps.full_plans(ctx, len(D), k)
+    return variant, _sweeps.run_sweep(ctx, D, k, prs=(kind == "prs"),
+                                      plans=plans, collect=collect,
+                                      threads=threads)
+
+
+def covering_radius_sweep(code: LinearCode,
+                          enum_budget: int = DEFAULT_ENUM_BUDGET,
+                          threads: int = 1) -> RadiusReport:
+    """Representative sweep for RS/PRS-structured codes (exact); the
+    report's variant names the tail plan `_sweep` chose."""
+    t0 = time.perf_counter()
+    variant, out = _sweep(code, False, enum_budget, threads)
+    notes = (["orbit-normalized slices; radius exact by invariance"]
+             if variant == "degree-sliced" else [])
     return RadiusReport(
         code=code.label, n=code.n, k=code.k, rho=out.max_contrib,
-        algorithm="rep-sweep", variant=variant, cosets_examined=cosets,
+        algorithm="rep-sweep", variant=variant,
+        cosets_examined=out.cosets * (code.ctx.q if code.structure["kind"]
+                                      == "prs" else 1),
         elapsed_ms=(time.perf_counter() - t0) * 1e3, notes=notes)
 
 
 def covering_radius_brute(code: LinearCode,
                           enum_budget: int = DEFAULT_ENUM_BUDGET) -> RadiusReport:
-    """Max of error_distance_brute over the whole ambient space (tiny codes)."""
+    """Max of `error_distances_brute` over the q^n words of the ambient
+    space, fed in chunks (tiny codes)."""
     t0 = time.perf_counter()
-    rho = _sweeps.brute_radius(code, enum_budget)
+    q, n = code.ctx.q, code.n
+    total = q**n
+    if total * q**code.k > enum_budget:
+        raise ValueError(f"q^n * q^k = {total * q**code.k} distance pairs "
+                         f"exceed budget {enum_budget}")
+    rho = 0
+    for s in range(0, total, _sweeps.CHUNK):
+        words = _linops.mixed_radix(np.arange(s, min(s + _sweeps.CHUNK, total)),
+                                    q, n)
+        rho = max(rho, int(error_distances_brute(code, words,
+                                                 enum_budget)[0].max()))
     return RadiusReport(
         code=code.label, n=code.n, k=code.k, rho=rho, algorithm="brute",
-        cosets_examined=code.ctx.q ** code.n,
+        cosets_examined=total,
         elapsed_ms=(time.perf_counter() - t0) * 1e3)
 
 
@@ -326,18 +350,7 @@ def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
     if algo == "auto":
         algo = "sweep" if kind in ("rs", "prs") else "syndrome"
     if algo == "sweep":
-        if kind not in ("rs", "prs"):
-            raise ValueError("sweep deep-hole listing needs RS/PRS structure")
-        k = code.structure["k"]
-        D = code.structure["eval"]
-        ntails = ctx.q ** (len(D) - k)
-        if ntails > enum_budget:
-            raise ValueError(
-                f"{ntails} tail cosets exceed budget {enum_budget}; deep-hole "
-                "listing requires the full enumeration")
-        plans = _sweeps.full_plans(ctx, len(D), k)
-        out = _sweeps.run_sweep(ctx, tuple(D), k, prs=(kind == "prs"),
-                                plans=plans, collect=True, threads=threads)
+        _, out = _sweep(code, True, enum_budget, threads)
         if out.truncated:
             raise ValueError(
                 f"more than {_sweeps.DEEP_CANDIDATE_CAP} deep-hole candidates "
@@ -348,7 +361,6 @@ def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
         rho = out.max_contrib
         reps = [CosetRep(tail=t, v=v) for t, vs in out.candidates for v in vs]
         algorithm = "rep-sweep"
-        notes = []
     elif algo == "syndrome":
         out = _sweeps.syndrome_bfs(code, enum_budget, want_witness=True)
         if rho is not None and rho != out.rho:
@@ -356,15 +368,13 @@ def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
         rho = out.rho
         reps = [CosetRep(word=tuple(w)) for w in out.witnesses.tolist()]
         algorithm = "syndrome-bfs"
-        notes = []
     else:
         raise ValueError(f"unknown deep-hole algorithm {algo!r}")
 
     reps.sort(key=CosetRep.sort_key)
     report = DeepHoleReport(
         code=code.label, rho=rho, count=len(reps), reps=reps,
-        algorithm=algorithm, elapsed_ms=(time.perf_counter() - t0) * 1e3,
-        notes=notes)
+        algorithm=algorithm, elapsed_ms=(time.perf_counter() - t0) * 1e3)
     if algo == "sweep":
         vs = range(ctx.q) if kind == "prs" else (None,)
         fs, rs = set(_degree_k_family(ctx, code.structure["k"], vs)), set(reps)
@@ -389,7 +399,7 @@ def nested_max_distance(c1: LinearCode, c2: LinearCode,
     cw = c2.codeword_matrix(enum_budget)
     if is_mds(c1):
         return int(error_distances_mds(c1, cw)[0].max())
-    return max(error_distance_brute(c1, c, enum_budget)[0] for c in cw)
+    return int(error_distances_brute(c1, cw, enum_budget)[0].max())
 
 
 def prs_bound_via_rs(f: Poly, v: int, k: int) -> int:

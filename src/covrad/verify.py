@@ -34,7 +34,7 @@ from . import dist, ssp
 from .code import (_glynn_rows, from_matrix, glynn_code, is_mds, min_distance,
                    prs_code, rs_code)
 from .dist import (covering_radius_sweep, covering_radius_syndrome, deep_holes,
-                   error_distance_brute, error_distances_mds)
+                   error_distances_brute, error_distances_mds)
 from .gf import field_for_size
 from .poly import Poly, evaluate_word, hamming
 
@@ -177,11 +177,8 @@ def _recheck_extras(code, report, sample=12):
     """Re-verify sampled extra deep holes by brute force over all codewords,
     independently of the sweep's subset decoding."""
     step = max(1, len(report.extras) // sample)
-    for rep in report.extras[::step]:
-        word = rep.representative_word(code)
-        if error_distance_brute(code, word)[0] != report.rho:
-            return False
-    return True
+    words = [rep.representative_word(code) for rep in report.extras[::step]]
+    return bool((error_distances_brute(code, words)[0] == report.rho).all())
 
 
 def suite_conj3(qs=(5, 7), threads=1, **_):
@@ -362,10 +359,10 @@ def suite_prop7(qs=(5, 7, 9), **_):
 
 
 def _radius_both(case, threads):
-    """Radius by the syndrome BFS and by the full sweep."""
+    """Radius by the syndrome BFS and by the sweep."""
     code = _code(case, prs_code)
     bfs = covering_radius_syndrome(code).rho
-    sweep = covering_radius_sweep(code, variant="full", threads=threads).rho
+    sweep = covering_radius_sweep(code, threads=threads).rho
     case.notes.append(f"bfs={bfs} sweep={sweep}")
     return _agreed(bfs, sweep)
 

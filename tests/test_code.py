@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from covrad import _linops, _sweeps
-from covrad.code import (LinearCode, _glynn_rows, codes_equal,
+from covrad.code import (LinearCode, _glynn_rows, check_words, codes_equal,
                          export_code_spec, extend_code, from_matrix,
                          glynn_code, is_mds, min_distance, parse_code_spec,
                          prs_code, rs_code)
-from covrad.dist import reduce_to_coset_rep
+from covrad.dist import reduce_to_coset_rep, reduce_to_coset_reps
 from covrad.gf import TABLE_LIMIT, field_create, field_for_size
 from covrad.poly import Poly, evaluate_word, weight
 
@@ -292,6 +292,32 @@ def test_syndrome_matches_scalar_sum(q):
 def test_word_check_guards_every_word_entry(call, word):
     with pytest.raises(ValueError, match="word"):
         call(prs_code(field_create(5), 2), word)
+
+
+def test_word_check_names_each_malformed_batch():
+    code = prs_code(field_create(5), 2)
+    with pytest.raises(ValueError, match="one flat word of length 6, not a batch"):
+        reduce_to_coset_reps(code, (0,) * 6)
+    with pytest.raises(ValueError, match="ragged batch"):
+        check_words(code, [(0,) * 6, (0,) * 5])
+    with pytest.raises(ValueError, match="must be integers, got float64"):
+        check_words(code, [(0.5,) * 6])  # not cast to the zero word
+    with pytest.raises(ValueError, match=r"shape \(1, 1, 6\), not \(N, 6\)"):
+        check_words(code, [[(0,) * 6]])
+    w = check_words(code, np.ones((2, 6), dtype=np.uint8))
+    assert w.dtype == np.int64 and w.tolist() == [[1] * 6] * 2
+
+
+def test_extension_field_generator_entries_are_not_reduced_mod_q():
+    # 8 encodes 2 + 2x in F_9, not -1 = 2: reducing mod q would build
+    # another code, so encodings outside [0, q) are refused
+    ctx = field_create(3, 2)
+    for row in ([-1, 1, 1], [9, 1, 1]):
+        with pytest.raises(ValueError, match=r"encodings in \[0, 9\)"):
+            from_matrix(ctx, [row])
+    assert from_matrix(ctx, [[8, 1, 1]]).G == ((8, 1, 1),)
+    # a prime field's elements are the integers mod p
+    assert from_matrix(field_create(5), [[-1, 6, 1]]).G == ((4, 1, 1),)
 
 
 def test_from_matrix_rank_deficient():

@@ -12,7 +12,8 @@ from covrad.dist import (CosetRep, covering_radius, covering_radius_brute,
                          covering_radius_sweep, covering_radius_syndrome,
                          deep_hole_family_prs, deep_holes,
                          error_distance_brute, error_distance_mds,
-                         error_distances_mds, nested_max_distance,
+                         error_distances_brute, error_distances_mds,
+                         nested_max_distance,
                          prs_bound_via_rs, reduce_to_coset_rep,
                          reduce_to_coset_reps)
 from covrad.gf import field_create, field_for_size
@@ -65,6 +66,42 @@ def test_mds_equals_brute_exhaustive_f5():
     code = rs_code(field_create(5), 2)
     for w in itertools.product(range(5), repeat=5):
         assert error_distance_mds(code, w)[0] == error_distance_brute(code, w)[0]
+
+
+def scalar_nearest(code, word):
+    """(distance, first nearest codeword in `codewords()` order), scalar."""
+    return min((hamming(word, c), i, c)
+               for i, c in enumerate(code.codewords()))[::2]
+
+
+@pytest.mark.parametrize("code", [
+    rs_code(field_create(5), 2),
+    # not MDS: d = 2 < n - k + 1 = 4
+    from_matrix(field_create(5), [[1, 1, 0, 0, 0], [0, 0, 1, 1, 1]]),
+], ids=["rs-5-2", "generic-non-mds"])
+def test_batched_brute_matches_scalar_scan_with_ties(code):
+    # every RS(5,2) word at distance 3 has several nearest codewords; the
+    # first in message-vector order wins
+    rng = random.Random(11)
+    words = [rand_word(rng, 5, code.n) for _ in range(200)]
+    dists, nearest = error_distances_brute(code, words)
+    got = list(zip(dists.tolist(), map(tuple, nearest.tolist())))
+    assert got == [scalar_nearest(code, w) for w in words]
+    assert got == [error_distance_brute(code, w) for w in words]
+    assert 3 in dists.tolist()
+
+
+def test_batched_brute_spans_several_chunks():
+    # 9^5 codewords: a chunk of 2^22 pairs holds 71 words, so 150 words
+    # take three chunks
+    code = prs_code(field_create(3, 2), 5)
+    rng = random.Random(5)
+    words = [rand_word(rng, 9, code.n) for _ in range(150)]
+    dists, nearest = error_distances_brute(code, words)
+    assert list(zip(dists.tolist(), map(tuple, nearest.tolist()))) == [
+        error_distance_brute(code, w) for w in words]
+    assert dists.tolist() == error_distances_mds(code, words)[0].tolist()
+    assert error_distances_brute(code, [])[0].shape == (0,)
 
 
 MDS_RANDOM_CASES = [
@@ -238,6 +275,16 @@ def test_degree_k_word_against_prs_is_q_minus_k():
 # covering radius: algorithm agreement
 # ----------------------------------------------------------------------
 
+def sweep_radius(code, sliced):
+    """Radius of an RS/PRS code by `_sweeps.run_sweep` over the degree
+    slices (sliced) or over every tail."""
+    ctx, D, k = code.ctx, tuple(code.structure["eval"]), code.structure["k"]
+    plans = (_sweeps.sliced_plans(ctx, k) if sliced
+             else _sweeps.full_plans(ctx, len(D), k))
+    return _sweeps.run_sweep(ctx, D, k, prs=code.structure["kind"] == "prs",
+                             plans=plans, collect=False).max_contrib
+
+
 AGREEMENT_CODES = [
     ("rs", 5, 1), ("rs", 5, 2), ("rs", 5, 3), ("rs", 5, 4),
     ("prs", 5, 1), ("prs", 5, 2), ("prs", 5, 3), ("prs", 5, 4), ("prs", 5, 5),
@@ -250,8 +297,7 @@ def test_radius_algorithms_agree(kind, q, k):
     ctx = field_for_size(q)
     code = rs_code(ctx, k) if kind == "rs" else prs_code(ctx, k)
     rhos = {covering_radius_syndrome(code).rho,
-            covering_radius_sweep(code, variant="full").rho,
-            covering_radius_sweep(code, variant="degree-sliced").rho}
+            sweep_radius(code, sliced=False), sweep_radius(code, sliced=True)}
     if ctx.q ** (code.n + code.k) <= 10**8:
         rhos.add(covering_radius_brute(code).rho)
     assert len(rhos) == 1
@@ -260,13 +306,15 @@ def test_radius_algorithms_agree(kind, q, k):
 def test_full_sweep_radius_beyond_int16_products():
     # k*a*(p-1)^2 = 51*52^2 > 2^15: the kernel residues need int32
     code = rs_code(field_for_size(53), 51)
-    assert covering_radius_sweep(code, variant="full").rho == 2  # q - k
+    rep = covering_radius_sweep(code)
+    assert (rep.variant, rep.rho) == ("full", 2)  # q - k
 
 
 def test_prs_sweep_beyond_64_values_matches_syndrome_bfs():
     # 67 extra-coordinate values, more than a 64-bit word has bits
     code = prs_code(field_for_size(67), 66)
-    assert covering_radius_sweep(code, variant="full").rho == 1
+    rep = covering_radius_sweep(code)
+    assert (rep.variant, rep.rho) == ("full", 1)
     assert covering_radius_syndrome(code).rho == 1
     sweep = deep_holes(code, algo="sweep")
     assert sweep.rho == 1
@@ -277,10 +325,9 @@ def test_sliced_equals_full_on_f9():
     ctx = field_create(3, 2)
     for k in (2, 5, 6, 7):
         code = rs_code(ctx, k)
-        a = covering_radius_sweep(code, variant="degree-sliced").rho
+        a = sweep_radius(code, sliced=True)
         if ctx.q ** (9 - k) <= 6 * 10**5:
-            b = covering_radius_sweep(code, variant="full").rho
-            assert a == b
+            assert a == sweep_radius(code, sliced=False)
         assert a == 9 - k
 
 
@@ -292,8 +339,7 @@ SLICE_GATE = [(kind, q, k) for q in (5, 7, 9, 11) for k in range(1, q)
 @pytest.mark.parametrize("kind,q,k", SLICE_GATE)
 def test_sliced_radius_equals_full(kind, q, k):
     code = (rs_code if kind == "rs" else prs_code)(field_for_size(q), k)
-    full = covering_radius_sweep(code, variant="full").rho
-    assert covering_radius_sweep(code, variant="degree-sliced").rho == full
+    assert sweep_radius(code, sliced=True) == sweep_radius(code, sliced=False)
 
 
 # codes whose whole tail plan is one sweep chunk
@@ -365,6 +411,20 @@ def test_partial_evaluation_set_sweep_stays_full_and_names_budget():
     code = rs_code(ctx, 1, ctx.elements()[:8])
     with pytest.raises(ValueError, match="exceed budget 1000000$"):
         covering_radius_sweep(code, enum_budget=10**6)
+
+
+@pytest.mark.parametrize("code,budget,variant,rho", [
+    (prs_code(field_create(5), 2), 10**8, "full", 3),      # 5^4 tails
+    (prs_code(field_create(5), 2), 100, "degree-sliced", 3),  # above budget
+    (rs_code(field_create(3, 2), 4), 10**8, "full", 5),     # 9^5 <= 2^16
+    (rs_code(field_create(3, 2), 3), 10**8, "degree-sliced", 6),  # 9^6
+    # 17^4 > 2^16 tails, but D is not the full field
+    (rs_code(field_create(17), 12, range(16)), 10**8, "full", 4),
+], ids=["prs-5-2", "prs-5-2-budget", "rs-9-4", "rs-9-3", "rs-D16-12"])
+def test_sweep_reports_the_plan_auto_chose(code, budget, variant, rho):
+    rep = covering_radius_sweep(code, enum_budget=budget)
+    assert (rep.variant, rep.rho) == (variant, rho)
+    assert bool(rep.notes) == (variant == "degree-sliced")
 
 
 def test_syndrome_budget_error_mentions_sweep():
@@ -716,6 +776,17 @@ def test_nested_max_containment_checked():
     ctx = field_create(5)
     with pytest.raises(ValueError, match="contained"):
         nested_max_distance(rs_code(ctx, 3), rs_code(ctx, 2))
+
+
+def test_nested_max_distance_non_mds_inner_code():
+    # C1 = <(1,1,0,0,0)> has d = 2 < n; a codeword b*(0,0,1,1,1) + ... of
+    # C2 with b != 0 lies at distance 3 from C1
+    ctx = field_create(5)
+    c1 = from_matrix(ctx, [[1, 1, 0, 0, 0]])
+    c2 = from_matrix(ctx, [[1, 1, 0, 0, 0], [0, 0, 1, 1, 1]])
+    assert not is_mds(c1)
+    assert nested_max_distance(c1, c2) == 3 == max(
+        min(hamming(c, b) for b in c1.codewords()) for c in c2.codewords())
 
 
 def test_radius_subadditivity_along_extension():
