@@ -109,9 +109,10 @@ def digit_decode_cols(ctx: FieldCtx, digit_mat: np.ndarray, ncols: int) -> np.nd
 
 def mixed_radix(indices: np.ndarray, base: int, ndigits: int) -> np.ndarray:
     """Decode integers to (N, ndigits) digit arrays, least significant first."""
-    out = np.empty((len(indices), ndigits), dtype=np.int64)
+    out = np.empty((ndigits, len(indices)), dtype=np.int64)
     t = indices.astype(np.int64, copy=True)
-    for i in range(ndigits):
-        out[:, i] = t % base
-        t //= base
-    return out
+    for i in range(ndigits):  # one division a digit
+        high = t // base
+        out[i] = t - high * base
+        t = high
+    return out.T

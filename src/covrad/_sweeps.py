@@ -4,22 +4,32 @@ Two exact algorithms live here:
 
 * a coset-profile sweep for RS/PRS-structured codes: cosets are tail
   polynomials; for each tail the best agreement A with lower-degree
-  polynomials (and, for PRS, the best agreement per degree-(k-1)
-  coefficient value) determines every error distance in the coset and
-  which extra-coordinate values are deep.  Candidate polynomials come from
-  `decode_step`, the one subset-decoding kernel (`dist.error_distances_mds`
-  runs it too).  Agreements are at most n, in np.min_scalar_type(n).
+  polynomials (and, for PRS, which degree-(k-1) coefficient values reach
+  it) determines every error distance in the coset and which
+  extra-coordinate values are deep.  It reads both from divided
+  differences of the tail, F_q-linear functionals of its coefficients:
+  the interpolant f_S of a tail t on a k-subset S has x^(k-1) coefficient
+  [S]t, and t(x) - f_S(x) = [S + {x}]t * prod_{s in S} (x - s) for x not
+  in S, so f_S agrees with t at exactly the k points of S and the x with
+  [S + {x}]t = 0.  `divided_differences` tabulates both families once per
+  (field, D, k); a chunk of tails is then one digit product per table.
+  Agreements are at most n, in np.min_scalar_type(n).  `decode_step`,
+  the subset-decoding kernel, serves `dist.error_distances_mds` and the
+  MDS check; the sweep decodes no subset.
 
 * a syndrome coset-leader BFS for arbitrary linear codes: words are
   enumerated by increasing weight and their syndromes marked; the radius is
   the weight at which the table fills.  Witness words are kept as digit
   rows, so their size does not limit q^n.
 
-Tail values, subset decodes and BFS syndromes are each one F_q-linear map
-applied as `_linops.digit_matmul`, the package's one digit product: a
-float matmul exact below 2^53, reduced mod p in integers.  The RS/PRS
-generators and sweep operators are one evaluation matrix, `_sweep_generator`;
-its full-degree form V and V^-1, `eval_operators`, are the one coset map.
+Divided differences, subset decodes and BFS syndromes are each one
+F_q-linear map applied as `_linops.digit_matmul`, the package's one digit
+product: a float matmul exact below 2^53, reduced mod p in integers, so
+every functional value, and with it every agreement and contribution, is
+exact.  The RS/PRS generators, and so the decoder's subset operators, are
+one evaluation matrix, `_sweep_generator`; its full-degree form V and V^-1,
+`eval_operators`, are the one coset map, and the functional tables are V
+times barycentric weights.
 
 The sweep optionally enumerates only degree-normalized slices (monic tails,
 subleading coefficient removed where the characteristic allows): every coset
@@ -98,6 +108,8 @@ def decode_step(ctx: FieldCtx, rows, gather, ops, m: int):
     (R, N*a) holds the candidates' digits in the exact int dtype of
     `_linops.exact_dtypes(k*a, p)`; agree (R,) counts the first m
     coordinates where candidate and row agree, in np.min_scalar_type(m).
+    It serves `dist.error_distances_mds`; the sweep no longer decodes
+    subsets but scores divided differences (`profile_sweep`).
     """
     a = ctx.a
     cand = _linops.digit_matmul(np.moveaxis(rows[:, gather], 0, -2), ops,
@@ -157,6 +169,115 @@ def _tail_tuples(coeffs: np.ndarray) -> list:
 
 
 # ----------------------------------------------------------------------
+# divided-difference functionals
+# ----------------------------------------------------------------------
+
+def _fmul(ctx: FieldCtx, x, y) -> np.ndarray:
+    """Elementwise product over F_q of two arrays of element encodings."""
+    if ctx.a == 1:
+        return x * y % ctx.p
+    d = np.einsum("...i,...ij->...j", ctx.digit_table()[x],
+                  ctx.mul_digit_matrix(y)) % ctx.p
+    return d @ ctx.p ** np.arange(ctx.a)
+
+
+def _colex(n: int, s: int) -> np.ndarray:
+    """The s-subsets of range(n) as ascending rows, (C(n,s), s), in colex
+    order: row r is the subset with sum_i C(row[i], i+1) = r (no rows for
+    s < 0).  The subsets with largest element j are the first C(j, s-1)
+    rows of the (s-1)-subsets, then j."""
+    dt = np.min_scalar_type(n)
+    subs = np.zeros((int(s >= 0), 0), dtype=dt)
+    for t in range(1, s + 1):
+        counts = np.array([math.comb(j, t - 1) for j in range(t - 1, n)])
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        last = np.repeat(np.arange(t - 1, n, dtype=dt), counts)
+        subs = np.column_stack([subs[np.arange(len(last)) - first], last])
+    return subs
+
+
+def _dd_weights(ctx: FieldCtx, D: tuple, comp: np.ndarray) -> np.ndarray:
+    """Barycentric weights (|D|, C), an F_q matrix, of the C subsets X_c of
+    D whose complements are the index rows of `comp`: column c holds
+
+        w_c(x) = prod_{y in X_c, y != x} (x - y)^-1
+               = e(x) * prod_{y in comp_c} (x - y)
+
+    at x in X_c and 0 elsewhere, e(x) the weight over all of D, so values
+    on D times column c give the divided difference over X_c,
+    [X_c]f = sum_{x in X_c} w_c(x) f(x)."""
+    n, p = len(D), ctx.p
+    Dd = ctx.digit_table()[list(D)]
+    diff = (Dd[:, None] - Dd[None]) % p @ p ** np.arange(ctx.a)  # x - y
+    e = np.ones(n, dtype=np.int64)
+    for col in (diff + np.eye(n, dtype=np.int64)).T:  # 1 at y = x
+        e = _fmul(ctx, e, col)
+    e = np.array([ctx.inv(int(v)) for v in e], dtype=np.int64)
+    inside = np.ones((len(comp), n), dtype=bool)
+    inside[np.arange(len(comp))[:, None], comp] = False
+    X = np.nonzero(inside)[1].astype(comp.dtype).reshape(len(comp),
+                                                         n - comp.shape[1])
+    w = e[X]
+    for y in comp.T:
+        w = _fmul(ctx, w, diff[X, y[:, None]])
+    W = np.zeros((n, len(comp)), dtype=np.int64)
+    W[X, np.arange(len(comp))[:, None]] = w
+    return W
+
+
+def _dd_table(ctx: FieldCtx, D: tuple, comp: np.ndarray) -> np.ndarray:
+    """Digit table (|D|*a, C*a): coefficient digits times its column block
+    c are the digits of [X_c]f, for the subsets of `_dd_weights`.  It is
+    Vd of `eval_operators` (coefficients to values) times the weights."""
+    W = _linops.digit_expand(ctx, _dd_weights(ctx, D, comp))
+    return _linops.digit_matmul(eval_operators(ctx, D)[0], W, ctx.p)
+
+
+# the 32 latest tables, as for `eval_operators`
+_DD_CACHE: dict = {}
+
+
+def divided_differences(ctx: FieldCtx, D: tuple, k: int, prs: bool):
+    """The sweep's functional tables over D, cached per (ctx, D, k, prs):
+    (M1, up, M0).
+
+    M1 (|D|*a, C1*a) is the `_dd_table` of the C1 = C(|D|,k+1) subsets T,
+    M0 that of the C0 = C(|D|,k) subsets S when `prs` (else None), each
+    over every degree 0 ... |D|-1.  up (C0, |D|-k) indexes, for the
+    subset S of M0's column block s, the columns of M1 of the supersets
+    S + {x}, x not in S.  Both families are enumerated by complement
+    (`_colex` of |D|-k and |D|-k-1 elements), so the colex rank of
+    S^c - {x} is up's entry.  Raises ValueError, before allocating, when
+    the tables and up hold more than DEFAULT_ENUM_BUDGET entries."""
+    key = (ctx, D, k, prs)
+    if key in _DD_CACHE:
+        return _DD_CACHE[key]
+    n, a, m = len(D), ctx.a, len(D) - k
+    C1, C0 = math.comb(n, k + 1), math.comb(n, k)
+    entries = n * a * a * (C1 + C0 * prs) + C0 * m
+    if entries > DEFAULT_ENUM_BUDGET:
+        raise ValueError(f"divided-difference tables of C({n},{k + 1}) and "
+                         f"C({n},{k}) subsets = {entries} entries exceed "
+                         f"budget {DEFAULT_ENUM_BUDGET}; use algo='syndrome'")
+    comp = _colex(n, m)
+    # C(y, i) for y < n, i <= m: the terms of a valid rank are at most C0,
+    # and the cap keeps the unused ones inside int32
+    B = np.array([[min(math.comb(y, i), C0) for i in range(m + 1)]
+                  for y in range(n)], dtype=np.int32)
+    lo, hi = B[comp, np.arange(1, m + 1)], B[comp, np.arange(m)]
+    up = np.cumsum(lo, axis=1, dtype=np.int32) - lo
+    up += np.cumsum(hi[:, ::-1], axis=1, dtype=np.int32)[:, ::-1] - hi
+    tables = (_dd_table(ctx, D, _colex(n, m - 1)), up,
+              _dd_table(ctx, D, comp) if prs else None)
+    for t in tables[:2 + prs]:
+        t.flags.writeable = False
+    if len(_DD_CACHE) >= 32:
+        del _DD_CACHE[next(iter(_DD_CACHE))]
+    _DD_CACHE[key] = tables
+    return tables
+
+
+# ----------------------------------------------------------------------
 # tail enumeration plans
 # ----------------------------------------------------------------------
 
@@ -206,20 +327,31 @@ class SweepOutcome:
     truncated: bool = False
 
 
-def _tail_values_digits(ctx, D, plan, idx, dtype):
-    """Digit value matrix (len(idx), n*a), in `dtype`, of the plan's tails at
-    indices idx: one digit product of the coefficient rows, free ones decoded
-    from idx and fixed ones constant, with the rows of `eval_operators`' Vd."""
-    free, degs = len(plan.free_degrees), plan.free_degrees + tuple(plan.fixed)
-    coeffs = np.empty((len(idx), len(degs)), dtype=np.int64)
-    coeffs[:, :free] = _linops.mixed_radix(idx, ctx.q, free)
-    coeffs[:, free:] = tuple(plan.fixed.values())
-    Vd = eval_operators(ctx, tuple(D))[0]
-    mat = Vd.reshape(len(D), ctx.a, -1)[list(degs)].reshape(-1, Vd.shape[1])
-    # digits in the smallest dtype: a chunk's gathered digits stay small
-    dt = ctx.digit_table().astype(np.min_scalar_type(ctx.p - 1))
-    u = _linops.digit_matmul(dt[coeffs].reshape(len(idx), -1), mat, ctx.p)
-    return u.astype(dtype, copy=False)
+def _tail_values_digits(ctx, plan, idx, dtype):
+    """Digit rows (len(idx), w*a), in `dtype`, of the coefficient values of
+    the plan's tails at indices idx, in the degree order free_degrees then
+    fixed.  Free ones come from idx: its base-q digits, each a base-p
+    digits, are its base-p digits.  Fixed ones are constant.  perfbench
+    times this tail generation as its `sweeps.tails` layer."""
+    free = len(plan.free_degrees) * ctx.a
+    X = np.empty((len(idx), free + len(plan.fixed) * ctx.a), dtype=dtype)
+    X[:, :free] = _linops.mixed_radix(idx, ctx.p, free)
+    X[:, free:] = ctx.digit_table()[list(plan.fixed.values())].ravel()
+    return X
+
+
+def _unrefuted(X: np.ndarray, T: np.ndarray, a: int, p: int) -> np.ndarray:
+    """The digit rows of X (R, w) at which no functional of T (C*a, w)
+    vanishes; for the (k+1)-functionals, the rows with bestA = k.  The
+    functionals are tested w/a at a time and the refuted rows dropped after
+    each block, so compacting a row costs about one block's product."""
+    block = max(1, X.shape[1] // a) * a
+    for b in range(0, len(T), block):
+        zero = _linops.digit_matmul(T[b:b + block], X.T, p) == 0
+        X = X[~zero.reshape(-1, a, len(X)).all(axis=1).any(axis=0)]
+        if len(X) == 0:
+            break
+    return X
 
 
 def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
@@ -227,34 +359,49 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
     """Scan tail cosets; a tail's contribution is its worst error distance
     (max over the extra coordinate for PRS).
 
-    Every k-subset decodes one candidate polynomial f per tail; bestA is
-    the best agreement of the tail word u_t with any candidate and, for
-    PRS, bestV[v] the best agreement among candidates whose x^(k-1)
-    coefficient is v (0 if none).  Both are agreements, at most n, held in
-    np.min_scalar_type(n).  A codeword that agrees with u_t on >= k points
-    is decoded by some k-subset of them, and bestA >= k, so for PRS
+    For a tail t (coefficients in degrees >= k) and a k-subset S of D,
+    let f_S be the polynomial of degree < k that interpolates t on S.  By
+    Newton's form, for x not in S
 
-        d((u_t, v), PRS) = q - max(bestV[v], bestA - 1).
+        t(x) - f_S(x) = [S + {x}]t * prod_{s in S} (x - s),
 
-    Hence the tail contributes q + 1 - bestA - full, where full means
-    every value reaches bestA, and its deep values are all v when full,
-    otherwise the v with bestV[v] < bestA.
+    with [T]t the divided difference of t over T, and the x^(k-1)
+    coefficient of f_S is [S]t.  Both are F_q-linear in the coefficients
+    (`divided_differences`), so one digit product per table gives, for
+    every S, agree_S = k + #{x not in S : [S + {x}]t = 0}, the agreement
+    of f_S with the tail word u_t on D, and for PRS its extra value v_S.
+    A codeword that agrees with u_t on >= k points is some f_S, so bestA
+    = max_S agree_S >= k is the best agreement of u_t with the code and,
+    for PRS,
+
+        d((u_t, v), PRS) = n - max(bestV[v], bestA - 1),
+
+    bestV[v] the best agree_S with v_S = v.  bestV is only ever compared
+    with bestA, so a table of the v reached at bestA replaces it: the tail
+    contributes n + 1 - bestA - full, where full means every value is
+    reached, and its deep values are all v when full, otherwise those not
+    reached.  The products are exact (`_linops.digit_matmul`) and the
+    identities hold over any field, so the contribution is exact.
 
     Pruning: gmax is the running maximum, starting at `floor`, the
-    contribution of a measured coset (-1 when none is known).  After every
-    subset a row is kept iff bestA < n + extra - gmax + collect, with
-    extra = 1 for PRS.  This is exact: bestA only grows, so a row with
-    bestA >= n + extra - gmax contributes at most gmax from then on, and
-    gmax is a contribution that some coset attains.  A radius-only sweep
-    thus drops ties at once; a listing keeps them, as they may be deep.
+    contribution of a measured coset (-1 when none is known).  A row is
+    kept iff bestA < n + extra - gmax + collect, extra = 1 for PRS; a
+    dropped row contributes at most gmax, a value some coset attains, so a
+    radius-only sweep drops ties and a listing keeps them.  The threshold
+    picks the work: at most k drops every row unread; k + 1 keeps exactly
+    the rows where no (k+1)-functional vanishes, tested a block at a time
+    with the refuted rows dropped after each block; above that every
+    functional is scored.
     """
     n, a, q, p = len(D), ctx.a, ctx.q, ctx.p
-    col_gather, ops, _ = subset_ops(ctx, _sweep_generator(ctx, D, k, prs), n)
-    _, idt = _linops.exact_dtypes(k * a, p)
+    M1, up, M0 = divided_differences(ctx, D, k, prs)
+    C1, C0 = M1.shape[1] // a, len(up)
     adt = np.min_scalar_type(n)
-    enc = p ** np.arange(a, dtype=idt)
     extra = 1 if prs else 0  # contribution is at most n + extra - bestA
     allv = tuple(range(q)) if prs else (None,)
+    # a scored row holds C1 + C0 functional values: score no more of them
+    # at once than a chunk of CHUNK tails has values on D
+    score_rows = max(1, CHUNK * n // (C1 + C0))
 
     gmax = floor
     cands: list = []
@@ -262,57 +409,61 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
     truncated = False
 
     for plan in plans:
+        degs = plan.free_degrees + tuple(plan.fixed)
+        rows = (np.array(degs, dtype=np.int64)[:, None] * a
+                + np.arange(a)).ravel()
+        fdt, _ = _linops.exact_dtypes(len(rows), p)
+        T1 = np.ascontiguousarray(M1[rows].T, dtype=fdt)
+        T0 = np.ascontiguousarray(M0[rows].T, dtype=fdt) if prs else None
         for s in range(plan.start, plan.end, CHUNK):
-            u = _tail_values_digits(ctx, D, plan,
-                                    np.arange(s, min(s + CHUNK, plan.end)), idt)
-            rows = len(u)
-            cosets += rows
-            bestA = np.zeros(rows, dtype=adt)
-            if prs:
-                bestV = np.zeros((rows, q), dtype=adt)
-                # flat index row*q + v, in a signed dtype that holds rows*q
-                base = np.arange(0, rows * q, q,
-                                 dtype=np.min_scalar_type(-rows * q))
-            for si in range(len(ops)):
-                ci, agree = decode_step(ctx, u, col_gather[si], ops[si], n)
-                np.maximum(bestA, agree, out=bestA)
-                if prs:
-                    idx = base + ci[:, n * a:] @ enc
-                    flat = bestV.reshape(-1)
-                    flat[idx] = np.maximum(flat[idx], agree)
-                keep = bestA < n + extra - gmax + collect
-                if not keep.all():
-                    u, bestA = u[keep], bestA[keep]
-                    if prs:
-                        bestV = bestV[keep]
-                        base = base[:len(u)]
-                    if len(u) == 0:
-                        break
-            if len(u) == 0:
+            e = min(s + CHUNK, plan.end)
+            cosets += e - s
+            thr = n + extra - gmax + collect  # rows are kept iff bestA < thr
+            if thr <= k:  # bestA >= k on every row
                 continue
-            contrib = (n + extra) - bestA.astype(np.int64)
-            if prs:
-                full = bestV.min(axis=1) == bestA
-                contrib -= full
-            cmax = int(contrib.max())
-            if cmax > gmax:
-                gmax = cmax
-                cands = []
-                truncated = False
-            if collect and cmax == gmax:
-                take = np.nonzero(contrib == gmax)[0]
-                if len(cands) + len(take) > DEEP_CANDIDATE_CAP:
-                    truncated = True
-                    take = take[:max(0, DEEP_CANDIDATE_CAP - len(cands))]
-                # the tails' coefficients are their values times V^-1
-                cd = _linops.digit_matmul(u[take], eval_operators(ctx, D)[1], p)
-                tails = _tail_tuples(_linops.digit_decode_cols(ctx, cd, n))
-                for r, tail in zip(take, tails):
-                    if not prs or full[r]:
-                        vs = allv
-                    else:
-                        vs = tuple(np.nonzero(bestV[r] < bestA[r])[0].tolist())
-                    cands.append((tail, vs))
+            X = _tail_values_digits(ctx, plan, np.arange(s, e), fdt)
+            if thr == k + 1:
+                X = _unrefuted(X, T1, a, p)
+            for lo in range(0, len(X), score_rows):
+                Xs = X[lo:lo + score_rows]
+                zero = (_linops.digit_matmul(T1, Xs.T, p) == 0).reshape(
+                    C1, a, len(Xs)).all(axis=1)
+                agree = np.zeros((C0, len(Xs)), dtype=adt)  # minus k
+                for j in range(n - k):
+                    agree += zero[up[:, j]]
+                best = agree.max(axis=0)
+                keep = best < n + extra - gmax + collect - k
+                if not keep.any():
+                    continue
+                Xs, agree, best = Xs[keep], agree[:, keep], best[keep]
+                contrib = (n + extra - k) - best.astype(np.int64)
+                if prs:
+                    v = np.einsum("sdr,d->sr", _linops.digit_matmul(
+                        T0, Xs.T, p).reshape(C0, a, -1), p ** np.arange(a))
+                    reached = np.zeros((q + 1, len(Xs)), dtype=bool)
+                    reached[np.where(agree == best, v, q),
+                            np.arange(len(Xs))] = True
+                    full = reached[:q].all(axis=0)
+                    contrib -= full
+                cmax = int(contrib.max())
+                if cmax > gmax:
+                    gmax = cmax
+                    cands = []
+                    truncated = False
+                if collect and cmax == gmax:
+                    take = np.nonzero(contrib == gmax)[0]
+                    if len(cands) + len(take) > DEEP_CANDIDATE_CAP:
+                        truncated = True
+                        take = take[:max(0, DEEP_CANDIDATE_CAP - len(cands))]
+                    coeffs = np.zeros((len(take), n), dtype=np.int64)
+                    coeffs[:, list(degs)] = _linops.digit_decode_cols(
+                        ctx, Xs[take], len(degs))
+                    for r, tail in zip(take, _tail_tuples(coeffs)):
+                        if not prs or full[r]:
+                            vs = allv
+                        else:
+                            vs = tuple(np.nonzero(~reached[:q, r])[0].tolist())
+                        cands.append((tail, vs))
     return SweepOutcome(gmax, cosets, cands, truncated)
 
 

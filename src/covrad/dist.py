@@ -7,9 +7,11 @@ both from the one coset map `_sweeps.eval_operators`.  For generic codes a
 rep is the (weight, lexicographic) least word of the coset.  Syndrome listings
 return one minimum-weight witness word per deep coset, for any code; the
 witness is not canonical.  MDS error distances come from
-`error_distances_mds`, which runs the sweep's `_sweeps.decode_step` on
-batches of words, and any code's from `error_distances_brute`, the one
-codeword scan.  `_sweep` is the one set-up of the representative sweep.
+`error_distances_mds`, which runs the subset-decoding kernel
+`_sweeps.decode_step` on batches of words (the sweep no longer decodes
+subsets: it scores divided differences of the tails), and any code's from
+`error_distances_brute`, the one codeword scan.  `_sweep` is the one
+set-up of the representative sweep.
 """
 
 from __future__ import annotations

@@ -175,7 +175,7 @@ def suite_thm3(qs=(5, 7, 11, 9), threads=1, **_):
 
 def _recheck_extras(code, report, sample=12):
     """Re-verify sampled extra deep holes by brute force over all codewords,
-    independently of the sweep's subset decoding."""
+    independently of the sweep's divided differences."""
     step = max(1, len(report.extras) // sample)
     words = [rep.representative_word(code) for rep in report.extras[::step]]
     return bool((error_distances_brute(code, words)[0] == report.rho).all())

@@ -183,17 +183,36 @@ def test_digit_matmul_raises_beyond_the_float64_mantissa():
 
 
 def test_tail_values_exact_beyond_the_float32_mantissa():
-    # 2*4098^2 > 2^24: a float32 tail product rounds.  It gave 128 wrong
-    # rows here, e.g. coefficients (4088, 4081) gave (4092, 4049, 3969)
-    # where the tail is (4092, 4049, 3970)
-    ctx, D = field_create(4099), (4098, 4097, 4096)
+    # 2*4098^2 > 2^24: a float32 product of two coefficient digits with a
+    # divided-difference column rounds.  The sweep's tail values were once
+    # wrong here (coefficients (4088, 4081) gave (4092, 4049, 3969) where
+    # the tail is (4092, 4049, 3970)); the functional product takes over
+    # that edge, checked against int64 tail values
+    ctx, D, p = field_create(4099), (4098, 4097, 4096), 4099
+    assert _linops.exact_dtypes(2, p)[0] == np.float64
     plan = _sweeps.full_plans(ctx, 3, 1)[0]
     idx = np.arange(plan.count - 70000, plan.count)
-    u = _sweeps._tail_values_digits(ctx, D, plan, idx, np.int64)
-    assert tuple(u[4088 + 4081 * 4099 - idx[0]]) == (4092, 4049, 3970)
-    coeffs = _linops.mixed_radix(idx, 4099, 2)
-    mono = np.array([D, [x * x % 4099 for x in D]])
-    assert np.array_equal(u, coeffs @ mono % 4099)
+    coeffs = _linops.mixed_radix(idx, p, 2)
+    u = coeffs @ np.array([D, [x * x % p for x in D]]) % p
+    assert tuple(u[4088 + 4081 * p - idx[0]]) == (4092, 4049, 3970)
+    X = _sweeps._tail_values_digits(ctx, plan, idx, np.float64)
+    assert np.array_equal(X, coeffs)
+    M1, up, M0 = _sweeps.divided_differences(ctx, D, 1, True)
+    for M in (M1, M0):
+        ref = coeffs @ M[1:].astype(np.int64) % p
+        assert np.array_equal(_linops.digit_matmul(X, M[1:], p), ref)
+    # [x]t = t(x), and [{x, y}]t = 0 iff t(x) = t(y)
+    assert np.array_equal(np.sort(ref, axis=1), np.sort(u, axis=1))
+    pairs = _linops.digit_matmul(X, M1[1:], p) == 0
+    assert np.array_equal(pairs.sum(axis=1),
+                          (u[:, [0, 0, 1]] == u[:, [1, 2, 2]]).sum(axis=1))
+    # the sweep lists the tails with three distinct values, at distance 2
+    out = _sweeps.profile_sweep(ctx, D, 1, prs=False, collect=True, plans=[
+        _sweeps.TailPlan({}, (1, 2), p, plan.count - 70000, plan.count)])
+    distinct = pairs.sum(axis=1) == 0
+    assert out.max_contrib == 2
+    assert sorted(t for t, _ in out.candidates) == sorted(
+        (0,) + tuple(c) for c in coeffs[distinct].tolist())
 
 
 @pytest.mark.parametrize("q,k", [(7, 3), (9, 3)])
@@ -217,24 +236,48 @@ def test_sweep_operators_match_lagrange_reference(q, k):
 
 
 def test_rs_sweep_and_decoder_share_one_operator_stack(monkeypatch):
-    # the RS sweep decodes with code.G itself, so the radius, the decoder
-    # and the MDS check all read one cached C(13,9) stack
+    # the sweep no longer decodes subsets: it scores divided differences
+    # and builds no operator stack, so the decoder and the MDS check read
+    # one cached C(13,9) stack of code.G
     monkeypatch.setattr(_sweeps, "_SUBSET_OPS_CACHE", {})
     code = rs_code(field_create(13), 9)
     assert covering_radius_sweep(code).rho == 4
+    assert not _sweeps._SUBSET_OPS_CACHE
     d, _ = error_distances_mds(code, code.G[:2])
     assert d.tolist() == [0, 0] and is_mds(code)
     assert len(_sweeps._SUBSET_OPS_CACHE) == 1
 
 
 def test_subset_ops_budget_raises_before_allocating():
-    # 'auto' sends RS(37,32) (n-k = 5) to the sweep, whose C(37,32) operator
-    # stack would hold 435897 * 32 * 37 entries, over 4 GB in int64
+    # RS(37,32)'s C(37,32) operator stack would hold 435897 * 32 * 37
+    # entries, over 4 GB in int64: the MDS check refuses it unallocated.
+    # 'auto' sends the code (n-k = 5) to the sweep, which builds no stack:
+    # its tables hold C(37,33) * 37 + C(37,32) * 5 entries
     code = rs_code(field_create(37), 32)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="516102048 entries exceed "
                            "budget 100000000; use algo='syndrome'"):
+            is_mds(code)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        rep = covering_radius(code)
+        sweep_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (rep.algorithm, rep.rho) == ("rep-sweep", 5)
+    assert sweep_peak < 128 << 20
+
+
+def test_divided_difference_budget_raises_before_allocating():
+    # PRS(32,15)/F_31: C(31,16) + C(31,15) functionals of 31 digits each
+    code = prs_code(field_create(31), 15)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="divided-difference tables of "
+                           "C\\(31,16\\) and C\\(31,15\\) subsets = "
+                           "[0-9]+ entries exceed budget 100000000"):
             covering_radius(code)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -342,6 +385,46 @@ def test_sliced_radius_equals_full(kind, q, k):
     assert sweep_radius(code, sliced=True) == sweep_radius(code, sliced=False)
 
 
+def decode_profile(code):
+    """The sweep's answer by per-subset decoding, an independent reference
+    for its divided differences: every tail of the full plan is decoded on
+    every k-subset of D by `subset_ops` and `decode_step`, with no
+    pruning.  Returns (coefficient rows, bestA per row, max contribution,
+    candidates)."""
+    ctx, k, D = code.ctx, code.structure["k"], tuple(code.structure["eval"])
+    n, a, q, p = len(D), ctx.a, ctx.q, ctx.p
+    prs = code.structure["kind"] == "prs"
+    gather, ops, _ = _sweeps.subset_ops(
+        ctx, _sweeps._sweep_generator(ctx, D, k, prs), n)
+    coeffs = np.zeros((q ** (n - k), n), dtype=np.int64)
+    coeffs[:, k:] = _linops.mixed_radix(np.arange(len(coeffs)), q, n - k)
+    cd = ctx.digit_table()[coeffs].reshape(len(coeffs), -1)
+    u = _linops.digit_matmul(cd, _sweeps.eval_operators(ctx, D)[0], p)
+    rows = np.arange(len(u))
+    bestA = np.zeros(len(u), dtype=np.int64)
+    bestV = np.zeros((len(u), q), dtype=np.int64)
+    for si in range(len(ops)):
+        cand, agree = _sweeps.decode_step(ctx, u, gather[si], ops[si], n)
+        np.maximum(bestA, agree, out=bestA)
+        if prs:
+            v = cand[:, n * a:] @ p ** np.arange(a)
+            np.maximum.at(bestV, (rows, v), agree.astype(np.int64))
+    full = bestV.min(axis=1) == bestA if prs else np.zeros(len(u), bool)
+    contrib = n + prs - bestA - full
+    gmax = int(contrib.max())
+    take = np.nonzero(contrib == gmax)[0]
+    cands = []
+    for r, tail in zip(take, _sweeps._tail_tuples(coeffs[take])):
+        if not prs:
+            vs = (None,)
+        elif full[r]:
+            vs = tuple(range(q))
+        else:
+            vs = tuple(np.nonzero(bestV[r] < bestA[r])[0].tolist())
+        cands.append((tail, vs))
+    return coeffs, bestA, gmax, cands
+
+
 # codes whose whole tail plan is one sweep chunk
 ONE_CHUNK = [(kind, q, k) for q in (5, 7, 9) for k in range(1, q)
              for kind in ("rs", "prs") if q ** (q - k) <= _sweeps.CHUNK]
@@ -349,11 +432,10 @@ ONE_CHUNK = [(kind, q, k) for q in (5, 7, 9) for k in range(1, q)
 
 @pytest.mark.parametrize("kind,q,k", ONE_CHUNK)
 def test_pruned_sweep_equals_unpruned(monkeypatch, kind, q, k):
-    # with floor=-1 the running maximum stays -1 until the one chunk is
-    # scanned, so the reference sweep decodes every row on every subset
+    # the pruned functional sweep against the per-subset decode, which
+    # decodes every row on every subset
     code = (rs_code if kind == "rs" else prs_code)(field_for_size(q), k)
     ctx, D, prs = code.ctx, tuple(code.structure["eval"]), kind == "prs"
-    plans = _sweeps.full_plans(ctx, len(D), k)
     decode, rows = _sweeps.decode_step, []
 
     def counted(ctx, u, *args):
@@ -361,15 +443,33 @@ def test_pruned_sweep_equals_unpruned(monkeypatch, kind, q, k):
         return decode(ctx, u, *args)
 
     monkeypatch.setattr(_sweeps, "decode_step", counted)
-    ref = _sweeps.profile_sweep(ctx, D, k, prs=prs, plans=plans,
-                                collect=True, floor=-1)
+    _, _, gmax, cands = decode_profile(code)
     monkeypatch.setattr(_sweeps, "decode_step", decode)
     assert set(rows) == {q ** (len(D) - k)}
+    plans = _sweeps.full_plans(ctx, len(D), k)
     radius = _sweeps.run_sweep(ctx, D, k, prs=prs, plans=plans, collect=False)
-    assert radius.max_contrib == ref.max_contrib
+    assert radius.max_contrib == gmax
     listing = _sweeps.run_sweep(ctx, D, k, prs=prs, plans=plans, collect=True)
-    assert listing.max_contrib == ref.max_contrib
-    assert sorted(listing.candidates) == sorted(ref.candidates)
+    assert listing.max_contrib == gmax
+    assert sorted(listing.candidates) == sorted(cands)
+
+
+@pytest.mark.parametrize("kind,q,k", ONE_CHUNK)
+def test_block_test_refutes_exactly_the_rows_decoded_past_k(kind, q, k):
+    # the (k+1)-functional block test keeps a tail iff the per-subset decode
+    # finds no polynomial of degree < k agreeing with it on k+1 points
+    code = (rs_code if kind == "rs" else prs_code)(field_for_size(q), k)
+    ctx, D = code.ctx, tuple(code.structure["eval"])
+    coeffs, bestA, _, _ = decode_profile(code)
+    plan = _sweeps.full_plans(ctx, len(D), k)[0]
+    X = _sweeps._tail_values_digits(ctx, plan, np.arange(plan.count),
+                                    np.float64)
+    M1 = _sweeps.divided_differences(ctx, D, k, kind == "prs")[0]
+    T1 = M1[k * ctx.a:].T.astype(np.float64)
+    kept = _sweeps._unrefuted(X, T1, ctx.a, ctx.p)
+    want = ctx.digit_table()[coeffs[bestA == k, k:]].reshape(-1, X.shape[1])
+    assert 0 < len(kept) < len(X)
+    assert np.array_equal(kept, want)
 
 
 def test_radius_dispatcher_auto():
