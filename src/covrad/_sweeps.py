@@ -12,8 +12,13 @@ Two exact algorithms live here:
   [S]t, and t(x) - f_S(x) = [S + {x}]t * prod_{s in S} (x - s) for x not
   in S, so f_S agrees with t at exactly the k points of S and the x with
   [S + {x}]t = 0.  `divided_differences` tabulates both families once per
-  (field, D, k); a chunk of tails is then one digit product per table.
-  Agreements are at most n, in np.min_scalar_type(n).  `decode_step`,
+  (field, D, k).  The tails are then scored by block addition, with no
+  product a tail: split into low and high coefficients, tail h*q^L + l has
+  the functional values inner[:, l] + outer[:, h] digit by digit mod p,
+  from one inner table per plan (all q^L low parts) and one outer vector a
+  high part.  Both are below p, so their sum fits the tables' dtype
+  np.min_scalar_type(2*(p-1)), and a value vanishes iff inner == -outer
+  mod p.  Agreements are at most n, in np.min_scalar_type(n).  `decode_step`,
   the subset-decoding kernel, serves `dist.error_distances_mds` and the
   MDS check; the sweep decodes no subset.
 
@@ -322,8 +327,10 @@ def sliced_plans(ctx: FieldCtx, k: int) -> list[TailPlan]:
 class SweepOutcome:
     max_contrib: int
     cosets: int                 # tails scanned
-    candidates: list            # (tail tuple, deep v values; (None,) for RS)
-                                # rows at max_contrib
+    candidates: np.ndarray      # (R, |D|) coefficient rows of the tails at
+                                # max_contrib
+    deep_v: np.ndarray          # (R, q) their deep extra values; (R, 1)
+                                # True for RS
     truncated: bool = False
 
 
@@ -340,18 +347,56 @@ def _tail_values_digits(ctx, plan, idx, dtype):
     return X
 
 
-def _unrefuted(X: np.ndarray, T: np.ndarray, a: int, p: int) -> np.ndarray:
-    """The digit rows of X (R, w) at which no functional of T (C*a, w)
-    vanishes; for the (k+1)-functionals, the rows with bestA = k.  The
-    functionals are tested w/a at a time and the refuted rows dropped after
-    each block, so compacting a row costs about one block's product."""
-    block = max(1, X.shape[1] // a) * a
-    for b in range(0, len(T), block):
-        zero = _linops.digit_matmul(T[b:b + block], X.T, p) == 0
-        X = X[~zero.reshape(-1, a, len(X)).all(axis=1).any(axis=0)]
-        if len(X) == 0:
+def _grids(start: int, end: int, Q: int, rows: int):
+    """Split the tails [start, end) into grids (h0, h1, l0, l1), the tails
+    h*Q + l for h0 <= h < h1 and l0 <= l < l1: a partial block where the
+    range is not aligned to Q, otherwise whole blocks, about `rows` tails
+    at a time."""
+    s = start
+    while s < end:
+        h, l0 = divmod(s, Q)
+        if l0 or end - s < Q:
+            l1 = min(Q, l0 + end - s)
+            yield h, h + 1, l0, l1
+        else:
+            h1 = h + min(max(1, rows // Q), (end - s) // Q)
+            yield h, h1, 0, Q
+            l0, l1 = 0, (h1 - h) * Q
+        s += l1 - l0
+
+
+def _pointwise(op, inner, outer, hi, lo):
+    """(C, R): op(inner[:, l], outer[:, h]) for the R tails h*Q + l of the
+    grid of slices hi x lo, in row-major order, by broadcasting."""
+    out = op(inner[:, None, lo], outer[:, hi, None])
+    return out.reshape(len(out), math.prod(out.shape[1:]))
+
+
+def _zeros(inner, neg, hi, lo, a):
+    """(C, R) bool: which of C functionals vanish on the tails hi x lo of
+    `_pointwise`.  The value of functional c on tail h*Q + l is inner[c, l]
+    + outer[c, h] digit by digit mod p, so it vanishes iff inner[c, l] ==
+    neg[c, h] = -outer[c, h] mod p on all a digits."""
+    z = _pointwise(np.equal, inner[::a], neg[::a], hi, lo)
+    for d in range(1, a):
+        z &= _pointwise(np.equal, inner[d::a], neg[d::a], hi, lo)
+    return z
+
+
+def _unrefuted(inner, neg, hi, lo, a):
+    """(R,) bool over the tails hi x lo of `_pointwise`: those at which
+    none of the functionals of `_zeros` vanishes; for the (k+1)-functionals,
+    the tails with bestA = k.  The functionals are tested 16 at a time,
+    stopping once every tail is refuted.  Each test broadcasts over the
+    whole grid: a gather of the survivors measured 5 to 20 times slower a
+    tail."""
+    alive = np.ones((hi.stop - hi.start) * (lo.stop - lo.start), dtype=bool)
+    for b in range(0, len(inner), 16 * a):
+        alive &= ~_zeros(inner[b:b + 16 * a], neg[b:b + 16 * a], hi, lo,
+                         a).any(axis=0)
+        if not alive.any():
             break
-    return X
+    return alive
 
 
 def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
@@ -367,12 +412,11 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
 
     with [T]t the divided difference of t over T, and the x^(k-1)
     coefficient of f_S is [S]t.  Both are F_q-linear in the coefficients
-    (`divided_differences`), so one digit product per table gives, for
-    every S, agree_S = k + #{x not in S : [S + {x}]t = 0}, the agreement
-    of f_S with the tail word u_t on D, and for PRS its extra value v_S.
-    A codeword that agrees with u_t on >= k points is some f_S, so bestA
-    = max_S agree_S >= k is the best agreement of u_t with the code and,
-    for PRS,
+    (`divided_differences`), which gives, for every S, agree_S = k +
+    #{x not in S : [S + {x}]t = 0}, the agreement of f_S with the tail
+    word u_t on D, and for PRS its extra value v_S.  A codeword that
+    agrees with u_t on >= k points is some f_S, so bestA = max_S agree_S
+    >= k is the best agreement of u_t with the code and, for PRS,
 
         d((u_t, v), PRS) = n - max(bestV[v], bestA - 1),
 
@@ -380,91 +424,131 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
     with bestA, so a table of the v reached at bestA replaces it: the tail
     contributes n + 1 - bestA - full, where full means every value is
     reached, and its deep values are all v when full, otherwise those not
-    reached.  The products are exact (`_linops.digit_matmul`) and the
-    identities hold over any field, so the contribution is exact.
+    reached.
+
+    Block addition: each plan splits its free coefficients into the L
+    lowest and the rest, so tail h*q^L + l is the low part l plus the high
+    part h (with the fixed coefficients), and by linearity every
+    functional value is inner[:, l] + outer[:, h] digit by digit mod p.
+    The inner table holds the M1 and, for PRS, the M0 functionals of all
+    q^L low parts, functional-major, in np.min_scalar_type(2*(p-1)), so
+    v = (inner + outer) mod p is exact without widening; L is the largest
+    with q^L <= score_rows, so the table holds at most as many entries as
+    one scored sub-chunk.  A grid of tails costs one digit product for the
+    outer vectors of its high parts, and the zero test inner == -outer
+    mod p (`_zeros`) needs no add and no mod.  The products are exact
+    (`_linops.digit_matmul`) and the identities hold over any field, so
+    the contribution is exact.  Only the collected tails are decoded to
+    coefficients.
 
     Pruning: gmax is the running maximum, starting at `floor`, the
     contribution of a measured coset (-1 when none is known).  A row is
     kept iff bestA < n + extra - gmax + collect, extra = 1 for PRS; a
     dropped row contributes at most gmax, a value some coset attains, so a
     radius-only sweep drops ties and a listing keeps them.  The threshold
-    picks the work: at most k drops every row unread; k + 1 keeps exactly
-    the rows where no (k+1)-functional vanishes, tested a block at a time
-    with the refuted rows dropped after each block; above that every
-    functional is scored.
+    picks the work: at most k drops every row unread; at k + 1 the rows
+    kept are those where no (k+1)-functional vanishes, and a grid without
+    one (`_unrefuted`) is skipped unscored; otherwise every functional is
+    scored.
     """
     n, a, q, p = len(D), ctx.a, ctx.q, ctx.p
     M1, up, M0 = divided_differences(ctx, D, k, prs)
     C1, C0 = M1.shape[1] // a, len(up)
     adt = np.min_scalar_type(n)
+    vdt = np.min_scalar_type(2 * (p - 1))  # inner + outer, each below p
+    edt = np.min_scalar_type(q - 1)
     extra = 1 if prs else 0  # contribution is at most n + extra - bestA
-    allv = tuple(range(q)) if prs else (None,)
     # a scored row holds C1 + C0 functional values: score no more of them
     # at once than a chunk of CHUNK tails has values on D
     score_rows = max(1, CHUNK * n // (C1 + C0))
 
+    def table(part):  # functional-major rows for the part's coefficients
+        degs = part.free_degrees + tuple(part.fixed)
+        rows = (np.array(degs, dtype=np.int64)[:, None] * a
+                + np.arange(a)).ravel()
+        T = M1[rows].T if M0 is None else np.vstack([M1[rows].T, M0[rows].T])
+        fdt = _linops.exact_dtypes(len(rows), p)[0]
+        return np.ascontiguousarray(T, dtype=fdt), fdt
+
     gmax = floor
-    cands: list = []
-    cosets = 0
+    none = (np.zeros((0, n), dtype=np.int64),
+            np.zeros((0, q if prs else 1), dtype=bool))
+    found = [none]  # (coefficient rows, deep-v mask) blocks at gmax
+    cosets = ncand = 0
     truncated = False
 
     for plan in plans:
-        degs = plan.free_degrees + tuple(plan.fixed)
-        rows = (np.array(degs, dtype=np.int64)[:, None] * a
-                + np.arange(a)).ravel()
-        fdt, _ = _linops.exact_dtypes(len(rows), p)
-        T1 = np.ascontiguousarray(M1[rows].T, dtype=fdt)
-        T0 = np.ascontiguousarray(M0[rows].T, dtype=fdt) if prs else None
-        for s in range(plan.start, plan.end, CHUNK):
-            e = min(s + CHUNK, plan.end)
-            cosets += e - s
+        L = 0
+        while L < len(plan.free_degrees) and q ** (L + 1) <= score_rows:
+            L += 1
+        Q = q ** L
+        low = TailPlan({}, plan.free_degrees[:L], q)
+        high = TailPlan(plan.fixed, plan.free_degrees[L:], q)
+        T, fdt = table(low)
+        inner = _linops.digit_matmul(
+            T, _tail_values_digits(ctx, low, np.arange(Q), fdt).T, p).astype(vdt)
+        T, fdt = table(high)
+        for h0, h1, l0, l1 in _grids(plan.start, plan.end, Q, CHUNK):
+            cosets += (h1 - h0) * (l1 - l0)
             thr = n + extra - gmax + collect  # rows are kept iff bestA < thr
             if thr <= k:  # bestA >= k on every row
                 continue
-            X = _tail_values_digits(ctx, plan, np.arange(s, e), fdt)
-            if thr == k + 1:
-                X = _unrefuted(X, T1, a, p)
-            for lo in range(0, len(X), score_rows):
-                Xs = X[lo:lo + score_rows]
-                zero = (_linops.digit_matmul(T1, Xs.T, p) == 0).reshape(
-                    C1, a, len(Xs)).all(axis=1)
-                agree = np.zeros((C0, len(Xs)), dtype=adt)  # minus k
+            outer = _linops.digit_matmul(T, _tail_values_digits(
+                ctx, high, np.arange(h0, h1), fdt).T, p).astype(vdt)
+            neg = (p - outer[:C1 * a]) % p
+            lo = slice(l0, l1)
+            if thr == k + 1 and not _unrefuted(
+                    inner[:C1 * a], neg, slice(0, h1 - h0), lo, a).any():
+                continue
+            step = max(1, score_rows // (l1 - l0))
+            for g in range(0, h1 - h0, step):
+                hs = slice(g, min(g + step, h1 - h0))
+                zero = _zeros(inner[:C1 * a], neg, hs, lo, a)
+                R = zero.shape[1]
+                agree = np.zeros((C0, R), dtype=adt)  # minus k
                 for j in range(n - k):
                     agree += zero[up[:, j]]
                 best = agree.max(axis=0)
-                keep = best < n + extra - gmax + collect - k
-                if not keep.any():
+                keep = np.nonzero(best < n + extra - gmax + collect - k)[0]
+                if len(keep) == 0:
                     continue
-                Xs, agree, best = Xs[keep], agree[:, keep], best[keep]
+                agree, best, R = agree[:, keep], best[keep], len(keep)
                 contrib = (n + extra - k) - best.astype(np.int64)
                 if prs:
-                    v = np.einsum("sdr,d->sr", _linops.digit_matmul(
-                        T0, Xs.T, p).reshape(C0, a, -1), p ** np.arange(a))
-                    reached = np.zeros((q + 1, len(Xs)), dtype=bool)
-                    reached[np.where(agree == best, v, q),
-                            np.arange(len(Xs))] = True
-                    full = reached[:q].all(axis=0)
+                    # v_S digits, each inner + outer < 2p: min(s, s - p)
+                    # wraps below p to above it, so it is s mod p
+                    d = _pointwise(np.add, inner[C1 * a:], outer[C1 * a:],
+                                   hs, lo)[:, keep]
+                    d = np.minimum(d, d - p)
+                    v = d[a - 1::a].astype(edt)
+                    for i in range(a - 2, -1, -1):
+                        v = v * p + d[i::a]
+                    at = np.flatnonzero(agree == best)
+                    reached = np.zeros((R, q), dtype=bool)
+                    reached.ravel()[at % R * q + v.ravel()[at]] = True
+                    full = reached.all(axis=1)
                     contrib -= full
                 cmax = int(contrib.max())
                 if cmax > gmax:
                     gmax = cmax
-                    cands = []
-                    truncated = False
+                    found, ncand, truncated = [none], 0, False
                 if collect and cmax == gmax:
                     take = np.nonzero(contrib == gmax)[0]
-                    if len(cands) + len(take) > DEEP_CANDIDATE_CAP:
+                    if ncand + len(take) > DEEP_CANDIDATE_CAP:
                         truncated = True
-                        take = take[:max(0, DEEP_CANDIDATE_CAP - len(cands))]
+                        take = take[:max(0, DEEP_CANDIDATE_CAP - ncand)]
                     coeffs = np.zeros((len(take), n), dtype=np.int64)
-                    coeffs[:, list(degs)] = _linops.digit_decode_cols(
-                        ctx, Xs[take], len(degs))
-                    for r, tail in zip(take, _tail_tuples(coeffs)):
-                        if not prs or full[r]:
-                            vs = allv
-                        else:
-                            vs = tuple(np.nonzero(~reached[:q, r])[0].tolist())
-                        cands.append((tail, vs))
-    return SweepOutcome(gmax, cosets, cands, truncated)
+                    h, l = np.divmod(keep[take], l1 - l0)
+                    coeffs[:, list(plan.free_degrees)] = _linops.mixed_radix(
+                        (h0 + g + h) * Q + l0 + l, q,
+                        len(plan.free_degrees))
+                    coeffs[:, list(plan.fixed)] = list(plan.fixed.values())
+                    deep = (~reached[take] | full[take, None] if prs else
+                            np.ones((len(take), 1), dtype=bool))
+                    found.append((coeffs, deep))
+                    ncand += len(take)
+    return SweepOutcome(gmax, cosets, *map(np.concatenate, zip(*found)),
+                        truncated)
 
 
 # ----------------------------------------------------------------------
@@ -495,32 +579,34 @@ def measured_floor(ctx: FieldCtx, D: tuple, k: int, prs: bool) -> int:
 
 def run_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool, plans,
               collect: bool, threads: int = 1) -> SweepOutcome:
-    """Run the profile sweep, optionally partitioned across processes.
+    """Run the profile sweep, partitioned across processes.
 
-    The merge is a max reduction plus list concatenation, so the result is
+    Each plan splits into ranges of at least CHUNK tails, one task each.
+    A single task runs in this process; more start min(threads, tasks)
+    workers, as a fork pool launches every worker it may use at once.  The
+    merge is a max reduction plus array concatenation, so the result is
     independent of worker scheduling.
     """
     floor = measured_floor(ctx, D, k, prs)
-    if threads <= 1:
-        return profile_sweep(ctx, D, k, prs=prs, plans=plans, collect=collect,
-                             floor=floor)
     tasks = []
     for plan in plans:
-        step = max(CHUNK, -(-plan.count // threads))
+        step = max(CHUNK, -(-plan.count // max(1, threads)))
         for s in range(0, plan.count, step):
             tasks.append((ctx.p, ctx.a, ctx.modulus, D, k, prs,
                           plan.fixed, plan.free_degrees,
                           s, min(s + step, plan.count), collect, floor))
-    with ProcessPoolExecutor(max_workers=threads) as ex:
+    if threads <= 1 or len(tasks) <= 1:
+        return profile_sweep(ctx, D, k, prs=prs, plans=plans, collect=collect,
+                             floor=floor)
+    with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as ex:
         outs = list(ex.map(_worker, tasks))
     gmax = max(o.max_contrib for o in outs)
-    cands = []
-    for o in outs:
-        if o.max_contrib == gmax:
-            cands.extend(o.candidates)
+    top = [o for o in outs if o.max_contrib == gmax]
+    cands = np.concatenate([o.candidates for o in top])
     truncated = (len(cands) > DEEP_CANDIDATE_CAP
-                 or any(o.truncated for o in outs if o.max_contrib == gmax))
-    return SweepOutcome(gmax, sum(o.cosets for o in outs), cands, truncated)
+                 or any(o.truncated for o in top))
+    return SweepOutcome(gmax, sum(o.cosets for o in outs), cands,
+                        np.concatenate([o.deep_v for o in top]), truncated)
 
 
 # ----------------------------------------------------------------------

@@ -193,8 +193,15 @@ def _add_enum_budget(p):
                         "engine may enumerate or tabulate")
 
 
+def _worker_count(text):
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _add_threads(p):
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_worker_count, default=1,
                    help="worker processes for the representative sweep")
 
 

@@ -344,47 +344,61 @@ def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
     `_sweeps.DEEP_CANDIDATE_CAP` deep tails raise ValueError rather than
     return a partial listing.  The syndrome BFS (any code) lists one
     minimum-weight witness word per deep coset and leaves the family
-    fields unset.
+    fields unset.  Reps are in `CosetRep.sort_key` order: one lexsort of
+    the coefficient or word rows gives it, since zero-padding a stripped
+    tail keeps tuple order.
     """
     t0 = time.perf_counter()
     kind = code.structure.get("kind")
     ctx = code.ctx
     if algo == "auto":
         algo = "sweep" if kind in ("rs", "prs") else "syndrome"
-    if algo == "sweep":
-        _, out = _sweep(code, True, enum_budget, threads)
-        if out.truncated:
-            raise ValueError(
-                f"more than {_sweeps.DEEP_CANDIDATE_CAP} deep-hole candidates "
-                "(the candidate cap); the listing would be incomplete")
-        if rho is not None and rho != out.max_contrib:
-            raise ValueError(
-                f"supplied rho={rho} but sweep found max distance {out.max_contrib}")
-        rho = out.max_contrib
-        reps = [CosetRep(tail=t, v=v) for t, vs in out.candidates for v in vs]
-        algorithm = "rep-sweep"
-    elif algo == "syndrome":
+    if algo == "syndrome":
         out = _sweeps.syndrome_bfs(code, enum_budget, want_witness=True)
         if rho is not None and rho != out.rho:
             raise ValueError(f"supplied rho={rho} but BFS found {out.rho}")
-        rho = out.rho
-        reps = [CosetRep(word=tuple(w)) for w in out.witnesses.tolist()]
-        algorithm = "syndrome-bfs"
-    else:
+        words = out.witnesses[np.lexsort(out.witnesses.T[::-1])].tolist()
+        return DeepHoleReport(
+            code=code.label, rho=out.rho, count=len(words),
+            reps=[CosetRep(word=tuple(w)) for w in words],
+            algorithm="syndrome-bfs",
+            elapsed_ms=(time.perf_counter() - t0) * 1e3)
+    if algo != "sweep":
         raise ValueError(f"unknown deep-hole algorithm {algo!r}")
-
-    reps.sort(key=CosetRep.sort_key)
-    report = DeepHoleReport(
-        code=code.label, rho=rho, count=len(reps), reps=reps,
-        algorithm=algorithm, elapsed_ms=(time.perf_counter() - t0) * 1e3)
-    if algo == "sweep":
-        vs = range(ctx.q) if kind == "prs" else (None,)
-        fs, rs = set(_degree_k_family(ctx, code.structure["k"], vs)), set(reps)
-        report.family_size = len(fs)
-        report.matches_degree_k_family = fs == rs
-        report.extras = sorted(rs - fs, key=CosetRep.sort_key)
-        report.missing_family = sorted(fs - rs, key=CosetRep.sort_key)
-    return report
+    _, out = _sweep(code, True, enum_budget, threads)
+    if out.truncated:
+        raise ValueError(
+            f"more than {_sweeps.DEEP_CANDIDATE_CAP} deep-hole candidates "
+            "(the candidate cap); the listing would be incomplete")
+    if rho is not None and rho != out.max_contrib:
+        raise ValueError(
+            f"supplied rho={rho} but sweep found max distance {out.max_contrib}")
+    # tails are distinct, so sorting them and then each one's v values
+    # (nonzero is row-major) sorts the (tail, v) pairs
+    order = np.lexsort(out.candidates.T[::-1])
+    coeffs, deep = out.candidates[order], out.deep_v[order]
+    r, v = np.nonzero(deep)
+    vals = range(ctx.q) if kind == "prs" else (None,)
+    tails = _sweeps._tail_tuples(coeffs)
+    reps = [CosetRep(tail=tails[i], v=vals[x])
+            for i, x in zip(r.tolist(), v.tolist())]
+    # family pairs (c*x^k, v), c != 0, in sort_key order: by c, then v
+    k, n = code.structure["k"], coeffs.shape[1]
+    is_cxk = np.zeros(len(coeffs), dtype=bool)  # tail c*x^k, c != 0
+    present = np.zeros((ctx.q, deep.shape[1]), dtype=bool)
+    if k < n:
+        is_cxk = (coeffs[:, k] != 0) & ~coeffs[:, k + 1:].any(axis=1)
+        present[coeffs[is_cxk, k]] = deep[is_cxk]
+    family = list(_degree_k_family(ctx, k, vals))
+    extras = np.nonzero(~is_cxk[r])[0].tolist()
+    missing = np.nonzero(~present[1:].ravel())[0].tolist()
+    return DeepHoleReport(
+        code=code.label, rho=out.max_contrib, count=len(reps), reps=reps,
+        algorithm="rep-sweep", elapsed_ms=(time.perf_counter() - t0) * 1e3,
+        family_size=len(family),
+        matches_degree_k_family=not extras and not missing,
+        extras=[reps[i] for i in extras],
+        missing_family=[family[i] for i in missing])
 
 
 # ----------------------------------------------------------------------

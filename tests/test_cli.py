@@ -212,6 +212,19 @@ def test_options_a_command_does_not_read_are_usage_errors(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ("analyze", "radius", "--code", "prs:q=5,k=2"),
+    ("analyze", "deep-holes", "--code", "prs:q=5,k=2"),
+    ("verify", "boundary"),
+])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_are_usage_errors(capsys, command, threads):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--threads", threads])
+    assert exc.value.code == 2
+    assert f"--threads: must be at least 1, got {threads}" in capsys.readouterr().err
+
+
 def test_json_output_deterministic(capsys):
     def strip_time(text):
         return re.sub(r'"elapsed_ms": [0-9.]+', '"elapsed_ms": 0', text)

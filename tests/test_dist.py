@@ -211,7 +211,7 @@ def test_tail_values_exact_beyond_the_float32_mantissa():
         _sweeps.TailPlan({}, (1, 2), p, plan.count - 70000, plan.count)])
     distinct = pairs.sum(axis=1) == 0
     assert out.max_contrib == 2
-    assert sorted(t for t, _ in out.candidates) == sorted(
+    assert sorted(_sweeps._tail_tuples(out.candidates)) == sorted(
         (0,) + tuple(c) for c in coeffs[distinct].tolist())
 
 
@@ -425,6 +425,14 @@ def decode_profile(code):
     return coeffs, bestA, gmax, cands
 
 
+def listed(out):
+    """A sweep's candidates as (tail, deep v values) pairs, the form of
+    `decode_profile`: (None,) for RS, whose deep_v has one column."""
+    vals = range(out.deep_v.shape[1]) if out.deep_v.shape[1] > 1 else (None,)
+    return [(t, tuple(vals[i] for i in np.nonzero(m)[0].tolist()))
+            for t, m in zip(_sweeps._tail_tuples(out.candidates), out.deep_v)]
+
+
 # codes whose whole tail plan is one sweep chunk
 ONE_CHUNK = [(kind, q, k) for q in (5, 7, 9) for k in range(1, q)
              for kind in ("rs", "prs") if q ** (q - k) <= _sweeps.CHUNK]
@@ -451,7 +459,7 @@ def test_pruned_sweep_equals_unpruned(monkeypatch, kind, q, k):
     assert radius.max_contrib == gmax
     listing = _sweeps.run_sweep(ctx, D, k, prs=prs, plans=plans, collect=True)
     assert listing.max_contrib == gmax
-    assert sorted(listing.candidates) == sorted(cands)
+    assert sorted(listed(listing)) == sorted(cands)
 
 
 @pytest.mark.parametrize("kind,q,k", ONE_CHUNK)
@@ -461,15 +469,136 @@ def test_block_test_refutes_exactly_the_rows_decoded_past_k(kind, q, k):
     code = (rs_code if kind == "rs" else prs_code)(field_for_size(q), k)
     ctx, D = code.ctx, tuple(code.structure["eval"])
     coeffs, bestA, _, _ = decode_profile(code)
-    plan = _sweeps.full_plans(ctx, len(D), k)[0]
-    X = _sweeps._tail_values_digits(ctx, plan, np.arange(plan.count),
-                                    np.float64)
+    # tail h*q + l: the low coefficient (degree k) from l, the rest from h
+    a, p, H = ctx.a, ctx.p, q ** (len(D) - k - 1)
     M1 = _sweeps.divided_differences(ctx, D, k, kind == "prs")[0]
-    T1 = M1[k * ctx.a:].T.astype(np.float64)
-    kept = _sweeps._unrefuted(X, T1, ctx.a, ctx.p)
-    want = ctx.digit_table()[coeffs[bestA == k, k:]].reshape(-1, X.shape[1])
-    assert 0 < len(kept) < len(X)
-    assert np.array_equal(kept, want)
+    T1 = M1[k * a:].T
+    inner = _linops.digit_matmul(
+        T1[:, :a], _linops.mixed_radix(np.arange(q), p, a).T, p)
+    outer = _linops.digit_matmul(
+        T1[:, a:], _linops.mixed_radix(np.arange(H), p, T1.shape[1] - a).T, p)
+    kept = _sweeps._unrefuted(inner, (-outer) % p, slice(0, H), slice(0, q), a)
+    assert 0 < kept.sum() < len(coeffs)
+    assert np.array_equal(kept, bestA == k)
+
+
+def matmul_profile(ctx, D, k, prs, plans):
+    """The sweep's answer by per-chunk digit products, a reference for its
+    block addition: each chunk of CHUNK tails is decoded to digit rows by
+    `_tail_values_digits` and scored with one `digit_matmul` per functional
+    table, with no pruning.  Returns the maximum contribution and the
+    (tail, deep v values) of the tails reaching it, in sweep order."""
+    n, a, q, p = len(D), ctx.a, ctx.q, ctx.p
+    M1, up, M0 = _sweeps.divided_differences(ctx, D, k, prs)
+    C1, C0 = M1.shape[1] // a, len(up)
+    found = []
+    for plan in plans:
+        degs = plan.free_degrees + tuple(plan.fixed)
+        rows = (np.array(degs, dtype=np.int64)[:, None] * a
+                + np.arange(a)).ravel()
+        for s in range(plan.start, plan.end, _sweeps.CHUNK):
+            idx = np.arange(s, min(s + _sweeps.CHUNK, plan.end))
+            X = _sweeps._tail_values_digits(ctx, plan, idx, np.int64)
+            zero = (_linops.digit_matmul(X, M1[rows], p) == 0).reshape(
+                len(X), C1, a).all(axis=2)
+            agree = zero[:, up].sum(axis=2)
+            best = agree.max(axis=1)
+            contrib = n + prs - k - best
+            deep = np.ones((len(X), 1), dtype=bool)
+            if prs:
+                v = _linops.digit_matmul(X, M0[rows], p).reshape(
+                    len(X), C0, a) @ p ** np.arange(a)
+                reached = np.zeros((len(X), q + 1), dtype=bool)
+                reached[np.arange(len(X))[:, None],
+                        np.where(agree == best[:, None], v, q)] = True
+                full = reached[:, :q].all(axis=1)
+                contrib = contrib - full
+                deep = ~reached[:, :q] | full[:, None]
+            coeffs = np.zeros((len(X), n), dtype=np.int64)
+            coeffs[:, list(degs)] = _linops.digit_decode_cols(ctx, X, len(degs))
+            found += zip(contrib.tolist(), _sweeps._tail_tuples(coeffs), deep)
+    gmax = max(c for c, _, _ in found)
+    vals = range(q) if prs else (None,)
+    return gmax, [(t, tuple(vals[i] for i in np.nonzero(m)[0].tolist()))
+                  for c, t, m in found if c == gmax]
+
+
+def block_vs_matmul(ctx, D, k, prs, plans):
+    """profile_sweep's radius and listing against `matmul_profile`."""
+    gmax, cands = matmul_profile(ctx, D, k, prs, plans)
+    radius = _sweeps.profile_sweep(ctx, D, k, prs=prs, plans=plans,
+                                   collect=False)
+    listing = _sweeps.profile_sweep(ctx, D, k, prs=prs, plans=plans,
+                                    collect=True)
+    assert radius.max_contrib == listing.max_contrib == gmax
+    assert radius.cosets == listing.cosets == sum(
+        pl.end - pl.start for pl in plans)
+    assert listed(listing) == cands
+    assert not listing.truncated
+
+
+@pytest.mark.parametrize("prs", [False, True])
+def test_block_addition_beyond_a_uint8_sum(prs):
+    # F_131: inner + outer reaches 2*130 = 260 > 255, so the inner table
+    # is uint16; the partial set keeps the C(5,3) + C(5,2) functionals few
+    ctx, D, k = field_create(131), (3, 50, 77, 101, 130), 2
+    assert np.min_scalar_type(2 * 130) == np.uint16
+    plans = [_sweeps.TailPlan({}, range(k, len(D)), 131, 10**6, 10**6 + 40000)]
+    block_vs_matmul(ctx, D, k, prs, plans)
+
+
+@pytest.mark.parametrize("q,D,k,prs", [
+    (9, None, 5, True),                  # PRS(10,5)/F_9: 9^4 tails
+    (9, None, 4, False),
+    (25, (0, 1, 7, 12, 20, 24), 3, True),  # 25^3 tails, a = 2
+    (25, (0, 1, 7, 12, 20, 24), 3, False),
+    (27, (0, 2, 5, 13, 26), 2, True),      # 27^3 tails, a = 3
+    (27, (0, 2, 5, 13, 26), 2, False),
+])
+def test_block_addition_over_extension_fields(q, D, k, prs):
+    ctx = field_for_size(q)
+    D = ctx.elements() if D is None else D
+    block_vs_matmul(ctx, D, k, prs, _sweeps.full_plans(ctx, len(D), k))
+
+
+@pytest.mark.parametrize("q,k", [(7, 2), (9, 3), (11, 5)])
+def test_block_addition_on_sliced_plans(q, k):
+    # each degree-d slice fixes x^d = 1; over F_9 the x^(d-1) coefficient
+    # stays free where 3 divides d
+    ctx = field_for_size(q)
+    plans = _sweeps.sliced_plans(ctx, k)
+    assert any(pl.fixed and pl.free_degrees for pl in plans)
+    block_vs_matmul(ctx, ctx.elements(), k, True, plans)
+
+
+def test_block_addition_on_unaligned_worker_ranges(monkeypatch):
+    # CHUNK = 100 gives q^L = 7 tails a block; two workers split the 7^4
+    # tails at 1201, not a multiple of 7, and chunk them by 100
+    monkeypatch.setattr(_sweeps, "CHUNK", 100)
+    ctx, k = field_create(7), 3
+    D = ctx.elements()
+    assert max(1, 100 * 7 // (35 + 35)) == 10 and 1201 % 7 != 0
+    plans = _sweeps.full_plans(ctx, len(D), k)
+    gmax, cands = matmul_profile(ctx, D, k, True, plans)
+    out = _sweeps.run_sweep(ctx, D, k, prs=True, plans=plans, collect=True,
+                            threads=2)
+    assert out.max_contrib == gmax and out.cosets == 7 ** 4
+    assert listed(out) == cands
+
+
+@pytest.mark.parametrize("cap", [1, 50, 103])
+def test_block_addition_candidate_cap(monkeypatch, cap):
+    # the listing keeps the first `cap` deep tails in sweep order
+    ctx, k = field_create(5), 2
+    D = ctx.elements()
+    plans = _sweeps.full_plans(ctx, len(D), k)
+    gmax, cands = matmul_profile(ctx, D, k, True, plans)
+    assert len(cands) > cap
+    monkeypatch.setattr(_sweeps, "DEEP_CANDIDATE_CAP", cap)
+    out = _sweeps.profile_sweep(ctx, D, k, prs=True, plans=plans,
+                                collect=True)
+    assert out.truncated and out.max_contrib == gmax
+    assert listed(out) == cands[:cap]
 
 
 def test_radius_dispatcher_auto():
@@ -779,7 +908,7 @@ def test_deep_hole_listing_over_the_candidate_cap_raises(monkeypatch):
     plans = [_sweeps.TailPlan({}, (1,), 5), _sweeps.TailPlan({2: 1}, (), 5)]
     out = _sweeps.profile_sweep(ctx, D, 2, prs=True, plans=plans, collect=True)
     assert (out.max_contrib, out.truncated) == (3, False)
-    assert [t for t, _ in out.candidates] == [(0, 0, 1)]
+    assert _sweeps._tail_tuples(out.candidates) == [(0, 0, 1)]
 
 
 def test_deep_holes_respects_supplied_rho():
@@ -824,6 +953,84 @@ def test_threaded_sweep_matches_serial():
     b = deep_holes(code, threads=2)
     assert a.rho == b.rho and a.count == b.count
     assert [r.sort_key() for r in a.reps] == [r.sort_key() for r in b.reps]
+
+
+class RecordingPool:
+    """A ProcessPoolExecutor stand-in that records max_workers and maps in
+    this process."""
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_run_sweep_starts_one_worker_a_task_and_none_for_one(monkeypatch):
+    ctx, k = field_create(5), 2
+    D = ctx.elements()
+    plans = _sweeps.full_plans(ctx, len(D), k)
+    monkeypatch.setattr(_sweeps, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "started", [])
+    serial = _sweeps.run_sweep(ctx, D, k, prs=True, plans=plans, collect=True)
+    # 5^3 tails are one task of at least CHUNK tails: no pool
+    out = _sweeps.run_sweep(ctx, D, k, prs=True, plans=plans, collect=True,
+                            threads=2)
+    assert RecordingPool.started == []
+    assert listed(out) == listed(serial)
+    # CHUNK = 20 cuts the 125 tails into 7 tasks at threads=16 and into 3
+    # at threads=3: one worker a task, at most `threads`
+    monkeypatch.setattr(_sweeps, "CHUNK", 20)
+    for threads, workers in [(16, 7), (3, 3)]:
+        out = _sweeps.run_sweep(ctx, D, k, prs=True, plans=plans,
+                                collect=True, threads=threads)
+        assert RecordingPool.started[-1] == workers
+        assert out.max_contrib == serial.max_contrib
+        assert listed(out) == listed(serial)
+    assert len(RecordingPool.started) == 2
+
+
+def sort_and_set(code):
+    """The deep-hole report fields by sorting and set difference: every
+    (tail, v) of the sweep's listing as a CosetRep, sorted by sort_key, and
+    the degree-k family compared as sets.  A reference for `deep_holes`."""
+    ctx, k = code.ctx, code.structure["k"]
+    _, out = dist._sweep(code, True, dist.DEFAULT_ENUM_BUDGET, 1)
+    reps = sorted((CosetRep(tail=t, v=v) for t, vs in listed(out) for v in vs),
+                  key=CosetRep.sort_key)
+    vals = range(ctx.q) if code.structure["kind"] == "prs" else (None,)
+    fs, rs = set(dist._degree_k_family(ctx, k, vals)), set(reps)
+    return (reps, sorted(rs - fs, key=CosetRep.sort_key),
+            sorted(fs - rs, key=CosetRep.sort_key), fs == rs)
+
+
+@pytest.mark.parametrize("make,q,k", [
+    (rs_code, 5, 2), (rs_code, 7, 1), (rs_code, 9, 4), (rs_code, 9, 8),
+    (prs_code, 5, 2), (prs_code, 5, 1), (prs_code, 9, 6), (prs_code, 7, 6),
+    (prs_code, 5, 5),  # k = q: the family tails x^q lie beyond D, all missing
+])
+def test_deep_hole_report_matches_sort_and_set(make, q, k):
+    code = make(field_for_size(q), k)
+    reps, extras, missing, matches = sort_and_set(code)
+    report = deep_holes(code)
+    assert report.reps == reps
+    assert report.extras == extras
+    assert report.missing_family == missing
+    assert report.matches_degree_k_family == matches
+    assert report.count == len(reps)
+
+
+def test_syndrome_deep_holes_are_sorted_words():
+    report = deep_holes(prs_code(field_create(5), 3), algo="syndrome")
+    assert report.reps == sorted(report.reps, key=CosetRep.sort_key)
+    assert len(set(report.reps)) == report.count == 100
 
 
 # ----------------------------------------------------------------------
