@@ -22,12 +22,16 @@ Two exact algorithms live here:
   the subset-decoding kernel, serves `dist.error_distances_mds` and the
   MDS check; the sweep decodes no subset.
 
-* a syndrome coset-leader BFS for arbitrary linear codes: words are
-  enumerated by increasing weight and their syndromes marked; the radius is
-  the weight at which the table fills.  Witness words are kept as digit
-  rows, so their size does not limit q^n.
+* a syndrome coset-leader BFS for arbitrary linear codes: a level-
+  synchronous BFS over the q^(n-k) syndromes whose edges are the n(q-1)
+  weight-1 moves c*h_j.  Each level is pushed from the frontier, or pulled
+  into the unreached syndromes when fewer remain than the frontier holds;
+  syndromes are added digit group by digit group through one shared
+  addition table, with no product a step.  The radius is the level at
+  which the table fills.  One parent move a syndrome rebuilds each deep
+  witness word, so neither q^n nor the table needs a word matrix.
 
-Divided differences, subset decodes and BFS syndromes are each one
+Divided differences, subset decodes and the BFS's move syndromes are each one
 F_q-linear map applied as `_linops.digit_matmul`, the package's one digit
 product: a float matmul exact below 2^53, reduced mod p in integers, so
 every functional value, and with it every agreement and contribution, is
@@ -616,71 +620,180 @@ def run_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool, plans,
 @dataclass
 class BfsOutcome:
     rho: int
-    level_counts: list            # syndromes first covered at each weight
-    words_examined: int
+    level_counts: list            # syndromes at each level (min coset weight)
+    words_examined: int           # move steps: (syndrome, move) pairs tried
     deep_syndromes: np.ndarray | None
-    witnesses: np.ndarray | None  # (len(deep_syndromes), n) word digit rows
+    witnesses: np.ndarray | None  # (len(deep_syndromes), n) word rows
+
+
+def _add_table(p: int, g: int) -> np.ndarray:
+    """(P, P) table, P = p^g: add[x, y] is the index of digits(x) +
+    digits(y) mod p for g-digit base-p indices x and y, in
+    np.min_scalar_type(P - 1).  Built a digit at a time: with x = p*x' +
+    x0, the entry is p * (the (g-1)-digit table at x', y') plus
+    (x0 + y0) mod p."""
+    dt = np.min_scalar_type(p**g - 1)
+    one = (np.add.outer(np.arange(p), np.arange(p)) % p).astype(dt)
+    add = one
+    for _ in range(g - 1):
+        P = len(add) * p
+        add = (add[:, None, :, None] * dt.type(p)
+               + one[None, :, None, :]).reshape(P, P)
+    return add
+
+
+def _move_groups(code, g: int):
+    """Digit-group values (n(q-1), G) of the move syndromes c*h_j and of
+    their negatives, position-major then value-minor: one digit product of
+    the q-1 nonzero digit rows with the n (a x (n-k)a) blocks of HTd."""
+    ctx = code.ctx
+    n, a, p = code.n, ctx.a, ctx.p
+    ma = (n - code.k) * a
+    d = _linops.digit_matmul(ctx.digit_table()[1:],
+                             code.HTd.reshape(n, a, ma), p).reshape(-1, ma)
+    G = -(-ma // g)
+    enc = p ** np.arange(g)
+
+    def groups(digits):  # zero-padded to G groups of g digits
+        padded = np.zeros((len(digits), G * g), dtype=np.int64)
+        padded[:, :ma] = digits
+        return padded.reshape(-1, G, g) @ enc
+    return groups(d), groups(-d % p)
+
+
+def _blocks(level: np.ndarray, value: int):
+    """Indices i with level[i] == value, ascending, in blocks of CHUNK to
+    2*CHUNK entries (the last may be shorter): `flatnonzero` over
+    CHUNK-long slices, read only as the blocks are taken."""
+    parts, count = [], 0
+    for s in range(0, len(level), CHUNK):
+        parts.append(np.flatnonzero(level[s:s + CHUNK] == value) + s)
+        count += len(parts[-1])
+        if count >= CHUNK:
+            yield np.concatenate(parts)
+            parts, count = [], 0
+    if count:
+        yield np.concatenate(parts)
 
 
 def syndrome_bfs(code, enum_budget: int,
                  want_witness: bool = False) -> BfsOutcome:
-    """Mark syndromes of all words by increasing weight until covered.
+    """Level-synchronous BFS over the q^(n-k) syndromes of any linear code.
 
-    Exact for any linear code; marking is idempotent (first mark wins), so
-    batch order within a weight class cannot change the table.  Witness
-    words are stored as rows of element encodings in the smallest unsigned
-    dtype that holds q-1, so no length or field size can overflow them.
+    A syndrome's level is its coset's minimum weight.  The edges are the
+    n(q-1) weight-1 moves c*h_j, h_j column j of H, position-major then
+    value-minor.  Level w is {s + c*h_j : s at level w-1} minus the
+    syndromes already reached (push); when fewer syndromes remain than the
+    frontier holds, each unreached s instead looks for a move with
+    s - c*h_j at level w-1 and leaves the search at its first hit (pull).
+    Exact: drop one nonzero entry of a minimum-weight word of a level-w
+    syndrome; the rest is a word of weight w-1 whose syndrome has level
+    exactly w-1 (not less, or the syndrome's level would be below w).  So
+    push reaches, and pull finds, exactly the level-w syndromes.  A push
+    stops early once no syndrome is left; the unreached are recounted by
+    one pass over the table every q^(n-k) steps at most.
+
+    A syndrome index is its (n-k)a base-p digits; they are added in G
+    groups of g = floor((n-k)a / 2) digits (one if (n-k)a = 1) through one
+    shared table `_add_table(p, g)` of P^2 <= max(q^(n-k), p^2) entries:
+    a step is one gather a group and a shifted add, with no product and no
+    mod.  The frontier and the unreached syndromes are read in blocks
+    (`_blocks`) and take B = max(1, CHUNK // block) moves at a time, so
+    peak memory is the level table, the add table, the moves and O(CHUNK).
+    `words_examined` counts the move steps, (syndrome, move) pairs tried.
+
+    Witnesses: one parent move a syndrome, in np.min_scalar_type(n(q-1) -
+    1), the first hit in scan order; each deep witness is rebuilt by
+    walking back rho moves, one a level, so it has weight rho, and the
+    same code gives the same witnesses.  They are rows of element
+    encodings in np.min_scalar_type(q - 1).
     """
     ctx = code.ctx
-    n, q, a, p = code.n, ctx.q, ctx.a, ctx.p
-    m = n - code.k
-    size = q**m
+    n, q, p = code.n, ctx.q, ctx.p
+    ma = (n - code.k) * ctx.a
+    size = q ** (n - code.k)
     if size > enum_budget:
         raise ValueError(
             f"syndrome table q^(n-k) = {size} exceeds budget {enum_budget}; "
             "use the representative sweep")
-    table = np.full(size, 255, dtype=np.uint8)
-    witness = (np.zeros((size, n), dtype=np.min_scalar_type(q - 1))
-               if want_witness else None)
-    # a syndrome's m*a digits read as one base-p integer: exact in float64,
-    # as it is below q^m, the table size
-    enc_w = np.float64(p) ** np.arange(m * a)
-    dt = ctx.digit_table()
+    wdt = np.min_scalar_type(q - 1)
+    if size == 1:  # k = n: the zero coset only
+        wit = np.zeros((1, n), dtype=wdt) if want_witness else None
+        return BfsOutcome(0, [1], 0, np.array([0]), wit)
+    g = max(1, ma // 2)
+    P = p**g
+    if P * P > enum_budget:
+        raise ValueError(f"digit addition table p^{2 * g} = {P * P} exceeds "
+                         f"budget {enum_budget}; use the representative sweep")
+    add = _add_table(p, g).ravel()
+    mv, neg = (m * P for m in _move_groups(code, g))  # row offsets in add
+    nmoves, G = mv.shape
 
-    table[0] = 0
-    remaining = size - 1
-    level_counts = [1]
-    words = 1
-    w = 0
-    while remaining > 0:
+    def split(x):  # digit-group values of syndrome indices
+        out = []
+        for _ in range(G - 1):
+            x, r = np.divmod(x, P)
+            out.append(r)
+        return out + [x]
+
+    def step(xg, mg):  # groups of x + m, mg (..., G) broadcast against x
+        return [add[mg[..., i] + xg[i]] for i in range(G)]
+
+    def index(xg):
+        out = xg[0].astype(np.intp)
+        for i in range(1, G):
+            out += xg[i] * np.intp(P**i)
+        return out
+
+    level = np.full(size, 255, dtype=np.uint8)
+    level[0] = 0
+    parent = (np.empty(size, dtype=np.min_scalar_type(nmoves - 1))
+              if want_witness else None)
+    counts, steps, remaining, w = [1], 0, size - 1, 0
+    while remaining:
         w += 1
-        if w > n:
-            raise RuntimeError("syndrome space not covered by weight n")
-        marked = 0
-        nvals = (q - 1) ** w
-        vals_enc = _linops.mixed_radix(np.arange(nvals), q - 1, w) + 1
-        # cast vd and the rows of H^T once, for every S
-        fdt, _ = _linops.exact_dtypes(w * a, p)
-        vd = dt[vals_enc].reshape(nvals, w * a).astype(fdt)
-        HTd = code.HTd.reshape(n, -1).astype(fdt)
-        for S in itertools.combinations(range(n), w):
-            hd = HTd[list(S)].reshape(w * a, m * a)
-            enc = (_linops.digit_matmul(vd, hd, p) @ enc_w).astype(np.int64)
-            words += nvals
-            unseen = table[enc] == 255
-            if unseen.any():
-                ue = enc[unseen]
-                uniq, first = np.unique(ue, return_index=True)
-                table[uniq] = w
-                if want_witness:
-                    witness[uniq[:, None], list(S)] = vals_enc[unseen][first]
-                marked += len(uniq)
-                if marked >= remaining:
-                    break
-        level_counts.append(marked)
-        remaining -= marked
-    rho = w
-    deep = np.nonzero(table == rho)[0] if rho > 0 else np.array([0])
-    wit = witness[deep] if want_witness else None
-    return BfsOutcome(rho, level_counts, words, deep, wit)
-
+        pull, left, recount = remaining < counts[-1], remaining, steps + size
+        for block in _blocks(level, 255 if pull else w - 1):
+            xg, i = split(block), 0
+            while len(block) and i < nmoves and left:
+                B = max(1, CHUNK // len(block))
+                if pull:
+                    hit = level[index(step(xg, neg[i:i + B, None]))] == w - 1
+                    steps += hit.size
+                    found = hit.any(axis=0)
+                    got = block[found]
+                    level[got] = w
+                    if parent is not None:
+                        parent[got] = hit[:, found].argmax(axis=0) + i
+                    block, xg = block[~found], [x[~found] for x in xg]
+                else:
+                    t = index(step(xg, mv[i:i + B, None])).ravel()
+                    steps += t.size
+                    new = np.flatnonzero(level[t] == 255)
+                    t = t[new]
+                    level[t] = w
+                    if parent is not None:  # row = move; first hit wins
+                        parent[t[::-1]] = new[::-1] // len(block) + i
+                    if steps >= recount:  # a table pass per `size` steps
+                        left = np.count_nonzero(level == 255)
+                        recount = steps + size
+                i += B
+            if not left:
+                break
+        counts.append(int(np.count_nonzero(level == w)))
+        if not counts[-1]:
+            raise RuntimeError("syndrome space not covered by the moves")
+        remaining -= counts[-1]
+    deep = np.flatnonzero(level == w)
+    wit = None
+    if want_witness:
+        wit = np.zeros((len(deep), n), dtype=wdt)
+        for s in range(0, len(deep), CHUNK):
+            cur = split(deep[s:s + CHUNK])
+            rows = np.arange(s, s + len(cur[0]))
+            for _ in range(w):
+                i = parent[index(cur)].astype(np.intp)
+                pos, val = np.divmod(i, q - 1)
+                wit[rows, pos] = val + 1
+                cur = step(cur, neg[i])
+    return BfsOutcome(w, counts, steps, deep, wit)

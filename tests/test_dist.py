@@ -609,16 +609,17 @@ def test_radius_dispatcher_auto():
     assert rep.rho == 1 and rep.algorithm == "rep-sweep"
 
 
-# 'auto' picks by redundancy n-k: on a 2-core host the BFS was faster on
-# every RS/PRS code tried with n-k <= 4 and the sweep on every one with
-# n-k >= 5, whatever q^(n-k); times are BFS / sweep, one run each
+# 'auto' picks by redundancy n-k: on a 2-core host the sweep was faster on
+# every RS/PRS code tried with n-k >= 5 but PRS(10,5)/F_9; below, the BFS
+# was faster on PRS codes and the sweep on RS codes over larger fields
+# (see `covering_radius`); times are BFS / sweep, cold, median of 3 runs
 @pytest.mark.parametrize("make,q,k,algorithm,rho", [
-    (prs_code, 11, 5, "rep-sweep", 6),      # 55 s / 0.06 s
-    (rs_code, 53, 51, "syndrome-bfs", 2),   # 3 ms / 2.1 s
-    (rs_code, 41, 38, "syndrome-bfs", 3),   # 41^3 cosets: 0.09 s / 8.4 s
-    (prs_code, 67, 65, "syndrome-bfs", 2),  # 67^3 cosets: 0.05 s / 10 s
-    (rs_code, 13, 9, "syndrome-bfs", 4),    # n-k = 4: 0.05 s / 0.05 s
-    (rs_code, 13, 8, "rep-sweep", 5),       # n-k = 5: 0.66 s / 0.04 s
+    (prs_code, 11, 5, "rep-sweep", 6),      # 10 s / 11 ms
+    (rs_code, 53, 51, "syndrome-bfs", 2),   # 3 ms / 7 ms
+    (rs_code, 41, 38, "syndrome-bfs", 3),   # 41^3 cosets: 65 ms / 15 ms
+    (prs_code, 67, 65, "syndrome-bfs", 2),  # 67^3 cosets: 32 ms / 68 ms
+    (rs_code, 13, 9, "syndrome-bfs", 4),    # n-k = 4: 38 ms / 4 ms
+    (rs_code, 13, 8, "rep-sweep", 5),       # n-k = 5: 50 ms / 8 ms
 ])
 def test_radius_dispatcher_picks_the_engine_by_redundancy(make, q, k,
                                                           algorithm, rho):
@@ -704,6 +705,168 @@ def test_bfs_witnesses_beyond_int64_word_encoding():
 def test_glynn_radius():
     code = glynn_code(field_create(3, 2))
     assert covering_radius_syndrome(code).rho == 4
+
+
+def subset_bfs(code):
+    """The per-subset enumeration the syndrome BFS replaced, kept as its
+    reference: every support S of weight w, in combinations order, with all
+    (q-1)^w value vectors, one digit product a support; the first word to
+    mark a syndrome is its witness.  (rho, level_counts, deep syndromes,
+    witness words)."""
+    ctx = code.ctx
+    n, q, a, p = code.n, ctx.q, ctx.a, ctx.p
+    m = n - code.k
+    size = q**m
+    table = np.full(size, 255, dtype=np.uint8)
+    witness = np.zeros((size, n), dtype=np.min_scalar_type(q - 1))
+    enc_w = np.float64(p) ** np.arange(m * a)
+    HTd = code.HTd.reshape(n, a, m * a)
+    table[0] = 0
+    remaining, counts, w = size - 1, [1], 0
+    while remaining > 0:
+        w += 1
+        marked = 0
+        nvals = (q - 1) ** w
+        vals = _linops.mixed_radix(np.arange(nvals), q - 1, w) + 1
+        vd = ctx.digit_table()[vals].reshape(nvals, w * a)
+        for S in itertools.combinations(range(n), w):
+            hd = HTd[list(S)].reshape(w * a, m * a)
+            enc = (_linops.digit_matmul(vd, hd, p) @ enc_w).astype(np.int64)
+            unseen = table[enc] == 255
+            if unseen.any():
+                uniq, first = np.unique(enc[unseen], return_index=True)
+                table[uniq] = w
+                witness[uniq[:, None], list(S)] = vals[unseen][first]
+                marked += len(uniq)
+                if marked >= remaining:
+                    break
+        counts.append(marked)
+        remaining -= marked
+    deep = np.flatnonzero(table == w)
+    return w, counts, deep, witness[deep]
+
+
+def syndrome_indices(code, words):
+    """Table indices of the words' syndromes: base-p digits, low first."""
+    ctx = code.ctx
+    wd = ctx.digit_table()[np.asarray(words, dtype=np.int64)]
+    sd = _linops.digit_matmul(wd.reshape(len(wd), -1), code.HTd, ctx.p)
+    return sd.astype(np.int64) @ ctx.p ** np.arange(sd.shape[1],
+                                                    dtype=np.int64)
+
+
+def pull_levels(counts):
+    """The levels the BFS pulls: fewer syndromes left than the frontier."""
+    left = sum(counts) - 1
+    out = []
+    for w in range(1, len(counts)):
+        if left < counts[w - 1]:
+            out.append(w)
+        left -= counts[w]
+    return out
+
+
+def cube_word(q):
+    """The values of x^3 on F_q, in element order."""
+    ctx = field_for_size(q)
+    return tuple(ctx.pow(x, 3) for x in ctx.elements())
+
+
+F = field_for_size
+BFS_CODES = {
+    **{f"rs-{q}-{k}": lambda q=q, k=k: rs_code(F(q), k)
+       for q in (5, 7) for k in range(1, q)},
+    **{f"prs-{q}-{k}": lambda q=q, k=k: prs_code(F(q), k)
+       for q in (5, 7) for k in range(1, q + 1)},
+    **{f"prs-9-{k}": lambda k=k: prs_code(F(9), k) for k in (4, 5, 6)},
+    "glynn-9": lambda: glynn_code(F(9)),
+    # a = 2, (n-k)a = 6: two digit groups; a = 3, (n-k)a = 9: groups 4, 4, 1
+    "prs-25-23": lambda: prs_code(F(25), 23),
+    "rs-27-24": lambda: rs_code(F(27), 24),
+    "rs-9-4": lambda: rs_code(F(9), 4),  # pulls on levels 4 and 5
+    # not MDS: d = 4 < n - k + 1
+    "generic-7": lambda: from_matrix(F(7), [[1, 0, 0, 1, 2, 3, 4, 0],
+                                            [0, 1, 0, 1, 1, 5, 6, 2],
+                                            [0, 0, 1, 3, 4, 4, 1, 1]]),
+    # RS(7,3)/F_7 and x^3, a word at distance 4 from it
+    "extended-rs-7-3": lambda: extend_code(rs_code(F(7), 3), cube_word(7)),
+    "k-equals-n": lambda: from_matrix(F(5), [[1, 0, 0], [0, 1, 0],
+                                             [0, 0, 1]]),
+}
+
+
+def test_bfs_reference_codes_cover_their_cases():
+    assert pull_levels(subset_bfs(BFS_CODES["rs-9-4"]())[1]) == [4, 5]
+    assert subset_bfs(BFS_CODES["k-equals-n"]())[:2] == (0, [1])
+    generic = BFS_CODES["generic-7"]()
+    extended = BFS_CODES["extended-rs-7-3"]()
+    assert min_distance(generic) < generic.n - generic.k + 1
+    assert (extended.n, extended.k) == (8, 4)
+
+
+def check_bfs(code):
+    """`syndrome_bfs` against `subset_bfs`: the same radius, level counts and
+    deep syndromes; every witness has weight rho and the syndrome it is
+    listed for; a second run gives the same witnesses."""
+    rho, counts, deep, _ = subset_bfs(code)
+    out = _sweeps.syndrome_bfs(code, 10**8, want_witness=True)
+    assert (out.rho, out.level_counts) == (rho, counts)
+    assert np.array_equal(out.deep_syndromes, deep)
+    assert ((out.witnesses != 0).sum(axis=1) == rho).all()
+    assert np.array_equal(syndrome_indices(code, out.witnesses), deep)
+    again = _sweeps.syndrome_bfs(code, 10**8, want_witness=True)
+    assert np.array_equal(again.witnesses, out.witnesses)
+
+
+@pytest.mark.parametrize("name", list(BFS_CODES))
+def test_bfs_matches_subset_enumeration(name):
+    check_bfs(BFS_CODES[name]())
+
+
+@pytest.mark.parametrize("name", ["rs-9-4", "prs-5-1", "prs-7-3",
+                                  "generic-7", "rs-27-24"])
+def test_bfs_in_small_blocks_matches_subset_enumeration(monkeypatch, name):
+    # CHUNK = 64: blocks merged from many slices, pulls that drop found
+    # syndromes across many batches, pushes recounted many times a level
+    monkeypatch.setattr(_sweeps, "CHUNK", 64)
+    check_bfs(BFS_CODES[name]())
+
+
+@pytest.mark.parametrize("make,q,k,counts", [
+    (rs_code, 257, 255, [1, 65792, 256]),
+    (prs_code, 17, 15, [1, 288, 4624]),
+])
+def test_bfs_memory_stays_bounded(make, q, k, counts):
+    # for RS(257,255) the dense (n(q-1), n) weight-1 word matrix alone would
+    # be 135 MB; the BFS keeps the table, the moves and O(CHUNK)
+    code = make(field_for_size(q), k)
+    tracemalloc.start()
+    try:
+        out = _sweeps.syndrome_bfs(code, 10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.rho, out.level_counts) == (len(counts) - 1, counts)
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("q,k", [(11, 7), (13, 10)])
+def test_syndrome_deep_holes_are_the_subset_enumerations_cosets(q, k):
+    code = prs_code(field_for_size(q), k)
+    words = [r.word for r in deep_holes(code, algo="syndrome").reps]
+    ref = subset_bfs(code)[3]
+    assert (set(reduce_to_coset_reps(code, words))
+            == set(reduce_to_coset_reps(code, ref)))
+
+
+def test_syndrome_radius_reports_bfs_statistics():
+    rep = covering_radius_syndrome(prs_code(field_create(5), 2))
+    data = rep.to_json()
+    assert data["level_counts"] == [1, 24, 240, 360]
+    assert data["words_examined"] == rep.words_examined > 0
+    assert data["notes"] == []
+    sweep = covering_radius_sweep(prs_code(field_create(5), 2)).to_json()
+    assert sweep["level_counts"] is None and sweep["words_examined"] is None
 
 
 # ----------------------------------------------------------------------
