@@ -626,39 +626,43 @@ class BfsOutcome:
     witnesses: np.ndarray | None  # (len(deep_syndromes), n) word rows
 
 
-def _add_table(p: int, g: int) -> np.ndarray:
-    """(P, P) table, P = p^g: add[x, y] is the index of digits(x) +
-    digits(y) mod p for g-digit base-p indices x and y, in
-    np.min_scalar_type(P - 1).  Built a digit at a time: with x = p*x' +
-    x0, the entry is p * (the (g-1)-digit table at x', y') plus
+def _add_table(p: int, g: int):
+    """Addition of g-digit base-p indices as a flat table and its row
+    stride: add[x * row + y] is the index of digits(x) + digits(y) mod p,
+    in np.min_scalar_type(p^g - 1).  For g = 1 the entry (x + y) mod p
+    depends on x + y only: 2p - 1 entries, row 1.  Otherwise a (P, P)
+    table, P = p^g, row P, built a digit at a time: with x = p*x' + x0,
+    the entry is p * (the (g-1)-digit entry at x', y') plus
     (x0 + y0) mod p."""
     dt = np.min_scalar_type(p**g - 1)
-    one = (np.add.outer(np.arange(p), np.arange(p)) % p).astype(dt)
+    if g == 1:
+        return (np.arange(2 * p - 1) % p).astype(dt), 1
+    r = np.arange(p, dtype=dt)  # p^2 - 1 fits dt, so r + r does
+    one = np.add.outer(r, r) % dt.type(p)
     add = one
     for _ in range(g - 1):
         P = len(add) * p
         add = (add[:, None, :, None] * dt.type(p)
                + one[None, :, None, :]).reshape(P, P)
-    return add
+    return add.ravel(), len(add)
 
 
-def _move_groups(code, g: int):
-    """Digit-group values (n(q-1), G) of the move syndromes c*h_j and of
-    their negatives, position-major then value-minor: one digit product of
-    the q-1 nonzero digit rows with the n (a x (n-k)a) blocks of HTd."""
+def _move_groups(code, g: int, lo: int, hi: int) -> np.ndarray:
+    """Digit-group values ((hi-lo)(q-1), G) of the move syndromes c*h_j of
+    positions lo <= j < hi, position-major then value-minor: one digit
+    product of the q-1 nonzero digit rows with the (a x (n-k)a) blocks of
+    HTd; digit i adds p^(i mod g) times itself to group i // g (the last
+    group is zero-padded)."""
     ctx = code.ctx
     n, a, p = code.n, ctx.a, ctx.p
     ma = (n - code.k) * a
     d = _linops.digit_matmul(ctx.digit_table()[1:],
-                             code.HTd.reshape(n, a, ma), p).reshape(-1, ma)
-    G = -(-ma // g)
-    enc = p ** np.arange(g)
-
-    def groups(digits):  # zero-padded to G groups of g digits
-        padded = np.zeros((len(digits), G * g), dtype=np.int64)
-        padded[:, :ma] = digits
-        return padded.reshape(-1, G, g) @ enc
-    return groups(d), groups(-d % p)
+                             code.HTd.reshape(n, a, ma)[lo:hi],
+                             p).reshape(-1, ma)
+    out = np.zeros((len(d), -(-ma // g)), dtype=np.intp)
+    for i in range(ma):
+        out[:, i // g] += np.intp(p ** (i % g)) * d[:, i]
+    return out
 
 
 def _blocks(level: np.ndarray, value: int):
@@ -689,24 +693,35 @@ def syndrome_bfs(code, enum_budget: int,
     Exact: drop one nonzero entry of a minimum-weight word of a level-w
     syndrome; the rest is a word of weight w-1 whose syndrome has level
     exactly w-1 (not less, or the syndrome's level would be below w).  So
-    push reaches, and pull finds, exactly the level-w syndromes.  A push
-    stops early once no syndrome is left; the unreached are recounted by
-    one pass over the table every q^(n-k) steps at most.
+    push reaches, and pull finds, exactly the level-w syndromes.  Pull is
+    what makes small last levels cheap: with push alone (one BLAS thread)
+    RS(17,12)/F_17 took 6.1 s instead of 0.20 s and PRS(10,4)/F_9 0.12 s
+    instead of 0.075 s.  A push stops early once no syndrome is left: the
+    unreached are recounted by one pass over the table after each batch
+    that ends q^(n-k) or more steps after the last recount.
 
     A syndrome index is its (n-k)a base-p digits; they are added in G
-    groups of g = floor((n-k)a / 2) digits (one if (n-k)a = 1) through one
-    shared table `_add_table(p, g)` of P^2 <= max(q^(n-k), p^2) entries:
-    a step is one gather a group and a shifted add, with no product and no
-    mod.  The frontier and the unreached syndromes are read in blocks
-    (`_blocks`) and take B = max(1, CHUNK // block) moves at a time, so
-    peak memory is the level table, the add table, the moves and O(CHUNK).
-    `words_examined` counts the move steps, (syndrome, move) pairs tried.
+    groups of g = max(1, floor((n-k)a / 2)) digits through one shared
+    table, `_add_table(p, g)`: (x + y) mod p over 2p - 1 entries for g = 1,
+    else P^2 <= q^(n-k) entries, P = p^g.  A step is one gather a group and
+    a shifted add, with no product and no mod.  The frontier and the
+    unreached syndromes are read in blocks (`_blocks`) and take
+    B = max(1, cap // block) moves at a time, cap = min(CHUNK, q^(n-k)), so
+    a batch takes at most max(cap, block) steps, and peak memory is the
+    level table, the add table, the moves and O(CHUNK).
+    The moves are made max(1, cap // (q-1)) positions at a time, as the
+    search first reads them: a table filled early, as any n-k = 1 code's
+    is by one nonzero column, makes few of them.  `words_examined` counts
+    the move steps, (syndrome, move) pairs tried.
 
     Witnesses: one parent move a syndrome, in np.min_scalar_type(n(q-1) -
-    1), the first hit in scan order; each deep witness is rebuilt by
-    walking back rho moves, one a level, so it has weight rho, and the
-    same code gives the same witnesses.  They are rows of element
-    encodings in np.min_scalar_type(q - 1).
+    1): the least move of the first batch that reaches it, taken by
+    `np.minimum.at` in a push and by `argmax` (first occurrence) in a pull,
+    so no result rests on the order of a scatter with repeated indices,
+    which NumPy leaves open.  Each deep witness is rebuilt by walking back
+    rho moves, one a level, so it has weight rho, and the same code gives
+    the same witnesses.  They are rows of element encodings in
+    np.min_scalar_type(q - 1).
     """
     ctx = code.ctx
     n, q, p = code.n, ctx.q, ctx.p
@@ -722,12 +737,25 @@ def syndrome_bfs(code, enum_budget: int,
         return BfsOutcome(0, [1], 0, np.array([0]), wit)
     g = max(1, ma // 2)
     P = p**g
-    if P * P > enum_budget:
-        raise ValueError(f"digit addition table p^{2 * g} = {P * P} exceeds "
-                         f"budget {enum_budget}; use the representative sweep")
-    add = _add_table(p, g).ravel()
-    mv, neg = (m * P for m in _move_groups(code, g))  # row offsets in add
-    nmoves, G = mv.shape
+    add, row = _add_table(p, g)
+    nmoves, G, made = n * (q - 1), -(-ma // g), 0
+    cap = min(CHUNK, size)  # moves made, or steps taken, at a time
+    mv = np.empty((nmoves, G), dtype=np.intp)  # row offsets in add
+    neg = np.empty_like(mv)
+    # -c*h_j is move (j, -c): flip[c - 1] + 1 encodes -c
+    flip = (-ctx.digit_table()[1:] % p) @ p ** np.arange(ctx.a) - 1
+
+    def make(j):  # the moves before j, a chunk of positions at a time
+        nonlocal made
+        while made < min(j, nmoves):
+            lo = made // (q - 1)
+            hi = min(n, lo + max(1, cap // (q - 1)))
+            m = _move_groups(code, g, lo, hi) * row
+            mv[made:hi * (q - 1)] = m
+            neg[made:hi * (q - 1)] = np.take(m, (np.arange(hi - lo)[:, None]
+                                                 * (q - 1) + flip).ravel(),
+                                             axis=0)
+            made = hi * (q - 1)
 
     def split(x):  # digit-group values of syndrome indices
         out = []
@@ -756,7 +784,8 @@ def syndrome_bfs(code, enum_budget: int,
         for block in _blocks(level, 255 if pull else w - 1):
             xg, i = split(block), 0
             while len(block) and i < nmoves and left:
-                B = max(1, CHUNK // len(block))
+                B = max(1, cap // len(block))
+                make(i + B)
                 if pull:
                     hit = level[index(step(xg, neg[i:i + B, None]))] == w - 1
                     steps += hit.size
@@ -770,10 +799,12 @@ def syndrome_bfs(code, enum_budget: int,
                     t = index(step(xg, mv[i:i + B, None])).ravel()
                     steps += t.size
                     new = np.flatnonzero(level[t] == 255)
-                    t = t[new]
-                    level[t] = w
-                    if parent is not None:  # row = move; first hit wins
-                        parent[t[::-1]] = new[::-1] // len(block) + i
+                    if parent is not None:  # row = move; least move wins
+                        got = t[new]
+                        parent[got] = np.iinfo(parent.dtype).max
+                        np.minimum.at(parent, got, (new // len(block) + i)
+                                      .astype(parent.dtype))
+                    level[t[new]] = w
                     if steps >= recount:  # a table pass per `size` steps
                         left = np.count_nonzero(level == 255)
                         recount = steps + size

@@ -792,6 +792,14 @@ BFS_CODES = {
     "extended-rs-7-3": lambda: extend_code(rs_code(F(7), 3), cube_word(7)),
     "k-equals-n": lambda: from_matrix(F(5), [[1, 0, 0], [0, 1, 0],
                                              [0, 0, 1]]),
+    # e_0 ... e_4 in the code: H = (0, 0, 0, 0, 0, h, -h).  7 syndromes, so
+    # batches of 7 moves from the zero syndrome with a recount after each;
+    # after five batches the 30 moves of the zero columns and five of
+    # position 5's leave exactly one syndrome, which the push must still put
+    # at level 1
+    "zero-columns-7": lambda: from_matrix(
+        F(7), [[int(i == j) for i in range(7)] for j in range(5)]
+        + [[0, 0, 0, 0, 0, 1, 1]]),
 }
 
 
@@ -802,6 +810,8 @@ def test_bfs_reference_codes_cover_their_cases():
     extended = BFS_CODES["extended-rs-7-3"]()
     assert min_distance(generic) < generic.n - generic.k + 1
     assert (extended.n, extended.k) == (8, 4)
+    zeros = BFS_CODES["zero-columns-7"]().HTd.ravel().tolist()
+    assert zeros in ([0] * 5 + [6, 1], [0] * 5 + [1, 6])
 
 
 def check_bfs(code):
@@ -830,6 +840,25 @@ def test_bfs_in_small_blocks_matches_subset_enumeration(monkeypatch, name):
     # syndromes across many batches, pushes recounted many times a level
     monkeypatch.setattr(_sweeps, "CHUNK", 64)
     check_bfs(BFS_CODES[name]())
+
+
+def test_bfs_one_redundant_digit_over_a_large_prime():
+    # (n-k)a = 1: one digit group, added as (x + m) mod p from 2p - 1
+    # entries; a p^2 table would be 10^8 entries over F_10007.  Position
+    # 0's moves fill the table, so the push stops at its first recount,
+    # one table's worth of steps, before making most of the 30018 moves
+    code = rs_code(field_create(10007), 2, evalset=[1, 2, 3])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = covering_radius(code)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (rep.algorithm, rep.rho, rep.level_counts) == (
+        "syndrome-bfs", 1, [1, 10006])
+    assert rep.words_examined <= 10007
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("make,q,k,counts", [
