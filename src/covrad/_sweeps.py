@@ -40,7 +40,9 @@ one evaluation matrix, `_sweep_generator`; its full-degree form V and V^-1,
 `eval_operators`, are the one coset map, and the functional tables are V
 times barycentric weights.
 
-The sweep optionally enumerates only degree-normalized slices (monic tails,
+A deep-hole listing scans `monic_plans`, one tail of each scalar orbit,
+and `dist._sweep` expands it by the F_q^* scalars.  A radius sweep
+optionally enumerates only degree-normalized slices (monic tails,
 subleading coefficient removed where the characteristic allows): every coset
 orbit under the substitutions x -> ax+b and scalar multiples meets the
 slice, and both the best agreement and whether every extra-coordinate
@@ -306,6 +308,14 @@ def full_plans(ctx: FieldCtx, n: int, k: int) -> list[TailPlan]:
     return [TailPlan({}, range(k, n), ctx.q)]
 
 
+def monic_plans(ctx: FieldCtx, n: int, k: int) -> list[TailPlan]:
+    """The zero tail plus the monic tails of degree k..n-1: one tail of
+    each scalar orbit {c*t : c in F_q^*} of the q^(n-k) tails, so
+    q^(n-k-1) + ... + q + 1 + 1 of them.  Any evaluation set."""
+    return [TailPlan({}, (), ctx.q)] + [TailPlan({d: 1}, range(k, d), ctx.q)
+                                        for d in range(k, n)]
+
+
 def sliced_plans(ctx: FieldCtx, k: int) -> list[TailPlan]:
     """Degree-normalized slices plus the zero tail; full-field sets only.
 
@@ -560,9 +570,10 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
 # ----------------------------------------------------------------------
 
 def _worker(args):
-    (p, a, modulus, D, k, prs, fixed, free, start, end, collect, floor) = args
+    (p, a, modulus, D, k, prs, ranges, collect, floor) = args
     ctx = field_create(p, a, modulus)
-    plans = [TailPlan(fixed, free, ctx.q, start, end)]
+    plans = [TailPlan(fixed, free, ctx.q, start, end)
+             for fixed, free, start, end in ranges]
     return profile_sweep(ctx, tuple(D), k, prs=prs, plans=plans,
                          collect=collect, floor=floor)
 
@@ -585,23 +596,30 @@ def run_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool, plans,
               collect: bool, threads: int = 1) -> SweepOutcome:
     """Run the profile sweep, partitioned across processes.
 
-    Each plan splits into ranges of at least CHUNK tails, one task each.
-    A single task runs in this process; more start min(threads, tasks)
-    workers, as a fork pool launches every worker it may use at once.  The
-    merge is a max reduction plus array concatenation, so the result is
-    independent of worker scheduling.
+    Each plan splits into ranges of at least CHUNK tails, max(CHUNK,
+    count / threads) each, and consecutive ranges share a task while it
+    holds at most CHUNK tails, so many small plans (`monic_plans`) make
+    one task.  A single task runs in this process; more start
+    min(threads, tasks) workers, as a fork pool launches every worker it
+    may use at once.  The merge is a max reduction plus array
+    concatenation, so the result is independent of worker scheduling.
     """
     floor = measured_floor(ctx, D, k, prs)
-    tasks = []
+    groups, size = [], CHUNK  # the plan ranges of each task
     for plan in plans:
         step = max(CHUNK, -(-plan.count // max(1, threads)))
         for s in range(0, plan.count, step):
-            tasks.append((ctx.p, ctx.a, ctx.modulus, D, k, prs,
-                          plan.fixed, plan.free_degrees,
-                          s, min(s + step, plan.count), collect, floor))
-    if threads <= 1 or len(tasks) <= 1:
+            e = min(s + step, plan.count)
+            if size + e - s > CHUNK:
+                groups.append([])
+                size = 0
+            groups[-1].append((plan.fixed, plan.free_degrees, s, e))
+            size += e - s
+    if threads <= 1 or len(groups) <= 1:
         return profile_sweep(ctx, D, k, prs=prs, plans=plans, collect=collect,
                              floor=floor)
+    tasks = [(ctx.p, ctx.a, ctx.modulus, D, k, prs, g, collect, floor)
+             for g in groups]
     with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as ex:
         outs = list(ex.map(_worker, tasks))
     gmax = max(o.max_contrib for o in outs)

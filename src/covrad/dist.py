@@ -14,13 +14,15 @@ the answer.  MDS error distances come from
 `_sweeps.decode_step` on batches of words (the sweep no longer decodes
 subsets: it scores divided differences of the tails), and any code's from
 `error_distances_brute`, the one codeword scan.  `_sweep` is the one
-set-up of the representative sweep.
+set-up of the representative sweep; a listing scans one monic tail per
+scalar orbit and expands it by the F_q^* scalars, exactly.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +37,9 @@ from .poly import Poly
 # reports and coset representatives
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class CosetRep:
-    """Canonical representative of a coset modulo the code."""
+class CosetRep(NamedTuple):
+    """Canonical representative of a coset modulo the code.  A named tuple,
+    so order, equality and hash are those of (tail, v, word)."""
     tail: tuple = ()          # tail polynomial coefficients, constant first
     v: int | None = None      # extra-coordinate value (PRS only)
     word: tuple | None = None # minimum-weight word (generic codes only)
@@ -210,8 +212,7 @@ def reduce_to_coset_reps(code: LinearCode, words) -> list:
     vs = (list(map(ctx.sub, w[:, m].tolist(), coeffs[:, k - 1].tolist()))
           if kind == "prs" else [None] * len(w))
     coeffs[:, :k] = 0
-    return [CosetRep(tail=t, v=v)
-            for t, v in zip(_sweeps._tail_tuples(coeffs), vs)]
+    return list(map(CosetRep, _sweeps._tail_tuples(coeffs), vs))
 
 
 def reduce_to_coset_rep(code: LinearCode, word) -> CosetRep:
@@ -242,25 +243,63 @@ def _sweep(code: LinearCode, collect: bool, enum_budget: int, threads: int):
 
     A radius (collect=False) over the full field with more than
     min(2^16, enum_budget) tails scans one normalized slice per tail degree
-    ('degree-sliced', exact by orbit invariance); every other radius and
-    every listing scans all q^(n-k) tails ('full'), at most enum_budget.
+    ('degree-sliced', exact by orbit invariance); every other radius scans
+    all q^(n-k) tails ('full'), at most enum_budget.
+
+    A listing (collect=True, the same budget) scans the zero tail and the
+    monic tails ('monic', `_sweeps.monic_plans`), q^(|D|-k-1) + ... + 1 + 1
+    of them, and returns the listing of all q^(|D|-k) tails: the zero row
+    once, and each monic row t with deep-value mask V as the q-1 rows c*t,
+    c in F_q^*, with masks V'[c*v] = V[v].  This is exact:
+      - c*C = C, and scaling a word does not change its weight, so
+        d(c*w, C) = d(w, C) and c*t is deep iff t is;
+      - c*(u_t, v) = (u_(c*t), c*v), and c*t has no coefficient below
+        degree k, so (c*t, c*v) is the rep of c times the coset (t, v);
+      - every nonzero tail is c*(a monic tail) for exactly one c, its
+        leading coefficient, so the expansion is a bijection onto the
+        nonzero tails at the maximum, with no duplicates.
+    `_sweeps.DEEP_CANDIDATE_CAP` counts the expanded rows, and is checked
+    before they are allocated: over it, the outcome is truncated and holds
+    no rows.  `cosets` counts the tails scanned.
     """
     kind = code.structure.get("kind")
     if kind not in ("rs", "prs"):
         raise ValueError(f"{code.label}: representative sweep needs an "
                          "RS- or PRS-structured code")
     ctx, k, D = code.ctx, code.structure["k"], tuple(code.structure["eval"])
-    ntails = ctx.q ** (len(D) - k)
+    q, m = ctx.q, len(D)
+    ntails = q ** (m - k)
     if (not collect and code.structure["full_field"]
             and ntails > min(2**16, enum_budget)):
         variant, plans = "degree-sliced", _sweeps.sliced_plans(ctx, k)
     elif ntails > enum_budget:
         raise ValueError(f"{ntails} tail cosets exceed budget {enum_budget}")
+    elif collect:
+        variant, plans = "monic", _sweeps.monic_plans(ctx, m, k)
     else:
-        variant, plans = "full", _sweeps.full_plans(ctx, len(D), k)
-    return variant, _sweeps.run_sweep(ctx, D, k, prs=(kind == "prs"),
-                                      plans=plans, collect=collect,
-                                      threads=threads)
+        variant, plans = "full", _sweeps.full_plans(ctx, m, k)
+    out = _sweeps.run_sweep(ctx, D, k, prs=(kind == "prs"), plans=plans,
+                            collect=collect, threads=threads)
+    if not collect:
+        return variant, out
+    rows, deep = out.candidates, out.deep_v
+    nonzero = rows.any(axis=1)
+    nmonic = int(nonzero.sum())
+    if (out.truncated or len(rows) + (q - 2) * nmonic
+            > _sweeps.DEEP_CANDIDATE_CAP):
+        return variant, replace(out, candidates=rows[:0], deep_v=deep[:0],
+                                truncated=True)
+    cs = np.arange(1, q)
+    scaled = _sweeps._fmul(ctx, rows[nonzero][:, None], cs[:, None])
+    if kind == "prs":  # row c*t's mask at w is t's mask at c^-1 * w
+        inv = np.argsort(_sweeps._fmul(ctx, cs[:, None], np.arange(q)), axis=1)
+        sdeep = deep[nonzero][:, inv]
+    else:
+        sdeep = np.repeat(deep[nonzero], q - 1, axis=0)
+    return variant, replace(
+        out, candidates=np.concatenate([rows[~nonzero], scaled.reshape(-1, m)]),
+        deep_v=np.concatenate([deep[~nonzero],
+                               sdeep.reshape(-1, deep.shape[1])]))
 
 
 def covering_radius_sweep(code: LinearCode,
@@ -353,8 +392,9 @@ def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
                threads: int = 1) -> DeepHoleReport:
     """All coset representatives at error distance exactly rho(C).
 
-    The sweep (RS/PRS codes) lists (tail, extra-coordinate) reps and the
-    report compares them against the degree-k family; more than
+    The sweep (RS/PRS codes) lists (tail, extra-coordinate) reps, from
+    one monic tail a scalar orbit expanded by the F_q^* scalars (`_sweep`),
+    and the report compares them against the degree-k family; more than
     `_sweeps.DEEP_CANDIDATE_CAP` deep tails raise ValueError rather than
     return a partial listing.  The syndrome BFS (any code) lists one
     minimum-weight witness word per deep coset and leaves the family
@@ -394,8 +434,8 @@ def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
     r, v = np.nonzero(deep)
     vals = range(ctx.q) if kind == "prs" else (None,)
     tails = _sweeps._tail_tuples(coeffs)
-    reps = [CosetRep(tail=tails[i], v=vals[x])
-            for i, x in zip(r.tolist(), v.tolist())]
+    reps = list(map(CosetRep, map(tails.__getitem__, r.tolist()),
+                    map(vals.__getitem__, v.tolist())))
     # family pairs (c*x^k, v), c != 0, in sort_key order: by c, then v
     k, n = code.structure["k"], coeffs.shape[1]
     is_cxk = np.zeros(len(coeffs), dtype=bool)  # tail c*x^k, c != 0

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 import random
 import tracemalloc
 
@@ -1223,6 +1225,158 @@ def test_syndrome_deep_holes_are_sorted_words():
     report = deep_holes(prs_code(field_create(5), 3), algo="syndrome")
     assert report.reps == sorted(report.reps, key=CosetRep.sort_key)
     assert len(set(report.reps)) == report.count == 100
+
+
+def listing_code(kind, q, k, m=None):
+    """PRS(q+1,k), or RS(m,k) on the first m elements of F_q (all of F_q
+    when m is None)."""
+    ctx = field_for_size(q)
+    if kind == "prs":
+        return prs_code(ctx, k)
+    return rs_code(ctx, k, None if m is None else ctx.elements()[:m])
+
+
+def sorted_listing(out):
+    """A sweep's (coefficient rows, deep_v) in lexicographic row order."""
+    order = np.lexsort(out.candidates.T[::-1])
+    return out.candidates[order], out.deep_v[order]
+
+
+# (kind, q, k, |D| for a partial RS evaluation set, threads): every RS and
+# PRS code over F_5 and F_7, with k = |D| (PRS k = q: the zero tail only)
+# and k = |D| - 1; some over F_9, F_25 and F_27; partial sets; and
+# threads=2, where CHUNK = 256 splits the monic tails into several tasks
+MONIC_CASES = (
+    [("rs", q, k, None, 1) for q in (5, 7) for k in range(1, q)]
+    + [("prs", q, k, None, 1) for q in (5, 7) for k in range(1, q + 1)]
+    + [("rs", 9, 3, None, 1), ("rs", 9, 8, None, 1), ("prs", 9, 4, None, 1),
+       ("prs", 9, 7, None, 1), ("prs", 9, 9, None, 1),
+       ("prs", 25, 22, None, 1), ("rs", 27, 24, None, 1),
+       ("rs", 11, 4, 8, 1), ("rs", 7, 4, 5, 1), ("rs", 9, 5, 6, 1),
+       ("prs", 7, 3, None, 2), ("rs", 7, 2, None, 2), ("prs", 9, 5, None, 2),
+       ("rs", 11, 4, 8, 2)])
+
+
+@pytest.mark.parametrize("kind,q,k,m,threads", MONIC_CASES)
+def test_monic_listing_expands_to_the_full_listing(monkeypatch, kind, q, k,
+                                                   m, threads):
+    code = listing_code(kind, q, k, m)
+    ctx, D = code.ctx, tuple(code.structure["eval"])
+    full = _sweeps.run_sweep(ctx, D, k, prs=(kind == "prs"), collect=True,
+                             plans=_sweeps.full_plans(ctx, len(D), k))
+    if threads > 1:
+        monkeypatch.setattr(_sweeps, "CHUNK", 256)
+    variant, out = dist._sweep(code, True, dist.DEFAULT_ENUM_BUDGET, threads)
+    assert variant == "monic" and not out.truncated
+    assert out.cosets == (q ** (len(D) - k) - 1) // (q - 1) + 1
+    assert out.max_contrib == full.max_contrib
+    for got, want in zip(sorted_listing(out), sorted_listing(full)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_listing_cap_counts_expanded_rows_and_raises_before_expanding(
+        monkeypatch):
+    # PRS(12,6)/F_11 has 1464 deep monic tails and 14640 deep tails
+    code = prs_code(field_for_size(11), 6)
+    run_sweep = _sweeps.run_sweep
+
+    def sweep_then_reset_peak(*args, **kw):  # measure what follows the scan
+        out = run_sweep(*args, **kw)
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(_sweeps, "run_sweep", sweep_then_reset_peak)
+    tracemalloc.start()
+    try:
+        monkeypatch.setattr(_sweeps, "DEEP_CANDIDATE_CAP", 14639)
+        with pytest.raises(ValueError, match="more than 14639 "):
+            deep_holes(code)
+        peak = tracemalloc.get_traced_memory()[1]
+        monkeypatch.setattr(_sweeps, "DEEP_CANDIDATE_CAP", 14640)
+        _, out = dist._sweep(code, True, dist.DEFAULT_ENUM_BUDGET, 1)
+        expand_peak = tracemalloc.get_traced_memory()[1]
+        assert len(out.candidates) == 14640 and not out.truncated
+    finally:
+        tracemalloc.stop()
+    assert expand_peak > 1 << 20 > peak
+
+
+class TaskRecordingPool(RecordingPool):
+    """`RecordingPool` that also records the tasks it maps."""
+    tasks: list = []
+
+    def map(self, fn, tasks):
+        self.tasks.append(list(tasks))
+        return map(fn, self.tasks[-1])
+
+
+def test_listing_tasks_pack_small_plans(monkeypatch):
+    monkeypatch.setattr(_sweeps, "ProcessPoolExecutor", TaskRecordingPool)
+    monkeypatch.setattr(TaskRecordingPool, "started", [])
+    monkeypatch.setattr(TaskRecordingPool, "tasks", [])
+    # the 16106 monic tails of PRS(12,6)/F_11 fit one task: no pool
+    _, out = dist._sweep(prs_code(field_for_size(11), 6), True,
+                         dist.DEFAULT_ENUM_BUDGET, 2)
+    assert out.cosets == 16106 and TaskRecordingPool.started == []
+    # CHUNK = 8: the monic plans of PRS(6,2)/F_5 hold 1, 1, 5 and 25 tails;
+    # the first three share a task and the last splits in max(8, 25 /
+    # threads) tails, so 32 > 2 * CHUNK tails make 3 tasks at threads=2 and
+    # 5 at threads=16, one worker a task up to `threads`
+    code = prs_code(field_create(5), 2)
+    serial = deep_holes(code)
+    monkeypatch.setattr(_sweeps, "CHUNK", 8)
+    for threads, sizes, workers in [(2, [7, 13, 12], 2),
+                                    (16, [7, 8, 8, 8, 1], 5)]:
+        report = deep_holes(code, threads=threads)
+        tasks = TaskRecordingPool.tasks[-1]
+        assert [sum(e - s for *_, s, e in t[6]) for t in tasks] == sizes
+        assert len(tasks[0][6]) == 3
+        assert TaskRecordingPool.started[-1] == workers
+        assert report.reps == serial.reps and report.rho == serial.rho
+    assert len(TaskRecordingPool.started) == 2
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class DataclassRep:
+    """The frozen dataclass `CosetRep` was, as the reference for its
+    semantics."""
+    tail: tuple = ()
+    v: int | None = None
+    word: tuple | None = None
+
+
+def test_coset_rep_keeps_the_dataclass_semantics():
+    groups = [
+        [CosetRep((0, 0, 3), 2), CosetRep((0, 0, 1), 4),
+         CosetRep((0, 0, 1), 0), CosetRep((), 1), CosetRep((0, 0, 0, 1), 0)],
+        [CosetRep((0, 0, 2)), CosetRep(()), CosetRep((0, 0, 1, 4))],
+        [CosetRep(word=(0, 1, 0)), CosetRep(word=(0, 0, 2)),
+         CosetRep(word=(1, 0, 0))],
+    ]
+    for reps in groups:
+        refs = [DataclassRep(*r) for r in reps]
+        assert ([DataclassRep(*r) for r in sorted(reps)] == sorted(refs)
+                == [DataclassRep(*r) for r in sorted(reps,
+                                                     key=CosetRep.sort_key)])
+        for r, ref in zip(reps, refs):
+            assert hash(r) == hash(ref)
+            assert repr(r) == repr(ref).replace("DataclassRep", "CosetRep")
+            back = pickle.loads(pickle.dumps(r))
+            assert type(back) is CosetRep and back == r
+            assert CosetRep(tail=r.tail, v=r.v, word=r.word) == r
+        assert len(set(reps + reps)) == len(reps)
+    assert CosetRep() == CosetRep((), None, None)
+    assert CosetRep((0, 0, 3), 2).sort_key() == ((0, 0, 3), 2, ())
+    assert CosetRep((0, 1)).sort_key() == ((0, 1), -1, ())
+    assert CosetRep(word=(1, 0)).sort_key() == ((), -1, (1, 0))
+    assert CosetRep((0, 0, 3), 2).to_json() == {"tail": "0,0,3", "v": 2}
+    assert CosetRep(()).to_json() == {"tail": "0"}
+    assert CosetRep(word=(1, 0, 2)).to_json() == {"word": "1,0,2"}
+    code = prs_code(field_create(5), 2)
+    rep = CosetRep((0, 0, 3, 1), 2)
+    word = rep.representative_word(code)
+    assert len(word) == 6 and reduce_to_coset_rep(code, word) == rep
+    assert CosetRep(word=word).representative_word(code) == word
 
 
 # ----------------------------------------------------------------------
