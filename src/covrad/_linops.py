@@ -3,10 +3,11 @@ product, and its one digit expansion, `digit_expand`, which turns an F_q
 matrix into an F_p matrix with one vectorized `mul_digit_matrix` call.
 
 Every row reduction is one call of `subset_reduce`, a batched mod-p
-Gauss-Jordan over column subsets: `subset_ops` reduces a generator on
-every k-subset of columns, and `LinearCode` reduces its digit generator
-once over all columns.  The F_p rref of `digit_expand(G)` is the digit
-expansion of G's F_q rref, with pivots in whole blocks of a columns.
+Gauss-Jordan over column subsets: `subset_ops` reduces G's digits on every
+k-subset of columns or H's on the complement of every (k+1)-subset,
+whichever stack is smaller, and `LinearCode` its digit generator once over
+all columns.  With pivots in whole blocks of a digit columns, the F_p rref
+of `digit_expand(G)` is the digits of G's F_q rref.
 
 Every F_q matmul of the package is one call of `digit_matmul`: digit rows
 times a digit matrix, as a BLAS float matmul, cast to an integer dtype and

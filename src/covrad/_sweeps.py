@@ -18,9 +18,10 @@ Two exact algorithms live here:
   from one inner table per plan (all q^L low parts) and one outer vector a
   high part.  Both are below p, so their sum fits the tables' dtype
   np.min_scalar_type(2*(p-1)), and a value vanishes iff inner == -outer
-  mod p.  Agreements are at most n, in np.min_scalar_type(n).  `decode_step`,
-  the subset-decoding kernel, serves `dist.error_distances_mds` and the
-  MDS check; the sweep decodes no subset.
+  mod p.  `agreements` counts the vanishing ones of each k-subset.  For
+  any linear code, `subset_ops` tabulates the same functionals on words,
+  the parity functional of each (k+1)-subset: `dist.error_distances_mds`
+  and `code.is_mds` read it, over the same `subset_index`.
 
 * a syndrome coset-leader BFS for arbitrary linear codes: a level-
   synchronous BFS over the q^(n-k) syndromes whose edges are the n(q-1)
@@ -31,12 +32,12 @@ Two exact algorithms live here:
   which the table fills.  One parent move a syndrome rebuilds each deep
   witness word, so neither q^n nor the table needs a word matrix.
 
-Divided differences, subset decodes and the BFS's move syndromes are each one
-F_q-linear map applied as `_linops.digit_matmul`, the package's one digit
-product: a float matmul exact below 2^53, reduced mod p in integers, so
-every functional value, and with it every agreement and contribution, is
-exact.  The RS/PRS generators, and so the decoder's subset operators, are
-one evaluation matrix, `_sweep_generator`; its full-degree form V and V^-1,
+Divided differences, parity functionals and the BFS's move syndromes are
+each one F_q-linear map applied as `_linops.digit_matmul`, the package's
+one digit product: a float matmul exact below 2^53, reduced mod p in
+integers, so every functional value, and with it every agreement and
+contribution, is exact.  The RS/PRS generators are one evaluation matrix,
+`_sweep_generator`; its full-degree form V and V^-1,
 `eval_operators`, are the one coset map, and the functional tables are V
 times barycentric weights.
 
@@ -63,72 +64,10 @@ from . import _linops
 from .gf import FieldCtx, field_create
 
 # The one size limit of every exact engine: the most cosets, codewords,
-# words, syndromes or subset-operator entries it may enumerate or tabulate.
+# words, syndromes or table entries it may enumerate or tabulate.
 DEFAULT_ENUM_BUDGET = 10**8
 CHUNK = 1 << 16
 DEEP_CANDIDATE_CAP = 5_000_000
-
-
-# ----------------------------------------------------------------------
-# subset interpolation operators
-# ----------------------------------------------------------------------
-
-_SUBSET_OPS_CACHE: dict = {}
-
-
-def subset_ops(ctx: FieldCtx, G: tuple, m: int):
-    """Subset-decoding operators of a k x n generator G over F_q (a tuple of
-    row tuples): for every k-subset S of the first m columns, in
-    itertools.combinations order, the digit operator G_S^-1 @ G that maps a
-    codeword's values on S to its values on all n columns.
-
-    Returns (col_gather, ops, singular): col_gather (C, k*a) digit-column
-    indices of S; ops (C, k*a, n*a) in the float dtype of
-    `_linops.exact_dtypes(k*a, p)` (float32 when k*a*(p-1)^2 < 2^24, else
-    float64), so `_linops.digit_matmul` takes it uncopied; singular (C,)
-    flags the subsets whose columns are dependent.  Cached per (ctx, G, m);
-    a cache hit returns the same tuple.  Raises ValueError, before
-    allocating, when the stack has more than DEFAULT_ENUM_BUDGET entries.
-    """
-    key = (ctx, G, m)
-    stack = _SUBSET_OPS_CACHE.get(key)
-    if stack is not None:
-        return stack
-    k, a = len(G), ctx.a
-    entries = math.comb(m, k) * k * a * len(G[0]) * a
-    if entries > DEFAULT_ENUM_BUDGET:
-        raise ValueError(
-            f"C({m},{k}) subset operators of {k * a} x {len(G[0]) * a} digits "
-            f"= {entries} entries exceed budget {DEFAULT_ENUM_BUDGET}; "
-            "use algo='syndrome'")
-    subs = np.array(list(itertools.combinations(range(m), k)),
-                    dtype=np.int64).reshape(-1, k)
-    col_gather = (subs[:, :, None] * a + np.arange(a)).reshape(len(subs), k * a)
-    red, rank = _linops.subset_reduce(_linops.digit_expand(ctx, G),
-                                      col_gather, ctx.p)
-    fdt, _ = _linops.exact_dtypes(k * a, ctx.p)
-    stack = (col_gather, red.astype(fdt), rank < k * a)
-    _SUBSET_OPS_CACHE[key] = stack
-    return stack
-
-
-def decode_step(ctx: FieldCtx, rows, gather, ops, m: int):
-    """Decode integer digit rows (R, >= m*a) on one subset (gather (k*a,),
-    ops (k*a, N*a)) or a block of C subsets ((C, k*a), (C, k*a, N*a)) of
-    `subset_ops`: (cand, agree), with a leading C axis for a block.  cand
-    (R, N*a) holds the candidates' digits in the exact int dtype of
-    `_linops.exact_dtypes(k*a, p)`; agree (R,) counts the first m
-    coordinates where candidate and row agree, in np.min_scalar_type(m).
-    It serves `dist.error_distances_mds`; the sweep no longer decodes
-    subsets but scores divided differences (`profile_sweep`).
-    """
-    a = ctx.a
-    cand = _linops.digit_matmul(np.moveaxis(rows[:, gather], 0, -2), ops,
-                                ctx.p)
-    eq = cand[..., :m * a] == rows[:, :m * a]
-    if a > 1:
-        eq = eq.reshape(eq.shape[:-1] + (m, a)).all(axis=-1)
-    return cand, eq.sum(axis=-1, dtype=np.min_scalar_type(m))
 
 
 def _sweep_generator(ctx: FieldCtx, D: tuple, k: int, prs=True) -> tuple:
@@ -142,9 +81,19 @@ def _sweep_generator(ctx: FieldCtx, D: tuple, k: int, prs=True) -> tuple:
     return tuple(r + (int(i == k - 1),) * prs for i, r in enumerate(rows))
 
 
-# the 32 latest maps.  Not an lru_cache: perfbench's tests take a module
-# function with `__wrapped__` for a tracer wrapper left installed.
-_EVAL_OPS_CACHE: dict = {}
+def _keep(cache: dict, key, arrays: tuple) -> tuple:
+    """Cache the arrays, read-only, among the 32 latest entries (an lru_cache
+    has the `__wrapped__` that perfbench's tests take for a tracer left on)."""
+    for t in arrays:
+        if t is not None:
+            t.flags.writeable = False
+    if len(cache) >= 32:
+        del cache[next(iter(cache))]
+    cache[key] = arrays
+    return arrays
+
+
+_EVAL_OPS_CACHE: dict = {}  # the 32 latest maps
 
 
 def eval_operators(ctx: FieldCtx, D: tuple):
@@ -163,12 +112,7 @@ def eval_operators(ctx: FieldCtx, D: tuple):
     Vd = _linops.digit_expand(ctx, _sweep_generator(ctx, D, len(D), prs=False))
     red, _ = _linops.subset_reduce(np.hstack([Vd, np.eye(N, dtype=np.int64)]),
                                    np.arange(N)[None], ctx.p)
-    ops = (Vd, red[0, :, N:].copy())
-    Vd.flags.writeable = ops[1].flags.writeable = False
-    if len(_EVAL_OPS_CACHE) >= 32:
-        del _EVAL_OPS_CACHE[next(iter(_EVAL_OPS_CACHE))]
-    _EVAL_OPS_CACHE[(ctx, D)] = ops
-    return ops
+    return _keep(_EVAL_OPS_CACHE, (ctx, D), (Vd, red[0, :, N:].copy()))
 
 
 def _tail_tuples(coeffs: np.ndarray) -> list:
@@ -177,6 +121,109 @@ def _tail_tuples(coeffs: np.ndarray) -> list:
     nz = coeffs != 0
     top = np.where(nz.any(axis=1), coeffs.shape[1] - nz[:, ::-1].argmax(axis=1), 0)
     return [tuple(r[:t]) for r, t in zip(coeffs.tolist(), top.tolist())]
+
+
+# ----------------------------------------------------------------------
+# subsets and parity functionals
+# ----------------------------------------------------------------------
+
+def _complement(rows: np.ndarray, n: int) -> np.ndarray:
+    """The ascending complements in range(n) of the index rows, of width 0
+    for the empty family of (n+1)-subsets."""
+    inside = np.ones((len(rows), n), dtype=bool)
+    inside[np.arange(len(rows))[:, None], rows] = False
+    return np.broadcast_to(np.arange(n, dtype=rows.dtype), inside.shape)[
+        inside].reshape(len(rows), max(n - rows.shape[1], 0))
+
+
+def _subsets(n: int, s: int) -> np.ndarray:
+    """The s-subsets of range(n) as ascending rows, (C(n,s), s), in
+    itertools.combinations order: X precedes X' iff its complement follows,
+    so for s > n/2 they are the complements of the (n-s)-subsets reversed."""
+    dt, t = np.min_scalar_type(n), min(s, n - s)
+    if t < 0:
+        return np.zeros((0, s), dtype=dt)
+    X = np.fromiter(itertools.chain.from_iterable(itertools.combinations(
+        range(n), t)), dt, math.comb(n, t) * t).reshape(math.comb(n, t), t)
+    return X if t == s else _complement(X[::-1], n)
+
+
+def subset_index(n: int, k: int):
+    """The one subset index: (U, S, comp, up), the C(n,k+1) subsets U and
+    C(n,k) subsets S of range(n) (`_subsets`), the complements comp of S as
+    descending rows, and up (C(n,k), n-k), the row of U of S + {comp[s, j]}:
+    the colex rank of T - {T[j]}, T = n-1-comp[s] the colex row s."""
+    m, U, S = n - k, _subsets(n, k + 1), _subsets(n, k)
+    T = n - 1 - _complement(S, n)[:, ::-1]
+    # min(C(y, i), C0) for y < n, i <= m by Pascal's rule: the terms of a
+    # valid rank are at most C0, and the cap keeps all in int32 (C0 < 2^30)
+    B = np.zeros((n, m + 1), dtype=np.int32) + (np.arange(m + 1) == 0)
+    for y in range(1, n):
+        B[y, 1:] = np.minimum(B[y - 1, 1:] + B[y - 1, :-1], len(T))
+    lo, hi = B[T, np.arange(1, m + 1)], B[T, np.arange(m)]
+    up = np.cumsum(lo, axis=1, dtype=np.int32) - lo
+    up += np.cumsum(hi[:, ::-1], axis=1, dtype=np.int32)[:, ::-1] - hi
+    return U, S, n - 1 - T, np.asfortranarray(up)  # columns for np.take
+
+
+def agreements(zero: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """The one agreement step: (C0, R), for each S of `subset_index` and
+    each of R words, the number of x not in S where the functional of
+    S + {x} vanishes, which zero (C1, R) flags; in np.min_scalar_type(n-k)."""
+    agree = np.zeros((len(up), zero.shape[1]), np.min_scalar_type(up.shape[1]))
+    zero = zero.view(np.uint8)
+    for col in up.T:  # take gathers faster than fancy indexing
+        agree += zero.take(col, axis=0)
+    return agree
+
+
+_SUBSET_OPS_CACHE: dict = {}  # the 32 latest tables
+
+
+def subset_ops(code):
+    """The parity functionals h_U of a linear [n, k] code, cached per
+    (ctx, G): (table, U, comp, up, inv, singular) over `subset_index`.
+    h_U, the dual codeword of the code punctured to U, scaled to 1 at
+    x = max U, comes from one `_linops.subset_reduce` of G or H, whichever
+    has fewer rows, on each S = U - {x}: G_S^-1 G has column c at x and
+    h_U = (-c, 1); H pivoting on S's complement has h_U as x's row block.
+    table (C1, a, (k+1)*a) holds the blocks M(h_U[U_i])^T, so times w's
+    digits on U it gives h_U . w; inv holds 1/h_U[x], x = comp[s, j],
+    U = up[s, j].  singular flags the U with short pivots or a zero of h_U
+    on U: the code is MDS iff none is.  Raises ValueError, before
+    allocating, over DEFAULT_ENUM_BUDGET entries."""
+    ctx, n, k, a, p = code.ctx, code.n, code.k, code.ctx.a, code.ctx.p
+    m, key = n - k, (ctx, code.G)
+    if key in _SUBSET_OPS_CACHE:
+        return _SUBSET_OPS_CACHE[key]
+    gen, C = not m or k <= m, math.comb(n - 1, k)  # k = n has no U
+    entries = C * (k if gen else m) * a * n * a
+    if entries > DEFAULT_ENUM_BUDGET:
+        raise ValueError(
+            f"C({n},{k + 1}) parity functionals from C({n - 1},{k}) "
+            f"reductions of {(k if gen else m) * a} x {n * a} digits = "
+            f"{entries} entries exceed budget {DEFAULT_ENUM_BUDGET}")
+    U, _, comp, up = subset_index(n, k)
+    enc, dig, top = p ** np.arange(a), np.arange(a), _subsets(n - 1, k)
+    t, x = np.repeat(np.arange(C), n - 1 - top[:, -1]), U[:, -1]  # top[t] + x
+    piv = (top if gen else _complement(top, n)).astype(int)[:, :, None] * a
+    piv = (piv + dig).reshape(C, piv.shape[1] * a)
+    red, rank = _linops.subset_reduce(code.Gd if gen else code.HTd.T, piv, p)
+    if gen:
+        hS = -red[:, ::a].reshape(C, k, n, a)[t, :, x] % p @ enc
+    else:  # x is the (x - k)-th pivot; column 0 of a block has h's digits
+        hx = red[:, :, ::a].reshape(C, m, a, n)[t, x - k]
+        hS = enc @ np.take_along_axis(hx, U[:, None, :-1], axis=2)
+    h = np.column_stack([hS, np.ones(len(U), int)])
+    inv = np.zeros(ctx.q, dtype=np.min_scalar_type(ctx.q - 1))
+    for v in np.flatnonzero(np.bincount(h.ravel(), minlength=ctx.q)[1:]) + 1:
+        inv[v] = ctx.inv(int(v))
+    inv = inv[h[up, comp - (m - 1 - np.arange(m))]]  # x's place in S + {x}
+    w = (k + 1) * a
+    table = ctx.mul_digit_matrix(h).transpose(0, 3, 1, 2).reshape(len(U), a, w)
+    ops = (table.astype(_linops.exact_dtypes(w, p)[0]), U, comp, up, inv,
+           (rank[t] < red.shape[1]) | (h == 0).any(axis=1))
+    return _keep(_SUBSET_OPS_CACHE, key, ops)
 
 
 # ----------------------------------------------------------------------
@@ -192,24 +239,9 @@ def _fmul(ctx: FieldCtx, x, y) -> np.ndarray:
     return d @ ctx.p ** np.arange(ctx.a)
 
 
-def _colex(n: int, s: int) -> np.ndarray:
-    """The s-subsets of range(n) as ascending rows, (C(n,s), s), in colex
-    order: row r is the subset with sum_i C(row[i], i+1) = r (no rows for
-    s < 0).  The subsets with largest element j are the first C(j, s-1)
-    rows of the (s-1)-subsets, then j."""
-    dt = np.min_scalar_type(n)
-    subs = np.zeros((int(s >= 0), 0), dtype=dt)
-    for t in range(1, s + 1):
-        counts = np.array([math.comb(j, t - 1) for j in range(t - 1, n)])
-        first = np.repeat(np.cumsum(counts) - counts, counts)
-        last = np.repeat(np.arange(t - 1, n, dtype=dt), counts)
-        subs = np.column_stack([subs[np.arange(len(last)) - first], last])
-    return subs
-
-
-def _dd_weights(ctx: FieldCtx, D: tuple, comp: np.ndarray) -> np.ndarray:
+def _dd_weights(ctx: FieldCtx, D: tuple, X: np.ndarray) -> np.ndarray:
     """Barycentric weights (|D|, C), an F_q matrix, of the C subsets X_c of
-    D whose complements are the index rows of `comp`: column c holds
+    D, the index rows of X, with complements comp_c: column c holds
 
         w_c(x) = prod_{y in X_c, y != x} (x - y)^-1
                = e(x) * prod_{y in comp_c} (x - y)
@@ -224,28 +256,24 @@ def _dd_weights(ctx: FieldCtx, D: tuple, comp: np.ndarray) -> np.ndarray:
     for col in (diff + np.eye(n, dtype=np.int64)).T:  # 1 at y = x
         e = _fmul(ctx, e, col)
     e = np.array([ctx.inv(int(v)) for v in e], dtype=np.int64)
-    inside = np.ones((len(comp), n), dtype=bool)
-    inside[np.arange(len(comp))[:, None], comp] = False
-    X = np.nonzero(inside)[1].astype(comp.dtype).reshape(len(comp),
-                                                         n - comp.shape[1])
+    comp = _complement(X, n)
     w = e[X]
     for y in comp.T:
         w = _fmul(ctx, w, diff[X, y[:, None]])
-    W = np.zeros((n, len(comp)), dtype=np.int64)
-    W[X, np.arange(len(comp))[:, None]] = w
+    W = np.zeros((n, len(X)), dtype=np.int64)
+    W[X, np.arange(len(X))[:, None]] = w
     return W
 
 
-def _dd_table(ctx: FieldCtx, D: tuple, comp: np.ndarray) -> np.ndarray:
+def _dd_table(ctx: FieldCtx, D: tuple, X: np.ndarray) -> np.ndarray:
     """Digit table (|D|*a, C*a): coefficient digits times its column block
     c are the digits of [X_c]f, for the subsets of `_dd_weights`.  It is
     Vd of `eval_operators` (coefficients to values) times the weights."""
-    W = _linops.digit_expand(ctx, _dd_weights(ctx, D, comp))
+    W = _linops.digit_expand(ctx, _dd_weights(ctx, D, X))
     return _linops.digit_matmul(eval_operators(ctx, D)[0], W, ctx.p)
 
 
-# the 32 latest tables, as for `eval_operators`
-_DD_CACHE: dict = {}
+_DD_CACHE: dict = {}  # the 32 latest tables
 
 
 def divided_differences(ctx: FieldCtx, D: tuple, k: int, prs: bool):
@@ -254,12 +282,11 @@ def divided_differences(ctx: FieldCtx, D: tuple, k: int, prs: bool):
 
     M1 (|D|*a, C1*a) is the `_dd_table` of the C1 = C(|D|,k+1) subsets T,
     M0 that of the C0 = C(|D|,k) subsets S when `prs` (else None), each
-    over every degree 0 ... |D|-1.  up (C0, |D|-k) indexes, for the
-    subset S of M0's column block s, the columns of M1 of the supersets
-    S + {x}, x not in S.  Both families are enumerated by complement
-    (`_colex` of |D|-k and |D|-k-1 elements), so the colex rank of
-    S^c - {x} is up's entry.  Raises ValueError, before allocating, when
-    the tables and up hold more than DEFAULT_ENUM_BUDGET entries."""
+    over every degree 0 ... |D|-1, in the order of `subset_index`, whose
+    up (C0, |D|-k) indexes, for the subset S of M0's column block s, the
+    columns of M1 of the supersets S + {x}, x not in S.  Raises
+    ValueError, before allocating, when the tables and up hold more than
+    DEFAULT_ENUM_BUDGET entries."""
     key = (ctx, D, k, prs)
     if key in _DD_CACHE:
         return _DD_CACHE[key]
@@ -270,22 +297,9 @@ def divided_differences(ctx: FieldCtx, D: tuple, k: int, prs: bool):
         raise ValueError(f"divided-difference tables of C({n},{k + 1}) and "
                          f"C({n},{k}) subsets = {entries} entries exceed "
                          f"budget {DEFAULT_ENUM_BUDGET}; use algo='syndrome'")
-    comp = _colex(n, m)
-    # C(y, i) for y < n, i <= m: the terms of a valid rank are at most C0,
-    # and the cap keeps the unused ones inside int32
-    B = np.array([[min(math.comb(y, i), C0) for i in range(m + 1)]
-                  for y in range(n)], dtype=np.int32)
-    lo, hi = B[comp, np.arange(1, m + 1)], B[comp, np.arange(m)]
-    up = np.cumsum(lo, axis=1, dtype=np.int32) - lo
-    up += np.cumsum(hi[:, ::-1], axis=1, dtype=np.int32)[:, ::-1] - hi
-    tables = (_dd_table(ctx, D, _colex(n, m - 1)), up,
-              _dd_table(ctx, D, comp) if prs else None)
-    for t in tables[:2 + prs]:
-        t.flags.writeable = False
-    if len(_DD_CACHE) >= 32:
-        del _DD_CACHE[next(iter(_DD_CACHE))]
-    _DD_CACHE[key] = tables
-    return tables
+    U, S, _, up = subset_index(n, k)
+    return _keep(_DD_CACHE, key, (_dd_table(ctx, D, U), up,
+                                  _dd_table(ctx, D, S) if prs else None))
 
 
 # ----------------------------------------------------------------------
@@ -468,7 +482,6 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
     n, a, q, p = len(D), ctx.a, ctx.q, ctx.p
     M1, up, M0 = divided_differences(ctx, D, k, prs)
     C1, C0 = M1.shape[1] // a, len(up)
-    adt = np.min_scalar_type(n)
     vdt = np.min_scalar_type(2 * (p - 1))  # inner + outer, each below p
     edt = np.min_scalar_type(q - 1)
     extra = 1 if prs else 0  # contribution is at most n + extra - bestA
@@ -517,11 +530,7 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
             step = max(1, score_rows // (l1 - l0))
             for g in range(0, h1 - h0, step):
                 hs = slice(g, min(g + step, h1 - h0))
-                zero = _zeros(inner[:C1 * a], neg, hs, lo, a)
-                R = zero.shape[1]
-                agree = np.zeros((C0, R), dtype=adt)  # minus k
-                for j in range(n - k):
-                    agree += zero[up[:, j]]
+                agree = agreements(_zeros(inner[:C1 * a], neg, hs, lo, a), up)
                 best = agree.max(axis=0)
                 keep = np.nonzero(best < n + extra - gmax + collect - k)[0]
                 if len(keep) == 0:

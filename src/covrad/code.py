@@ -287,8 +287,9 @@ def min_distance(code: LinearCode, enum_budget: int = DEFAULT_ENUM_BUDGET) -> in
 
 
 def is_mds(code: LinearCode) -> bool:
-    """True iff every k-column subset of G is invertible (d = n-k+1)."""
-    return not _sweeps.subset_ops(code.ctx, code.G, code.n)[2].any()
+    """True iff every k columns of G are independent (d = n-k+1): no
+    parity functional of `_sweeps.subset_ops` is singular."""
+    return not _sweeps.subset_ops(code)[-1].any()
 
 
 def codes_equal(c1: LinearCode, c2: LinearCode) -> bool:

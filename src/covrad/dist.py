@@ -9,13 +9,12 @@ return one minimum-weight witness word per deep coset, for any code: the
 moves `_sweeps.syndrome_bfs` walks back from the deep syndrome, the first
 hit of its scan at each level.  The same code always gets the same witness,
 but it is not canonical (not the coset's least word), so only its coset is
-the answer.  MDS error distances come from
-`error_distances_mds`, which runs the subset-decoding kernel
-`_sweeps.decode_step` on batches of words (the sweep no longer decodes
-subsets: it scores divided differences of the tails), and any code's from
-`error_distances_brute`, the one codeword scan.  `_sweep` is the one
-set-up of the representative sweep; a listing scans one monic tail per
-scalar orbit and expands it by the F_q^* scalars, exactly.
+the answer.  MDS error distances come from `error_distances_mds`, one digit
+product of a batch of words with the parity functionals of
+`_sweeps.subset_ops`, and any code's from `error_distances_brute`, the one
+codeword scan.  `_sweep` is the one set-up of the representative sweep; a
+listing scans one monic tail per scalar orbit and expands it by the F_q^*
+scalars, exactly.
 """
 
 from __future__ import annotations
@@ -152,29 +151,37 @@ def error_distance_brute(code: LinearCode, word,
 
 
 def _mds_stack(code: LinearCode):
-    """(col_gather, ops, singular) subset-decoding stack over all n columns."""
-    stack = _sweeps.subset_ops(code.ctx, code.G, code.n)
-    if stack[2].any():
+    """`_sweeps.subset_ops` of an MDS code; ValueError for any other."""
+    stack = _sweeps.subset_ops(code)
+    if stack[-1].any():
         raise ValueError(f"{code.label} is not MDS; use error_distance_brute")
     return stack
 
 
 def error_distances_mds(code: LinearCode, words):
-    """(distances (N,), nearest codewords (N, n)) of N words to an MDS code:
-    a nearest codeword agrees with the word on >= k coordinates, so decoding
-    on all C(n,k) subsets finds it.  Chunks of max(1, CHUNK // C) words; a
-    tie goes to the first subset in itertools.combinations order."""
+    """(distances (N,), nearest codewords (N, n)) of N words to an MDS
+    [n, k] code.  The codeword c_S that matches w on a k-subset S is w_x -
+    (h_U . w) / h_U[x] at x not in S, U = S + {x} (`_sweeps.subset_ops`):
+    one digit product of w on each U gives each agreement, the distance
+    n - k - max_S agree_S and c_S of the first best S in combinations
+    order.  A chunk's digits on the U hold about CHUNK * n entries."""
     w = check_words(code, words)
-    ctx, n = code.ctx, code.n
-    gather, ops, _ = _mds_stack(code)
-    dist, near = np.empty(len(w), dtype=np.int64), np.empty_like(w)
-    step = max(1, _sweeps.CHUNK // len(ops))
+    ctx, n, a = code.ctx, code.n, code.ctx.a
+    dt, enc = ctx.digit_table(), ctx.p ** np.arange(a)
+    table, U, comp, up, inv, _ = _mds_stack(code)
+    dist, near = np.empty(len(w), dtype=np.int64), w.copy()
+    step = max(1, _sweeps.CHUNK * n // (table.size // a + len(up)))
     for s in range(0, len(w), step):
-        ud = ctx.digit_table()[w[s:s + step]].reshape(-1, n * ctx.a)
-        cand, agree = _sweeps.decode_step(ctx, ud, gather, ops, n)
-        best, r = agree.argmax(axis=0), np.arange(agree.shape[1])
-        dist[s:s + step] = n - agree[best, r].astype(np.int64)
-        near[s:s + step] = _linops.digit_decode_cols(ctx, cand[best, r], n)
+        r = np.arange(s, min(s + step, len(w)))[:, None]
+        wd = dt[w[s:s + step]].transpose(1, 2, 0).astype(table.dtype)
+        hw = _linops.digit_matmul(table, np.take(wd, U, axis=0).reshape(
+            len(U), table.shape[2], len(r)), ctx.p)  # digits of h_U . w
+        agree = _sweeps.agreements(~hw.any(axis=1), up)
+        best = agree.argmax(axis=0)
+        dist[s:s + step] = n - code.k - agree.max(axis=0)
+        x, fix = comp[best], _sweeps._fmul(ctx, hw[up[best], :, r - s] @ enc,
+                                           inv[best])
+        near[r, x] = (dt[w[r, x]] - dt[fix]) % ctx.p @ enc
     return dist, near
 
 

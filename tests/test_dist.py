@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import pickle
 import random
 import tracemalloc
@@ -138,10 +139,12 @@ def test_batched_mds_matches_one_word_calls_and_brute(make, q, k, trials):
 
 
 def test_batched_mds_at_the_int32_edge_of_the_decode_step():
-    # k*a*(p-1)^2 = 36*36^2 >= 2^15, so the candidates need int32.  The
-    # left-out coordinate of a subset is -1 (= 36) times the sum of the
-    # other 36, so words with large entries reach that bound.  The 1937
-    # words span two chunks of CHUNK // 37 words.
+    # (k+1)*a*(p-1)^2 = 37*36^2 >= 2^15, so the parity functional's values
+    # need int32.  It is the sum of all 37 coordinates (the divided
+    # difference over D, all weights 1 up to scale), so words with large
+    # entries reach that bound.  The 1937 words fit one chunk;
+    # test_mds_distances_equal_the_per_subset_decoder_and_brute splits
+    # its words over many.
     ctx = field_create(37)
     code = rs_code(ctx, 36)
     assert _linops.exact_dtypes(36, 37)[1] == np.int32
@@ -219,22 +222,37 @@ def test_tail_values_exact_beyond_the_float32_mantissa():
 
 @pytest.mark.parametrize("q,k", [(7, 3), (9, 3)])
 def test_sweep_operators_match_lagrange_reference(q, k):
-    # row j of the operator for subset S: L_j evaluated on D, then the
-    # x^(k-1) coefficient of L_j (the PRS extra coordinate)
+    # every parity functional h_U is a dual codeword with support exactly
+    # U: it vanishes on every codeword, is nonzero on U, its digit block i
+    # is M(h_U[U_i])^T, and the subsets U and S follow itertools.combinations
+    # order.  For U within D it is the divided difference over U, scaled to
+    # 1 at max U: the x^k coefficients of the Lagrange basis of U
     ctx = field_for_size(q)
     code = prs_code(ctx, k)
-    D = ctx.elements()
-    G = _sweeps._sweep_generator(ctx, D, k)
-    assert G == code.G
-    gather, ops, singular = _sweeps.subset_ops(ctx, G, len(D))
-    subs = list(itertools.combinations(range(len(D)), k))
-    assert len(ops) == len(subs) and not singular.any()
-    for si, S in enumerate(subs):
-        basis = [Poly(ctx, c) for c in lagrange_basis(ctx, [D[i] for i in S])]
-        ref = [[L(x) for x in D] + [L.coefficient(k - 1)] for L in basis]
-        assert (ops[si] == _linops.digit_expand(ctx, ref)).all(), S
-        assert gather[si].tolist() == [i * ctx.a + d for i in S
-                                       for d in range(ctx.a)]
+    n, a, p, D = code.n, ctx.a, ctx.p, ctx.elements()
+    table, U, comp, up, inv, singular = _sweeps.subset_ops(code)
+    subs = list(itertools.combinations(range(n), k + 1))
+    assert [tuple(u) for u in U.tolist()] == subs
+    assert table.shape == (len(subs), a, (k + 1) * a) and not singular.any()
+    cw = ctx.digit_table()[code.codeword_matrix()].transpose(1, 2, 0)
+    assert not _linops.digit_matmul(
+        table, cw[U].reshape(len(subs), -1, cw.shape[2]), p).any()
+    blocks = table.astype(np.int64).reshape(len(subs), a, k + 1, a)
+    h = blocks[:, :, :, 0].transpose(0, 2, 1) @ p ** np.arange(a)
+    for S, hU, bU in zip(subs, h, blocks):
+        assert hU.all() and hU[-1] == 1
+        assert np.array_equal(bU.transpose(1, 2, 0),
+                              ctx.mul_digit_matrix(hU))
+        if S[-1] < len(D):
+            lead = [Poly(ctx, c).coefficient(k)
+                    for c in lagrange_basis(ctx, [D[i] for i in S])]
+            assert [ctx.mul(int(v), lead[-1]) for v in hU] == lead
+    for s, S in enumerate(itertools.combinations(range(n), k)):
+        assert sorted(set(range(n)) - set(S)) == sorted(comp[s].tolist())
+        for j, x in enumerate(comp[s].tolist()):
+            T = tuple(sorted(S + (x,)))
+            assert subs[up[s, j]] == T
+            assert ctx.mul(int(inv[s, j]), int(h[up[s, j], T.index(x)])) == 1
 
 
 def test_rs_sweep_and_decoder_share_one_operator_stack(monkeypatch):
@@ -251,16 +269,18 @@ def test_rs_sweep_and_decoder_share_one_operator_stack(monkeypatch):
 
 
 def test_subset_ops_budget_raises_before_allocating():
-    # RS(37,32)'s C(37,32) operator stack would hold 435897 * 32 * 37
-    # entries, over 4 GB in int64: the MDS check refuses it unallocated.
-    # 'auto' sends the code (n-k = 5) to the sweep, which builds no stack:
-    # its tables hold C(37,33) * 37 + C(37,32) * 5 entries
-    code = rs_code(field_create(37), 32)
+    # RS(37,6)'s parity functionals come from G's reductions (6 rows, fewer
+    # than H's 31) on the C(36,6) subsets U - {max U}, 6 x 37 digits each,
+    # 432409824 entries, over 3 GB in int64: the MDS check refuses them
+    # unallocated.  RS(37,32) under 'auto' (n-k = 5) goes to the sweep,
+    # whose tables hold C(37,33) * 37 + C(37,32) * 5 entries
+    mid, code = rs_code(field_create(37), 6), rs_code(field_create(37), 32)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="516102048 entries exceed "
-                           "budget 100000000; use algo='syndrome'"):
-            is_mds(code)
+        with pytest.raises(ValueError, match="C\\(37,7\\) parity functionals "
+                           "from C\\(36,6\\) reductions of 6 x 37 digits = "
+                           "432409824 entries exceed budget 100000000"):
+            is_mds(mid)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         rep = covering_radius(code)
@@ -314,6 +334,183 @@ def test_degree_k_word_against_prs_is_q_minus_k():
             v = rng.randrange(q)
             w = evaluate_word(f, ctx.elements()) + (v,)
             assert error_distance_mds(code, w)[0] == q - k
+
+
+def subset_decoder(ctx, G, n):
+    """The per-subset decoder, an in-test oracle independent of the parity
+    functionals: for every k-subset S of the first n columns of G, in
+    itertools.combinations order, S's digit columns and G_S^-1 G, from one
+    `_linops.subset_reduce`, and whether G_S is singular."""
+    k, a = len(G), ctx.a
+    subs = np.array(list(itertools.combinations(range(n), k))).reshape(-1, k)
+    gather = (subs[:, :, None] * a + np.arange(a)).reshape(len(subs), k * a)
+    ops, rank = _linops.subset_reduce(_linops.digit_expand(ctx, G), gather,
+                                      ctx.p)
+    return gather, ops.astype(_linops.exact_dtypes(k * a, ctx.p)[0]), rank < k * a
+
+
+def decode_on(ctx, rows, gather, op, n):
+    """Digit rows decoded on one subset of `subset_decoder`, or on a block
+    of them (a leading axis on gather, op and the results): the digits of
+    the codewords that match them there, and how many of the first n
+    coordinates each matches."""
+    a = ctx.a
+    cand = _linops.digit_matmul(np.moveaxis(rows[:, gather], 0, -2), op, ctx.p)
+    eq = cand[..., :n * a] == rows[:, :n * a]
+    return cand, eq.reshape(eq.shape[:-1] + (n, a)).all(axis=-1).sum(axis=-1)
+
+
+def decoded_distances(code, words):
+    """`error_distances_mds` by the per-subset decoder: the nearest
+    codeword is the first best candidate in combinations order."""
+    ctx, n = code.ctx, code.n
+    gather, ops, singular = subset_decoder(ctx, code.G, n)
+    assert not singular.any()
+    u = ctx.digit_table()[np.asarray(words, dtype=np.int64)].reshape(
+        len(words), n * ctx.a)
+    best, near, r = np.full(len(u), -1), np.zeros_like(u), np.arange(len(u))
+    for b in range(0, len(ops), 256):
+        cand, agree = decode_on(ctx, u, gather[b:b + 256], ops[b:b + 256], n)
+        i = agree.argmax(axis=0)  # the first best of the block
+        better = agree[i, r] > best
+        best[better], near[better] = agree[i, r][better], cand[i, r][better]
+    return n - best, _linops.digit_decode_cols(ctx, near, n)
+
+
+def _rs_on(q, D, k):
+    return lambda: rs_code(field_for_size(q), k, evalset=D)
+
+
+MDS_DIFFERENTIAL = [
+    pytest.param(lambda kind=kind, q=q, k=k: (rs_code if kind == "rs" else
+                                              prs_code)(field_for_size(q), k),
+                 id=f"{kind}-{q}-{k}")
+    for q in (5, 7, 9) for kind in ("rs", "prs")
+    for k in range(1, q + (kind == "prs"))
+] + [
+    pytest.param(lambda: glynn_code(field_for_size(9)), id="glynn"),
+    pytest.param(_rs_on(11, (1, 3, 4, 7, 8, 9, 10), 4), id="rs-11-partial"),
+    pytest.param(_rs_on(9, (0, 2, 5, 6, 7, 8), 3), id="rs-9-partial"),
+    pytest.param(lambda: rs_code(field_for_size(37), 36), id="rs-37-36"),
+    pytest.param(lambda: rs_code(field_for_size(37), 4), id="rs-37-4"),
+    pytest.param(lambda: from_matrix(field_for_size(5), [[1, 2, 3, 4]]),
+                 id="generic-4-1"),
+    pytest.param(lambda: from_matrix(field_for_size(9),
+                                     [[1, 2, 0], [0, 1, 3], [4, 0, 1]]),
+                 id="generic-k-equals-n"),
+]
+
+
+@pytest.mark.parametrize("make", MDS_DIFFERENTIAL)
+def test_mds_distances_equal_the_per_subset_decoder_and_brute(make, monkeypatch):
+    # distances and nearest codewords, ties included, against the decoder
+    # over all k-subsets, in one chunk and in chunks of one word; distances
+    # against the codeword scan where q^k is small.  Random words, planted
+    # errors of every weight up to n - k + 1 and the constant words
+    code = make()
+    q, n, k = code.ctx.q, code.n, code.k
+    assert is_mds(code)
+    rng = random.Random(code.label)
+    few = math.comb(n, k + 1) > 10**5  # RS(37,4): 20 ms a word
+    words = [rand_word(rng, q, n) for _ in range(20 if few else 150)]
+    for i in range(20 if few else 100):
+        w = list(code.encode(rand_word(rng, q, k)))
+        for pos in rng.sample(range(n), min(n, i % (n - k + 2))):
+            w[pos] = rng.randrange(q)
+        words.append(tuple(w))
+    words += [(c,) * n for c in range(q)]
+    dists, nearest = error_distances_mds(code, words)
+    ref_d, ref_near = decoded_distances(code, words)
+    assert dists.tolist() == ref_d.tolist()
+    assert nearest.tolist() == ref_near.tolist()
+    monkeypatch.setattr(_sweeps, "CHUNK", 1)
+    d1, near1 = error_distances_mds(code, words)
+    assert d1.tolist() == ref_d.tolist() and near1.tolist() == ref_near.tolist()
+    if q ** k <= 10**5:
+        assert dists.tolist() == error_distances_brute(code, words)[0].tolist()
+    assert dists.min() == 0 and (dists.max() > 0) == (k < n)
+    d0, near0 = error_distances_mds(code, [])
+    assert d0.shape == (0,) and near0.shape == (0, n)
+
+
+def test_is_mds_equals_the_k_subset_rank_check():
+    # seeded random generators over F_3 ... F_9, some with zero columns:
+    # MDS iff every k columns of G are independent
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(320):
+        ctx = field_for_size(rng.choice([3, 5, 7, 9]))
+        n = rng.randrange(1, 8)
+        k = rng.randrange(1, n + 1)
+        zero = [rng.random() < 0.1 for _ in range(n)]
+        rows = [[0 if z else rng.randrange(ctx.q) for z in zero]
+                for _ in range(k)]
+        try:
+            code = from_matrix(ctx, rows)
+        except ValueError:  # rank-deficient
+            continue
+        want = not subset_decoder(ctx, code.G, n)[2].any()
+        assert is_mds(code) == want, rows
+        seen.add((want, k == 1, any(zero)))
+    assert len(seen) >= 6
+    assert {(True, True), (False, True), (True, False), (False, False)} == {
+        (mds, one) for mds, one, _ in seen}
+
+
+@pytest.mark.parametrize("k", [2, 79])
+def test_mds_over_f81_with_digit_columns_beyond_uint8(k):
+    # n*a = 81*4 digit columns do not fit the subsets' uint8 indices.
+    # k = 2 reduces G and is checked against the codeword scan; k = 79
+    # reduces H, and words one error away decode to their codeword
+    code = rs_code(field_for_size(81), k)
+    assert is_mds(code)
+    rng = random.Random(k)
+    if k == 2:
+        words = [rand_word(rng, 81, 81) for _ in range(40)]
+        want = error_distances_brute(code, words)[0].tolist()
+    else:
+        sent = [code.encode(rand_word(rng, 81, k)) for _ in range(40)]
+        words = [tuple(c[:i] + ((c[i] + 1) % 81,) + c[i + 1:])
+                 for i, c in zip(range(40), sent)]
+        want = [1] * 40
+    dists, nearest = error_distances_mds(code, words)
+    assert dists.tolist() == want
+    assert all(code.contains(tuple(c)) and hamming(w, c) == d
+               for w, c, d in zip(words, nearest.tolist(), want))
+    if k == 79:
+        assert [tuple(c) for c in nearest.tolist()] == sent
+
+
+def test_subset_index_builds_the_smaller_side():
+    # the 2-subsets of range(37) and their 35-element complements, from
+    # the 2-subsets: building the complements' own colex stages would pass
+    # through C(37,18) rows
+    tracemalloc.start()
+    try:
+        U, S, comp, up = _sweeps.subset_index(37, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert U.shape == (666, 2) and S.shape == (37, 1)
+    assert comp.shape == up.shape == (37, 36)
+    assert sorted(U[up[5]].tolist()) == [sorted([x, 5]) for x in range(37)
+                                         if x != 5]
+
+
+def test_mds_check_of_prs_6562_2_raises_before_allocating():
+    # C(6562,3) functionals: refused before the complement rows or H exist
+    code = prs_code(field_create(3, 8), 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="C\\(6562,3\\) parity "
+                           "functionals .* exceed budget 100000000"):
+            is_mds(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "HTd" not in vars(code)
 
 
 # ----------------------------------------------------------------------
@@ -390,14 +587,13 @@ def test_sliced_radius_equals_full(kind, q, k):
 def decode_profile(code):
     """The sweep's answer by per-subset decoding, an independent reference
     for its divided differences: every tail of the full plan is decoded on
-    every k-subset of D by `subset_ops` and `decode_step`, with no
+    every k-subset of D by `subset_decoder` and `decode_on`, with no
     pruning.  Returns (coefficient rows, bestA per row, max contribution,
-    candidates)."""
+    candidates, the rows decoded on each subset)."""
     ctx, k, D = code.ctx, code.structure["k"], tuple(code.structure["eval"])
     n, a, q, p = len(D), ctx.a, ctx.q, ctx.p
     prs = code.structure["kind"] == "prs"
-    gather, ops, _ = _sweeps.subset_ops(
-        ctx, _sweeps._sweep_generator(ctx, D, k, prs), n)
+    gather, ops, _ = subset_decoder(ctx, code.G, n)
     coeffs = np.zeros((q ** (n - k), n), dtype=np.int64)
     coeffs[:, k:] = _linops.mixed_radix(np.arange(len(coeffs)), q, n - k)
     cd = ctx.digit_table()[coeffs].reshape(len(coeffs), -1)
@@ -405,12 +601,14 @@ def decode_profile(code):
     rows = np.arange(len(u))
     bestA = np.zeros(len(u), dtype=np.int64)
     bestV = np.zeros((len(u), q), dtype=np.int64)
-    for si in range(len(ops)):
-        cand, agree = _sweeps.decode_step(ctx, u, gather[si], ops[si], n)
+    decoded = []
+    for g, op in zip(gather, ops):
+        cand, agree = decode_on(ctx, u, g, op, n)
+        decoded.append(len(agree))
         np.maximum(bestA, agree, out=bestA)
         if prs:
             v = cand[:, n * a:] @ p ** np.arange(a)
-            np.maximum.at(bestV, (rows, v), agree.astype(np.int64))
+            np.maximum.at(bestV, (rows, v), agree)
     full = bestV.min(axis=1) == bestA if prs else np.zeros(len(u), bool)
     contrib = n + prs - bestA - full
     gmax = int(contrib.max())
@@ -424,7 +622,7 @@ def decode_profile(code):
         else:
             vs = tuple(np.nonzero(bestV[r] < bestA[r])[0].tolist())
         cands.append((tail, vs))
-    return coeffs, bestA, gmax, cands
+    return coeffs, bestA, gmax, cands, decoded
 
 
 def listed(out):
@@ -441,21 +639,13 @@ ONE_CHUNK = [(kind, q, k) for q in (5, 7, 9) for k in range(1, q)
 
 
 @pytest.mark.parametrize("kind,q,k", ONE_CHUNK)
-def test_pruned_sweep_equals_unpruned(monkeypatch, kind, q, k):
+def test_pruned_sweep_equals_unpruned(kind, q, k):
     # the pruned functional sweep against the per-subset decode, which
     # decodes every row on every subset
     code = (rs_code if kind == "rs" else prs_code)(field_for_size(q), k)
     ctx, D, prs = code.ctx, tuple(code.structure["eval"]), kind == "prs"
-    decode, rows = _sweeps.decode_step, []
-
-    def counted(ctx, u, *args):
-        rows.append(len(u))
-        return decode(ctx, u, *args)
-
-    monkeypatch.setattr(_sweeps, "decode_step", counted)
-    _, _, gmax, cands = decode_profile(code)
-    monkeypatch.setattr(_sweeps, "decode_step", decode)
-    assert set(rows) == {q ** (len(D) - k)}
+    _, _, gmax, cands, decoded = decode_profile(code)
+    assert decoded == [q ** (len(D) - k)] * math.comb(len(D), k)
     plans = _sweeps.full_plans(ctx, len(D), k)
     radius = _sweeps.run_sweep(ctx, D, k, prs=prs, plans=plans, collect=False)
     assert radius.max_contrib == gmax
@@ -470,7 +660,7 @@ def test_block_test_refutes_exactly_the_rows_decoded_past_k(kind, q, k):
     # finds no polynomial of degree < k agreeing with it on k+1 points
     code = (rs_code if kind == "rs" else prs_code)(field_for_size(q), k)
     ctx, D = code.ctx, tuple(code.structure["eval"])
-    coeffs, bestA, _, _ = decode_profile(code)
+    coeffs, bestA, _, _, _ = decode_profile(code)
     # tail h*q + l: the low coefficient (degree k) from l, the rest from h
     a, p, H = ctx.a, ctx.p, q ** (len(D) - k - 1)
     M1 = _sweeps.divided_differences(ctx, D, k, kind == "prs")[0]
