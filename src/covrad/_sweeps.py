@@ -25,12 +25,18 @@ Two exact algorithms live here:
 
 * a syndrome coset-leader BFS for arbitrary linear codes: a level-
   synchronous BFS over the q^(n-k) syndromes whose edges are the n(q-1)
-  weight-1 moves c*h_j.  Each level is pushed from the frontier, or pulled
-  into the unreached syndromes when fewer remain than the frontier holds;
-  syndromes are added digit group by digit group through one shared
-  addition table, with no product a step.  The radius is the level at
-  which the table fills.  One parent move a syndrome rebuilds each deep
-  witness word, so neither q^n nor the table needs a word matrix.
+  weight-1 moves c*h_j.  Scaling by c in F_q^* keeps a word's weight and
+  scales its syndrome, so every level is a union of scalar orbits, and the
+  search visits one syndrome per orbit, the one whose most significant
+  nonzero coordinate is 1 (about q^(n-k)/(q-1) of them).  Each level is
+  pushed from the frontier, or pulled into the unreached representatives
+  when fewer remain than the frontier holds; syndromes are added digit
+  group by digit group through one shared addition table and normalized
+  by table lookups.  The radius is the level at which the
+  representatives run out; the levels, deep syndromes and witnesses are
+  expanded exactly by the q-1 scalars.  One parent key a representative
+  rebuilds each deep witness word, so neither q^n nor the table needs a
+  word matrix.
 
 Divided differences, parity functionals and the BFS's move syndromes are
 each one F_q-linear map applied as `_linops.digit_matmul`, the package's
@@ -648,7 +654,7 @@ def run_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool, plans,
 class BfsOutcome:
     rho: int
     level_counts: list            # syndromes at each level (min coset weight)
-    words_examined: int           # move steps: (syndrome, move) pairs tried
+    words_examined: int           # steps: (orbit representative, move) pairs
     deep_syndromes: np.ndarray | None
     witnesses: np.ndarray | None  # (len(deep_syndromes), n) word rows
 
@@ -658,20 +664,46 @@ def _add_table(p: int, g: int):
     stride: add[x * row + y] is the index of digits(x) + digits(y) mod p,
     in np.min_scalar_type(p^g - 1).  For g = 1 the entry (x + y) mod p
     depends on x + y only: 2p - 1 entries, row 1.  Otherwise a (P, P)
-    table, P = p^g, row P, built a digit at a time: with x = p*x' + x0,
-    the entry is p * (the (g-1)-digit entry at x', y') plus
-    (x0 + y0) mod p."""
+    table, P = p^g, row P, built a digit at a time from the top, so the
+    broadcast's inner axis is the long one: with x = p^i * x_i + x' for
+    i-digit x', the entry is p^i * ((x_i + y_i) mod p) plus the i-digit
+    entry at x', y'."""
     dt = np.min_scalar_type(p**g - 1)
     if g == 1:
         return (np.arange(2 * p - 1) % p).astype(dt), 1
     r = np.arange(p, dtype=dt)  # p^2 - 1 fits dt, so r + r does
     one = np.add.outer(r, r) % dt.type(p)
     add = one
-    for _ in range(g - 1):
+    for i in range(1, g):
         P = len(add) * p
-        add = (add[:, None, :, None] * dt.type(p)
-               + one[None, :, None, :]).reshape(P, P)
+        add = (one[:, None, :, None] * dt.type(p**i)
+               + add[None, :, None, :]).reshape(P, P)
     return add.ravel(), len(add)
+
+
+def _scalar_tables(ctx: FieldCtx, h: int):
+    """Tables over the P = q^h values x = sum e_j q^j of h syndrome
+    coordinates: the field inverses (q,), 0 at 0; the inverse of x's
+    leading (most significant nonzero) coordinate (P,), 0 for x = 0; and
+    c*x coordinatewise as a flat (q, P) table in np.min_scalar_type(P - 1),
+    so mul[c*P + x] is c*x, built a coordinate at a time from the (q, q)
+    products: c*(e_0 + q*x') = c*e_0 + q*(c*x').  The inverses are read
+    off the products, inv[e] = the c with c*e = 1."""
+    q, P = ctx.q, ctx.q**h
+    r, rows = np.arange(q), max(1, CHUNK // q)
+    one = np.concatenate([_fmul(ctx, r[s:s + rows, None], r)
+                          for s in range(0, q, rows)])
+    inv = np.zeros(q, dtype=np.intp)
+    c, e = np.nonzero(one == 1)
+    inv[e] = c
+    x, lead = np.arange(P), np.zeros(P, dtype=np.intp)
+    for j in range(h):
+        e = x // q**j % q
+        lead = np.where(e != 0, e, lead)
+    mul = one
+    for _ in range(h - 1):
+        mul = (mul[:, :, None] * q + one[:, None, :]).reshape(q, -1)
+    return inv, inv[lead], mul.astype(np.min_scalar_type(P - 1)).ravel()
 
 
 def _move_groups(code, g: int, lo: int, hi: int) -> np.ndarray:
@@ -692,68 +724,101 @@ def _move_groups(code, g: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _blocks(level: np.ndarray, value: int):
-    """Indices i with level[i] == value, ascending, in blocks of CHUNK to
-    2*CHUNK entries (the last may be shorter): `flatnonzero` over
-    CHUNK-long slices, read only as the blocks are taken."""
+def _blocks(level: np.ndarray, value: int, spans):
+    """Indices i with level[i] == value, ascending, in the index ranges
+    [lo, hi) of `spans`, in blocks of CHUNK to 2*CHUNK entries (the last
+    may be shorter): `flatnonzero` over slices of at most CHUNK, read only
+    as the blocks are taken; a block may join several spans."""
     parts, count = [], 0
-    for s in range(0, len(level), CHUNK):
-        parts.append(np.flatnonzero(level[s:s + CHUNK] == value) + s)
-        count += len(parts[-1])
-        if count >= CHUNK:
-            yield np.concatenate(parts)
-            parts, count = [], 0
+    for lo, hi in spans:
+        for s in range(lo, hi, CHUNK):
+            parts.append(np.flatnonzero(level[s:min(s + CHUNK, hi)] == value)
+                         + s)
+            count += len(parts[-1])
+            if count >= CHUNK:
+                yield np.concatenate(parts)
+                parts, count = [], 0
     if count:
         yield np.concatenate(parts)
 
 
 def syndrome_bfs(code, enum_budget: int,
                  want_witness: bool = False) -> BfsOutcome:
-    """Level-synchronous BFS over the q^(n-k) syndromes of any linear code.
+    """Level-synchronous BFS over the q^(n-k) syndromes of any linear code,
+    one syndrome per F_q^* orbit.
 
     A syndrome's level is its coset's minimum weight.  The edges are the
     n(q-1) weight-1 moves c*h_j, h_j column j of H, position-major then
     value-minor.  Level w is {s + c*h_j : s at level w-1} minus the
-    syndromes already reached (push); when fewer syndromes remain than the
-    frontier holds, each unreached s instead looks for a move with
-    s - c*h_j at level w-1 and leaves the search at its first hit (pull).
-    Exact: drop one nonzero entry of a minimum-weight word of a level-w
-    syndrome; the rest is a word of weight w-1 whose syndrome has level
-    exactly w-1 (not less, or the syndrome's level would be below w).  So
-    push reaches, and pull finds, exactly the level-w syndromes.  Pull is
-    what makes small last levels cheap: with push alone (one BLAS thread)
-    RS(17,12)/F_17 took 6.1 s instead of 0.20 s and PRS(10,4)/F_9 0.12 s
-    instead of 0.075 s.  A push stops early once no syndrome is left: the
-    unreached are recounted by one pass over the table after each batch
-    that ends q^(n-k) or more steps after the last recount.
+    syndromes already reached.  Exact: drop one nonzero entry of a
+    minimum-weight word of a level-w syndrome; the rest is a word of weight
+    w-1 whose syndrome has level exactly w-1 (not less, or the syndrome's
+    level would be below w).
 
-    A syndrome index is its (n-k)a base-p digits; they are added in G
-    groups of g = max(1, floor((n-k)a / 2)) digits through one shared
-    table, `_add_table(p, g)`: (x + y) mod p over 2p - 1 entries for g = 1,
-    else P^2 <= q^(n-k) entries, P = p^g.  A step is one gather a group and
-    a shifted add, with no product and no mod.  The frontier and the
-    unreached syndromes are read in blocks (`_blocks`) and take
-    B = max(1, cap // block) moves at a time, cap = min(CHUNK, q^(n-k)), so
-    a batch takes at most max(cap, block) steps, and peak memory is the
-    level table, the add table, the moves and O(CHUNK).
-    The moves are made max(1, cap // (q-1)) positions at a time, as the
-    search first reads them: a table filled early, as any n-k = 1 code's
-    is by one nonzero column, makes few of them.  `words_examined` counts
-    the move steps, (syndrome, move) pairs tried.
+    Orbits.  A syndrome index is sum e_j q^j over its n-k coordinates.  The
+    representative of an orbit F_q^* s is norm(s) = s / (s's most
+    significant nonzero coordinate), so the representatives are 0 and the
+    index ranges [q^i, 2q^i), i < n-k: 1 + (q^(n-k) - 1)/(q - 1) of them,
+    the only entries of the level table the search reads or writes.
+    Scaling by c != 0 keeps a word's weight and scales its syndrome, so
+    level(c*s) = level(s), and c*(e*h_j) = (ce)*h_j is again a move.  With
+    c*(r + m) = c*r + c*m, the level-w syndromes are
+        L_w = F_q^* * {norm(r + m) : r a representative in L_(w-1), m a move}
+    and the search pushes each frontier representative r along all n(q-1)
+    moves and marks norm(r + m); when fewer representatives remain than
+    the frontier holds, it instead pulls: an unreached representative t is
+    at level w iff norm(t - m) is at level w-1 for some move m, and it
+    leaves the search at its first hit.  `level_counts` are full syndrome
+    counts, 1 and then q-1 times the representatives a level, and
+    `deep_syndromes` is the deep representatives times every c != 0,
+    sorted.  Pull is what makes small last levels cheap (per-syndrome
+    search: push alone took 6.1 s on RS(17,12)/F_17, push/pull 0.20 s).  A
+    push stops early once no representative is left: they are recounted
+    after each batch that ends R or more steps after the last recount, R
+    the number of representatives.  `words_examined` counts the steps,
+    (representative, move) pairs tried: 709,330 on PRS(10,4)/F_9, where
+    the search over all syndromes took 5,225,484.
 
-    Witnesses: one parent move a syndrome, in np.min_scalar_type(n(q-1) -
-    1): the least move of the first batch that reaches it, taken by
-    `np.minimum.at` in a push and by `argmax` (first occurrence) in a pull,
-    so no result rests on the order of a scatter with repeated indices,
-    which NumPy leaves open.  Each deep witness is rebuilt by walking back
-    rho moves, one a level, so it has weight rho, and the same code gives
-    the same witnesses.  They are rows of element encodings in
+    For n-k >= 2 digit groups hold h = floor((n-k)/2) whole coordinates,
+    the g = a*h base-p digits of a group added through one shared table,
+    `_add_table(p, g)` of P^2 <= q^(n-k) entries, P = q^h.  A step is one
+    gather a group and a shifted add.  norm(s) is one lookup a group in
+    the inverse-lead table, the first nonzero from the top group down
+    giving the inverse c of the leading coordinate, then one lookup a
+    group in row c of the (q, P) product table (`_scalar_tables`).  For
+    n-k = 1 there is one nonzero orbit and norm(s) = [s != 0] needs no
+    aligned groups: they hold g = max(1, floor(a/2)) digits, so the add
+    table has 2p - 1 entries for g = 1, else P^2 <= q, P = p^g, and there
+    is no product table (a whole coordinate a group would make the add
+    table q^2 entries, 43M over F_3^8, while the budget bounds only
+    q^(n-k) = q).  The frontier and the
+    unreached representatives are read in blocks (`_blocks`) and take
+    B = max(1, cap // block) moves at a time, cap = min(CHUNK, R), so a
+    batch takes at most max(cap, block) steps, and peak memory is the
+    level table, the add and scalar tables, the moves and O(CHUNK).  The
+    moves are made max(1, cap // (q-1)) positions at a time, as the search
+    first reads them: a table filled early, as any n-k = 1 code's is by
+    one nonzero column, makes few of them.
+
+    Witnesses: one parent key a representative t, (M', c) as
+    M'*q + c < n(q-1)q in np.min_scalar_type, with t = c*r + M', r at
+    level w-1 and M' a move.  A push from r along m has c the inverse lead
+    of r + m and M' = c*m, and keeps the least key of the first batch that
+    reaches t (`np.minimum.at`); a pull along m has c the leading
+    coordinate of t - m and M' = m, from the first hit (`argmax`).  So no
+    result rests on the order of a scatter with repeated indices, which
+    NumPy leaves open.  The walk back from a deep representative sets
+    word[pos M'] = coef * val(M'), then coef <- coef*c and
+    t <- norm(t - M'), rho times; the word has weight rho and syndrome t,
+    and c times it has syndrome c*t, so the witnesses of all deep
+    syndromes are the representatives' words times each c != 0 (a
+    product-table gather), rows in `deep_syndromes` order.  The same code
+    gives the same witnesses.  They are rows of element encodings in
     np.min_scalar_type(q - 1).
     """
     ctx = code.ctx
-    n, q, p = code.n, ctx.q, ctx.p
-    ma = (n - code.k) * ctx.a
-    size = q ** (n - code.k)
+    n, q, p, m = code.n, ctx.q, ctx.p, code.n - code.k
+    size = q**m
     if size > enum_budget:
         raise ValueError(
             f"syndrome table q^(n-k) = {size} exceeds budget {enum_budget}; "
@@ -762,11 +827,16 @@ def syndrome_bfs(code, enum_budget: int,
     if size == 1:  # k = n: the zero coset only
         wit = np.zeros((1, n), dtype=wdt) if want_witness else None
         return BfsOutcome(0, [1], 0, np.array([0]), wit)
-    g = max(1, ma // 2)
-    P = p**g
+    # n-k = 1 has one nonzero orbit and needs no coordinate-aligned groups
+    g = ctx.a * (m // 2) if m > 1 else max(1, ctx.a // 2)
+    P, G = p**g, -(-m * ctx.a // g)
     add, row = _add_table(p, g)
-    nmoves, G, made = n * (q - 1), -(-ma // g), 0
-    cap = min(CHUNK, size)  # moves made, or steps taken, at a time
+    inv, lead, mul = (_scalar_tables(ctx, m // 2) if m > 1
+                      else (None, None, None))
+    spans = [(0, 2)] + [(q**i, 2 * q**i) for i in range(1, m)]
+    R = 1 + (size - 1) // (q - 1)  # orbit representatives
+    nmoves, made = n * (q - 1), 0
+    cap = min(CHUNK, R)  # moves made, or steps taken, at a time
     mv = np.empty((nmoves, G), dtype=np.intp)  # row offsets in add
     neg = np.empty_like(mv)
     # -c*h_j is move (j, -c): flip[c - 1] + 1 encodes -c
@@ -777,10 +847,10 @@ def syndrome_bfs(code, enum_budget: int,
         while made < min(j, nmoves):
             lo = made // (q - 1)
             hi = min(n, lo + max(1, cap // (q - 1)))
-            m = _move_groups(code, g, lo, hi) * row
-            mv[made:hi * (q - 1)] = m
-            neg[made:hi * (q - 1)] = np.take(m, (np.arange(hi - lo)[:, None]
-                                                 * (q - 1) + flip).ravel(),
+            mg = _move_groups(code, g, lo, hi) * row
+            mv[made:hi * (q - 1)] = mg
+            neg[made:hi * (q - 1)] = np.take(mg, (np.arange(hi - lo)[:, None]
+                                                  * (q - 1) + flip).ravel(),
                                              axis=0)
             made = hi * (q - 1)
 
@@ -792,66 +862,113 @@ def syndrome_bfs(code, enum_budget: int,
         return out + [x]
 
     def step(xg, mg):  # groups of x + m, mg (..., G) broadcast against x
-        return [add[mg[..., i] + xg[i]] for i in range(G)]
+        return [add.take(mg[..., i] + xg[i]) for i in range(G)]
 
-    def index(xg):
-        out = xg[0].astype(np.intp)
-        for i in range(1, G):
-            out += xg[i] * np.intp(P**i)
+    def index(xg):  # in place on intp, so no narrow product can wrap
+        out = xg[-1].astype(np.intp)
+        for x in xg[-2::-1]:
+            out *= P
+            out += x
         return out
+
+    def fmul(c, x):  # c*x coordinatewise; for n-k = 1 x is one element
+        c, x = np.asarray(c, dtype=np.intp), np.asarray(x, dtype=np.intp)
+        return _fmul(ctx, c, x) if mul is None else mul[c * P + x]
+
+    def inverse(x):  # of field elements, 0 at 0
+        if inv is not None:
+            return inv.take(x)
+        # n-k = 1: R = 2, so a batch takes at most 2 steps
+        return np.array([ctx.inv(int(e)) if e else 0 for e in np.ravel(x)],
+                        dtype=np.intp).reshape(np.shape(x))
+
+    def norm(xg):  # (c the inverse lead, 0 at 0; groups of norm(x) = c*x)
+        if mul is None:  # n-k = 1: norm(x) = [x != 0]
+            x = index(xg)
+            one = (x != 0).astype(np.intp)
+            return inverse(x), [one] + [np.zeros_like(one)] * (G - 1)
+        c = lead.take(xg[-1])
+        for x in xg[-2::-1]:  # where every higher group is zero
+            z = c == 0
+            c[z] = lead.take(x[z])
+        return c, [mul.take(c * P + x) for x in xg]
+
+    def count(value):  # representatives at `value`
+        return sum(int(np.count_nonzero(level[lo:hi] == value))
+                   for lo, hi in spans)
 
     level = np.full(size, 255, dtype=np.uint8)
     level[0] = 0
-    parent = (np.empty(size, dtype=np.min_scalar_type(nmoves - 1))
+    kdt = np.min_scalar_type(nmoves * q - 1)
+    parent = (np.empty(spans[-1][1], dtype=kdt)  # read at representatives
               if want_witness else None)
-    counts, steps, remaining, w = [1], 0, size - 1, 0
+    reps, steps, remaining, w = [1], 0, R - 1, 0
     while remaining:
         w += 1
-        pull, left, recount = remaining < counts[-1], remaining, steps + size
-        for block in _blocks(level, 255 if pull else w - 1):
+        pull, left, recount = remaining < reps[-1], remaining, steps + R
+        for block in _blocks(level, 255 if pull else w - 1, spans):
             xg, i = split(block), 0
             while len(block) and i < nmoves and left:
                 B = max(1, cap // len(block))
                 make(i + B)
                 if pull:
-                    hit = level[index(step(xg, neg[i:i + B, None]))] == w - 1
+                    c, r = norm(step(xg, neg[i:i + B, None]))
+                    hit = level[index(r)] == w - 1
                     steps += hit.size
                     found = hit.any(axis=0)
                     got = block[found]
                     level[got] = w
-                    if parent is not None:
-                        parent[got] = hit[:, found].argmax(axis=0) + i
+                    if parent is not None:  # t = lead(t - m) * r + m
+                        first = hit[:, found].argmax(axis=0)
+                        lc = inverse(c[first, np.flatnonzero(found)])
+                        parent[got] = (first + i) * q + lc
                     block, xg = block[~found], [x[~found] for x in xg]
                 else:
-                    t = index(step(xg, mv[i:i + B, None])).ravel()
+                    c, r = norm(step(xg, mv[i:i + B, None]))
+                    t = index(r).ravel()
                     steps += t.size
                     new = np.flatnonzero(level[t] == 255)
-                    if parent is not None:  # row = move; least move wins
-                        got = t[new]
-                        parent[got] = np.iinfo(parent.dtype).max
-                        np.minimum.at(parent, got, (new // len(block) + i)
-                                      .astype(parent.dtype))
-                    level[t[new]] = w
-                    if steps >= recount:  # a table pass per `size` steps
-                        left = np.count_nonzero(level == 255)
-                        recount = steps + size
+                    got = t[new]
+                    if parent is not None:  # t = c*r + c*m; least key wins
+                        pos, v = np.divmod(new // len(block) + i, q - 1)
+                        cn = c.ravel()[new]
+                        key = (pos * (q - 1) + fmul(cn, v + 1) - 1) * q + cn
+                        parent[got] = np.iinfo(kdt).max
+                        np.minimum.at(parent, got, key.astype(kdt))
+                    level[got] = w
+                    if steps >= recount:  # a pass over the spans per R steps
+                        left = count(255)
+                        recount = steps + R
                 i += B
             if not left:
                 break
-        counts.append(int(np.count_nonzero(level == w)))
-        if not counts[-1]:
+        reps.append(count(w))
+        if not reps[-1]:
             raise RuntimeError("syndrome space not covered by the moves")
-        remaining -= counts[-1]
-    deep = np.flatnonzero(level == w)
+        remaining -= reps[-1]
+    deep = np.concatenate(list(_blocks(level, w, spans)))
+    dg = split(deep)
+    cs = np.arange(1, q)
+    if mul is None:  # n-k = 1: one deep orbit, no group-wise product
+        syn = fmul(cs[:, None], index(dg)).ravel()
+    else:
+        syn = np.concatenate([index([fmul(c, x) for x in dg]) for c in cs])
+    order = np.argsort(syn)
     wit = None
     if want_witness:
         wit = np.zeros((len(deep), n), dtype=wdt)
         for s in range(0, len(deep), CHUNK):
-            cur = split(deep[s:s + CHUNK])
+            cur = [x[s:s + CHUNK] for x in dg]
             rows = np.arange(s, s + len(cur[0]))
+            coef = np.ones(len(rows), dtype=np.intp)
             for _ in range(w):
-                i = parent[index(cur)].astype(np.intp)
-                pos, val = np.divmod(i, q - 1)
-                wit[rows, pos] = val + 1
-                cur = step(cur, neg[i])
-    return BfsOutcome(w, counts, steps, deep, wit)
+                mi, c = np.divmod(parent[index(cur)].astype(np.intp), q)
+                pos, v = np.divmod(mi, q - 1)
+                wit[rows, pos] = fmul(coef, v + 1)
+                coef = fmul(coef, c)
+                cur = norm(step(cur, neg[mi]))[1]
+        wit = (fmul(cs[:, None, None], wit).reshape(-1, n) if mul is None
+               else np.concatenate([fmul(c, wit) for c in cs]))[order]
+        wit = wit.astype(wdt, copy=False)
+    counts = [1] + [(q - 1) * x for x in reps[1:]]
+    return BfsOutcome(w, counts, steps, syn[order], wit)

@@ -6,21 +6,22 @@ last-coordinate value v, the last entry minus the x^(k-1) coefficient,
 both from the one coset map `_sweeps.eval_operators`.  For generic codes a
 rep is the (weight, lexicographic) least word of the coset.  Syndrome listings
 return one minimum-weight witness word per deep coset, for any code: the
-moves `_sweeps.syndrome_bfs` walks back from the deep syndrome, the first
-hit of its scan at each level.  The same code always gets the same witness,
-but it is not canonical (not the coset's least word), so only its coset is
-the answer.  MDS error distances come from `error_distances_mds`, one digit
-product of a batch of words with the parity functionals of
-`_sweeps.subset_ops`, and any code's from `error_distances_brute`, the one
-codeword scan.  `_sweep` is the one set-up of the representative sweep; a
-listing scans one monic tail per scalar orbit and expands it by the F_q^*
-scalars, exactly.
+moves `_sweeps.syndrome_bfs` walks back from the deep syndrome's scalar
+orbit representative, scaled to the syndrome.  The same code always gets
+the same witness, but it is not canonical (not the coset's least word), so
+only its coset is the answer.  MDS error distances come from
+`error_distances_mds`, one digit product of a batch of words with the
+parity functionals of `_sweeps.subset_ops`, and any code's from
+`error_distances_brute`, the one codeword scan.  `_sweep` is the one
+set-up of the representative sweep; a listing scans one monic tail per
+scalar orbit and expands it by the F_q^* scalars, exactly.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field, replace
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -80,7 +81,7 @@ class RadiusReport:
     variant: str = ""           # e.g. full / degree-sliced
     notes: list = dc_field(default_factory=list)
     level_counts: list | None = None    # syndrome BFS: syndromes a level
-    words_examined: int | None = None   # syndrome BFS: move steps taken
+    words_examined: int | None = None   # syndrome BFS: (orbit rep, move) steps
 
     def to_json(self):
         return {
@@ -353,13 +354,14 @@ def covering_radius(code: LinearCode, algo: str = "auto",
                     threads: int = 1) -> RadiusReport:
     """Dispatch.  'auto' runs the syndrome BFS when its q^(n-k) table fits
     enum_budget, unless the code is RS/PRS with n-k >= 5, where the sweep
-    was measured faster.  Cold single calls on a 2-core host, BFS vs sweep:
-    RS(13,8)/F_13 50 vs 8 ms, RS(17,12)/F_17 198 vs 12 ms, PRS(10,4)/F_9
-    128 vs 30 ms, PRS(12,6)/F_11 365 vs 10 ms, PRS(14,9)/F_13 55 vs 42 ms;
-    PRS(10,5)/F_9 (8 vs 12 ms) was the one exception found.  Below, the
-    BFS won on PRS codes (PRS(12,8)/F_11 4 vs 7 ms, PRS(68,65)/F_67 32 vs
-    68 ms) and lost on RS codes over larger fields (RS(13,9)/F_13 38 vs
-    4 ms).  Over budget it runs the sweep."""
+    was measured faster before the BFS searched one syndrome per scalar
+    orbit.  Cold single calls on a 2-core host, median of 3, BFS vs sweep,
+    since then: at n-k >= 5, RS(13,8)/F_13 9 vs 7 ms, RS(17,12)/F_17 26 vs
+    14 ms, PRS(10,4)/F_9 22 vs 22 ms, PRS(12,6)/F_11 65 vs 7 ms, but
+    PRS(14,9)/F_13 12 vs 28 ms and PRS(10,5)/F_9 3 vs 11 ms.  Below, the
+    BFS wins on PRS codes (PRS(12,8)/F_11 3 vs 7 ms, PRS(68,65)/F_67 27 vs
+    74 ms) and loses on RS codes over larger fields (RS(13,9)/F_13 9 vs
+    3 ms).  Over budget it runs the sweep."""
     if algo == "syndrome":
         return covering_radius_syndrome(code, enum_budget)
     if algo == "sweep":
@@ -421,7 +423,8 @@ def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
         words = out.witnesses[np.lexsort(out.witnesses.T[::-1])].tolist()
         return DeepHoleReport(
             code=code.label, rho=out.rho, count=len(words),
-            reps=[CosetRep(word=tuple(w)) for w in words],
+            reps=list(map(CosetRep, repeat(()), repeat(None),
+                          map(tuple, words))),
             algorithm="syndrome-bfs",
             elapsed_ms=(time.perf_counter() - t0) * 1e3)
     if algo != "sweep":

@@ -972,7 +972,8 @@ BFS_CODES = {
        for q in (5, 7) for k in range(1, q + 1)},
     **{f"prs-9-{k}": lambda k=k: prs_code(F(9), k) for k in (4, 5, 6)},
     "glynn-9": lambda: glynn_code(F(9)),
-    # a = 2, (n-k)a = 6: two digit groups; a = 3, (n-k)a = 9: groups 4, 4, 1
+    # n-k = 3, groups of one whole coordinate: a = 2, digit groups
+    # (2, 2, 2); a = 3, (3, 3, 3)
     "prs-25-23": lambda: prs_code(F(25), 23),
     "rs-27-24": lambda: rs_code(F(27), 24),
     "rs-9-4": lambda: rs_code(F(9), 4),  # pulls on levels 4 and 5
@@ -984,11 +985,11 @@ BFS_CODES = {
     "extended-rs-7-3": lambda: extend_code(rs_code(F(7), 3), cube_word(7)),
     "k-equals-n": lambda: from_matrix(F(5), [[1, 0, 0], [0, 1, 0],
                                              [0, 0, 1]]),
-    # e_0 ... e_4 in the code: H = (0, 0, 0, 0, 0, h, -h).  7 syndromes, so
-    # batches of 7 moves from the zero syndrome with a recount after each;
-    # after five batches the 30 moves of the zero columns and five of
-    # position 5's leave exactly one syndrome, which the push must still put
-    # at level 1
+    # e_0 ... e_4 in the code: H = (0, 0, 0, 0, 0, h, -h).  Two orbit
+    # representatives, 0 and 1, so batches of 2 moves from the zero
+    # syndrome with a recount after each; the 15 batches of the zero
+    # columns' 30 moves leave representative 1 unreached, which the push
+    # must go on to put at level 1
     "zero-columns-7": lambda: from_matrix(
         F(7), [[int(i == j) for i in range(7)] for j in range(5)]
         + [[0, 0, 0, 0, 0, 1, 1]]),
@@ -1026,19 +1027,46 @@ def test_bfs_matches_subset_enumeration(name):
 
 
 @pytest.mark.parametrize("name", ["rs-9-4", "prs-5-1", "prs-7-3",
-                                  "generic-7", "rs-27-24"])
+                                  "generic-7", "rs-27-24", "prs-25-23"])
 def test_bfs_in_small_blocks_matches_subset_enumeration(monkeypatch, name):
     # CHUNK = 64: blocks merged from many slices, pulls that drop found
-    # syndromes across many batches, pushes recounted many times a level
+    # syndromes across many batches, pushes recounted many times a level;
+    # prs-25-23 (n-k = 3, groups of one coordinate) has blocks that join
+    # the representative spans [25, 50) and [625, 1250)
     monkeypatch.setattr(_sweeps, "CHUNK", 64)
     check_bfs(BFS_CODES[name]())
 
 
+@pytest.mark.parametrize("name", ["prs-9-4", "prs-25-23"])
+def test_bfs_deep_syndromes_and_witnesses_scale_by_f_q_star(name):
+    # every level is a union of F_q^* orbits: c times a deep syndrome is
+    # deep, and its witness is c times the witness of the syndrome
+    code = BFS_CODES[name]()
+    ctx = code.ctx
+    out = _sweeps.syndrome_bfs(code, 10**8, want_witness=True)
+    mul = np.array([[ctx.mul(x, y) for y in range(ctx.q)]
+                    for x in range(ctx.q)])
+    row = {s: i for i, s in enumerate(out.deep_syndromes.tolist())}
+    for c in range(1, ctx.q):
+        scaled = mul[c][out.witnesses]
+        syn = syndrome_indices(code, scaled).tolist()
+        assert sorted(syn) == out.deep_syndromes.tolist()
+        assert np.array_equal(out.witnesses[[row[s] for s in syn]], scaled)
+
+
+def test_bfs_steps_over_orbit_representatives():
+    # PRS(10,4)/F_9: the search over all 9^6 syndromes took 5,225,484 steps
+    out = _sweeps.syndrome_bfs(BFS_CODES["prs-9-4"](), 10**8)
+    assert out.level_counts == [1, 80, 2880, 61440, 449040, 18000]
+    assert out.words_examined < 1_000_000
+
+
 def test_bfs_one_redundant_digit_over_a_large_prime():
     # (n-k)a = 1: one digit group, added as (x + m) mod p from 2p - 1
-    # entries; a p^2 table would be 10^8 entries over F_10007.  Position
-    # 0's moves fill the table, so the push stops at its first recount,
-    # one table's worth of steps, before making most of the 30018 moves
+    # entries, and no scalar product table; a p^2 table would be 10^8
+    # entries over F_10007.  The orbit representatives are 0 and 1, so the
+    # push stops at its first recount, after one batch of two steps, before
+    # making most of the 30018 moves
     code = rs_code(field_create(10007), 2, evalset=[1, 2, 3])
     tracemalloc.start()
     try:
@@ -1051,6 +1079,28 @@ def test_bfs_one_redundant_digit_over_a_large_prime():
         "syndrome-bfs", 1, [1, 10006])
     assert rep.words_examined <= 10007
     assert peak < 4 * 2**20
+
+
+def test_bfs_one_redundant_coordinate_over_an_extension_field():
+    # n-k = 1 over F_3^8: norm(s) = [s != 0] needs no whole-coordinate
+    # groups, so the 8 digits are added in two groups of 4 from a 81^2
+    # table, not a q^2 = 43M one, and no (q, q) product table is made
+    code = rs_code(field_create(3, 8), 2, evalset=[1, 2, 3])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = covering_radius(code)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (rep.algorithm, rep.rho, rep.level_counts) == (
+        "syndrome-bfs", 1, [1, 6560])
+    assert peak < 4 * 2**20
+    out = _sweeps.syndrome_bfs(code, 10**8, want_witness=True)
+    assert out.deep_syndromes.tolist() == list(range(1, 6561))
+    assert ((out.witnesses != 0).sum(axis=1) == 1).all()
+    assert np.array_equal(syndrome_indices(code, out.witnesses),
+                          out.deep_syndromes)
 
 
 @pytest.mark.parametrize("make,q,k,counts", [
