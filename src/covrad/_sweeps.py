@@ -654,7 +654,8 @@ def run_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool, plans,
 class BfsOutcome:
     rho: int
     level_counts: list            # syndromes at each level (min coset weight)
-    words_examined: int           # steps: (orbit representative, move) pairs
+    words_examined: int           # steps: (orbit representative, move) pairs;
+                                  # 0 for n-k <= 1, answered in closed form
     deep_syndromes: np.ndarray | None
     witnesses: np.ndarray | None  # (len(deep_syndromes), n) word rows
 
@@ -759,7 +760,8 @@ def syndrome_bfs(code, enum_budget: int,
     representative of an orbit F_q^* s is norm(s) = s / (s's most
     significant nonzero coordinate), so the representatives are 0 and the
     index ranges [q^i, 2q^i), i < n-k: 1 + (q^(n-k) - 1)/(q - 1) of them,
-    the only entries of the level table the search reads or writes.
+    the only indices the search reads or writes, so the level and parent
+    tables hold the 2q^(n-k-1) indices below the top range's end.
     Scaling by c != 0 keeps a word's weight and scales its syndrome, so
     level(c*s) = level(s), and c*(e*h_j) = (ce)*h_j is again a move.  With
     c*(r + m) = c*r + c*m, the level-w syndromes are
@@ -779,26 +781,26 @@ def syndrome_bfs(code, enum_budget: int,
     (representative, move) pairs tried: 709,330 on PRS(10,4)/F_9, where
     the search over all syndromes took 5,225,484.
 
-    For n-k >= 2 digit groups hold h = floor((n-k)/2) whole coordinates,
-    the g = a*h base-p digits of a group added through one shared table,
+    Digit groups hold h = floor((n-k)/2) whole coordinates, the g = a*h
+    base-p digits of a group added through one shared table,
     `_add_table(p, g)` of P^2 <= q^(n-k) entries, P = q^h.  A step is one
     gather a group and a shifted add.  norm(s) is one lookup a group in
     the inverse-lead table, the first nonzero from the top group down
     giving the inverse c of the leading coordinate, then one lookup a
-    group in row c of the (q, P) product table (`_scalar_tables`).  For
-    n-k = 1 there is one nonzero orbit and norm(s) = [s != 0] needs no
-    aligned groups: they hold g = max(1, floor(a/2)) digits, so the add
-    table has 2p - 1 entries for g = 1, else P^2 <= q, P = p^g, and there
-    is no product table (a whole coordinate a group would make the add
-    table q^2 entries, 43M over F_3^8, while the budget bounds only
-    q^(n-k) = q).  The frontier and the
-    unreached representatives are read in blocks (`_blocks`) and take
-    B = max(1, cap // block) moves at a time, cap = min(CHUNK, R), so a
-    batch takes at most max(cap, block) steps, and peak memory is the
-    level table, the add and scalar tables, the moves and O(CHUNK).  The
-    moves are made max(1, cap // (q-1)) positions at a time, as the search
-    first reads them: a table filled early, as any n-k = 1 code's is by
-    one nonzero column, makes few of them.
+    group in row c of the (q, P) product table (`_scalar_tables`).  The
+    frontier and the unreached representatives are read in blocks
+    (`_blocks`) and take B = max(1, cap // block) moves at a time,
+    cap = min(CHUNK, R), so a batch takes at most max(cap, block) steps,
+    and peak memory is the level table, the add and scalar tables, the
+    moves and O(CHUNK).  The moves are made once, before level 1,
+    max(1, cap // (q-1)) positions a digit product: level 1 pushes the
+    zero syndrome along every move unless the columns cover every
+    projective point first.
+
+    n-k <= 1 takes no step (`words_examined` 0).  For k = n the zero coset
+    is the only one.  For n-k = 1 every nonzero syndrome s is at level 1,
+    with witness s/h_j * e_j, j the first nonzero entry of H's one row:
+    the witness a search would pick, as its least parent key lands there.
 
     Witnesses: one parent key a representative t, (M', c) as
     M'*q + c < n(q-1)q in np.min_scalar_type, with t = c*r + M', r at
@@ -824,35 +826,29 @@ def syndrome_bfs(code, enum_budget: int,
             f"syndrome table q^(n-k) = {size} exceeds budget {enum_budget}; "
             "use the representative sweep")
     wdt = np.min_scalar_type(q - 1)
-    if size == 1:  # k = n: the zero coset only
-        wit = np.zeros((1, n), dtype=wdt) if want_witness else None
-        return BfsOutcome(0, [1], 0, np.array([0]), wit)
-    # n-k = 1 has one nonzero orbit and needs no coordinate-aligned groups
-    g = ctx.a * (m // 2) if m > 1 else max(1, ctx.a // 2)
+    if m <= 1:  # rho = n-k: the zero coset, or each s != 0 at s/h_j * e_j
+        syn = np.arange(1, q) if m else np.array([0])
+        wit = np.zeros((len(syn), n), dtype=wdt) if want_witness else None
+        if m and want_witness:  # j the first nonzero entry of H's one row
+            j = next(j for j, h in enumerate(code.H[0]) if h)
+            wit[:, j] = _fmul(ctx, syn, ctx.inv(code.H[0][j]))
+        return BfsOutcome(m, [1, q - 1][:m + 1], 0, syn, wit)
+    g = ctx.a * (m // 2)
     P, G = p**g, -(-m * ctx.a // g)
     add, row = _add_table(p, g)
-    inv, lead, mul = (_scalar_tables(ctx, m // 2) if m > 1
-                      else (None, None, None))
+    inv, lead, mul = _scalar_tables(ctx, m // 2)
     spans = [(0, 2)] + [(q**i, 2 * q**i) for i in range(1, m)]
     R = 1 + (size - 1) // (q - 1)  # orbit representatives
-    nmoves, made = n * (q - 1), 0
+    nmoves = n * (q - 1)
     cap = min(CHUNK, R)  # moves made, or steps taken, at a time
     mv = np.empty((nmoves, G), dtype=np.intp)  # row offsets in add
-    neg = np.empty_like(mv)
+    per = max(1, cap // (q - 1))  # positions a digit product
+    for lo in range(0, n, per):
+        hi = min(n, lo + per)
+        mv[lo * (q - 1):hi * (q - 1)] = _move_groups(code, g, lo, hi) * row
     # -c*h_j is move (j, -c): flip[c - 1] + 1 encodes -c
     flip = (-ctx.digit_table()[1:] % p) @ p ** np.arange(ctx.a) - 1
-
-    def make(j):  # the moves before j, a chunk of positions at a time
-        nonlocal made
-        while made < min(j, nmoves):
-            lo = made // (q - 1)
-            hi = min(n, lo + max(1, cap // (q - 1)))
-            mg = _move_groups(code, g, lo, hi) * row
-            mv[made:hi * (q - 1)] = mg
-            neg[made:hi * (q - 1)] = np.take(mg, (np.arange(hi - lo)[:, None]
-                                                  * (q - 1) + flip).ravel(),
-                                             axis=0)
-            made = hi * (q - 1)
+    neg = mv.take((np.arange(n)[:, None] * (q - 1) + flip).ravel(), axis=0)
 
     def split(x):  # digit-group values of syndrome indices
         out = []
@@ -871,22 +867,11 @@ def syndrome_bfs(code, enum_budget: int,
             out += x
         return out
 
-    def fmul(c, x):  # c*x coordinatewise; for n-k = 1 x is one element
+    def fmul(c, x):  # c*x coordinatewise, in intp so no narrow sum wraps
         c, x = np.asarray(c, dtype=np.intp), np.asarray(x, dtype=np.intp)
-        return _fmul(ctx, c, x) if mul is None else mul[c * P + x]
-
-    def inverse(x):  # of field elements, 0 at 0
-        if inv is not None:
-            return inv.take(x)
-        # n-k = 1: R = 2, so a batch takes at most 2 steps
-        return np.array([ctx.inv(int(e)) if e else 0 for e in np.ravel(x)],
-                        dtype=np.intp).reshape(np.shape(x))
+        return mul[c * P + x]
 
     def norm(xg):  # (c the inverse lead, 0 at 0; groups of norm(x) = c*x)
-        if mul is None:  # n-k = 1: norm(x) = [x != 0]
-            x = index(xg)
-            one = (x != 0).astype(np.intp)
-            return inverse(x), [one] + [np.zeros_like(one)] * (G - 1)
         c = lead.take(xg[-1])
         for x in xg[-2::-1]:  # where every higher group is zero
             z = c == 0
@@ -897,11 +882,10 @@ def syndrome_bfs(code, enum_budget: int,
         return sum(int(np.count_nonzero(level[lo:hi] == value))
                    for lo, hi in spans)
 
-    level = np.full(size, 255, dtype=np.uint8)
+    level = np.full(spans[-1][1], 255, dtype=np.uint8)  # at representatives
     level[0] = 0
     kdt = np.min_scalar_type(nmoves * q - 1)
-    parent = (np.empty(spans[-1][1], dtype=kdt)  # read at representatives
-              if want_witness else None)
+    parent = np.empty(len(level), dtype=kdt) if want_witness else None
     reps, steps, remaining, w = [1], 0, R - 1, 0
     while remaining:
         w += 1
@@ -910,7 +894,6 @@ def syndrome_bfs(code, enum_budget: int,
             xg, i = split(block), 0
             while len(block) and i < nmoves and left:
                 B = max(1, cap // len(block))
-                make(i + B)
                 if pull:
                     c, r = norm(step(xg, neg[i:i + B, None]))
                     hit = level[index(r)] == w - 1
@@ -920,7 +903,7 @@ def syndrome_bfs(code, enum_budget: int,
                     level[got] = w
                     if parent is not None:  # t = lead(t - m) * r + m
                         first = hit[:, found].argmax(axis=0)
-                        lc = inverse(c[first, np.flatnonzero(found)])
+                        lc = inv.take(c[first, np.flatnonzero(found)])
                         parent[got] = (first + i) * q + lc
                     block, xg = block[~found], [x[~found] for x in xg]
                 else:
@@ -949,10 +932,7 @@ def syndrome_bfs(code, enum_budget: int,
     deep = np.concatenate(list(_blocks(level, w, spans)))
     dg = split(deep)
     cs = np.arange(1, q)
-    if mul is None:  # n-k = 1: one deep orbit, no group-wise product
-        syn = fmul(cs[:, None], index(dg)).ravel()
-    else:
-        syn = np.concatenate([index([fmul(c, x) for x in dg]) for c in cs])
+    syn = np.concatenate([index([fmul(c, x) for x in dg]) for c in cs])
     order = np.argsort(syn)
     wit = None
     if want_witness:
@@ -967,8 +947,7 @@ def syndrome_bfs(code, enum_budget: int,
                 wit[rows, pos] = fmul(coef, v + 1)
                 coef = fmul(coef, c)
                 cur = norm(step(cur, neg[mi]))[1]
-        wit = (fmul(cs[:, None, None], wit).reshape(-1, n) if mul is None
-               else np.concatenate([fmul(c, wit) for c in cs]))[order]
+        wit = np.concatenate([fmul(c, wit) for c in cs])[order]
         wit = wit.astype(wdt, copy=False)
     counts = [1] + [(q - 1) * x for x in reps[1:]]
     return BfsOutcome(w, counts, steps, syn[order], wit)

@@ -81,7 +81,8 @@ class RadiusReport:
     variant: str = ""           # e.g. full / degree-sliced
     notes: list = dc_field(default_factory=list)
     level_counts: list | None = None    # syndrome BFS: syndromes a level
-    words_examined: int | None = None   # syndrome BFS: (orbit rep, move) steps
+    words_examined: int | None = None   # syndrome BFS: (orbit rep, move) steps,
+                                        # 0 for n-k <= 1 (closed form)
 
     def to_json(self):
         return {

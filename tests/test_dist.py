@@ -801,17 +801,18 @@ def test_radius_dispatcher_auto():
     assert rep.rho == 1 and rep.algorithm == "rep-sweep"
 
 
-# 'auto' picks by redundancy n-k: on a 2-core host the sweep was faster on
-# every RS/PRS code tried with n-k >= 5 but PRS(10,5)/F_9; below, the BFS
-# was faster on PRS codes and the sweep on RS codes over larger fields
-# (see `covering_radius`); times are BFS / sweep, cold, median of 3 runs
+# 'auto' picks by redundancy n-k (see `covering_radius`): the sweep for
+# RS/PRS codes with n-k >= 5, the BFS below.  Times are BFS / sweep, one
+# cold `covering_radius_syndrome` or `covering_radius_sweep` call in a
+# fresh process, median of 3, on a 2-core host; the faster engine is not
+# always the one picked (RS(13,9)/F_13)
 @pytest.mark.parametrize("make,q,k,algorithm,rho", [
-    (prs_code, 11, 5, "rep-sweep", 6),      # 10 s / 11 ms
-    (rs_code, 53, 51, "syndrome-bfs", 2),   # 3 ms / 7 ms
-    (rs_code, 41, 38, "syndrome-bfs", 3),   # 41^3 cosets: 65 ms / 15 ms
-    (prs_code, 67, 65, "syndrome-bfs", 2),  # 67^3 cosets: 32 ms / 68 ms
-    (rs_code, 13, 9, "syndrome-bfs", 4),    # n-k = 4: 38 ms / 4 ms
-    (rs_code, 13, 8, "rep-sweep", 5),       # n-k = 5: 50 ms / 8 ms
+    (prs_code, 11, 5, "rep-sweep", 6),      # 1.4 s / 8 ms
+    (rs_code, 53, 51, "syndrome-bfs", 2),   # 6 ms / 10 ms
+    (rs_code, 41, 38, "syndrome-bfs", 3),   # 41^3 cosets: 7 ms / 22 ms
+    (prs_code, 67, 65, "syndrome-bfs", 2),  # 67^3 cosets: 17 ms / 70 ms
+    (rs_code, 13, 9, "syndrome-bfs", 4),    # n-k = 4: 9 ms / 4 ms
+    (rs_code, 13, 8, "rep-sweep", 5),       # n-k = 5: 12 ms / 5 ms
 ])
 def test_radius_dispatcher_picks_the_engine_by_redundancy(make, q, k,
                                                           algorithm, rho):
@@ -985,11 +986,9 @@ BFS_CODES = {
     "extended-rs-7-3": lambda: extend_code(rs_code(F(7), 3), cube_word(7)),
     "k-equals-n": lambda: from_matrix(F(5), [[1, 0, 0], [0, 1, 0],
                                              [0, 0, 1]]),
-    # e_0 ... e_4 in the code: H = (0, 0, 0, 0, 0, h, -h).  Two orbit
-    # representatives, 0 and 1, so batches of 2 moves from the zero
-    # syndrome with a recount after each; the 15 batches of the zero
-    # columns' 30 moves leave representative 1 unreached, which the push
-    # must go on to put at level 1
+    # e_0 ... e_4 in the code: H = (0, 0, 0, 0, 0, h, -h).  n-k = 1, so
+    # no search: each witness sits at column 5, the first nonzero entry of
+    # H, past the five zero columns
     "zero-columns-7": lambda: from_matrix(
         F(7), [[int(i == j) for i in range(7)] for j in range(5)]
         + [[0, 0, 0, 0, 0, 1, 1]]),
@@ -1062,11 +1061,9 @@ def test_bfs_steps_over_orbit_representatives():
 
 
 def test_bfs_one_redundant_digit_over_a_large_prime():
-    # (n-k)a = 1: one digit group, added as (x + m) mod p from 2p - 1
-    # entries, and no scalar product table; a p^2 table would be 10^8
-    # entries over F_10007.  The orbit representatives are 0 and 1, so the
-    # push stops at its first recount, after one batch of two steps, before
-    # making most of the 30018 moves
+    # n-k = 1 is answered in closed form: no add or product table and no
+    # move is made (a p^2 add table would be 10^8 entries over F_10007,
+    # and the 30018 moves are not needed)
     code = rs_code(field_create(10007), 2, evalset=[1, 2, 3])
     tracemalloc.start()
     try:
@@ -1082,9 +1079,9 @@ def test_bfs_one_redundant_digit_over_a_large_prime():
 
 
 def test_bfs_one_redundant_coordinate_over_an_extension_field():
-    # n-k = 1 over F_3^8: norm(s) = [s != 0] needs no whole-coordinate
-    # groups, so the 8 digits are added in two groups of 4 from a 81^2
-    # table, not a q^2 = 43M one, and no (q, q) product table is made
+    # n-k = 1 over F_3^8, in closed form: no digit-group table is made
+    # (a group of one whole coordinate would need a q^2 = 43M add table)
+    # and no (q, q) product table
     code = rs_code(field_create(3, 8), 2, evalset=[1, 2, 3])
     tracemalloc.start()
     try:
@@ -1101,6 +1098,41 @@ def test_bfs_one_redundant_coordinate_over_an_extension_field():
     assert ((out.witnesses != 0).sum(axis=1) == 1).all()
     assert np.array_equal(syndrome_indices(code, out.witnesses),
                           out.deep_syndromes)
+
+
+@pytest.mark.parametrize("make", [
+    BFS_CODES["zero-columns-7"], BFS_CODES["prs-5-5"], BFS_CODES["prs-7-7"],
+    BFS_CODES["rs-7-6"],
+    lambda: rs_code(field_create(3, 8), 2, evalset=[1, 2, 3]),
+], ids=["zero-columns-7", "prs-5-5", "prs-7-7", "rs-7-6", "rs-D3-2-3^8"])
+def test_bfs_one_redundant_coordinate_in_closed_form(make):
+    # n-k = 1 takes no step: syndrome s has witness s/h_j * e_j, j the
+    # first nonzero entry of H's one row
+    code = make()
+    ctx, h = code.ctx, code.H[0]
+    out = _sweeps.syndrome_bfs(code, 10**8, want_witness=True)
+    assert (out.rho, out.level_counts, out.words_examined) == (
+        1, [1, ctx.q - 1], 0)
+    assert out.deep_syndromes.tolist() == list(range(1, ctx.q))
+    j = next(j for j, x in enumerate(h) if x)
+    expected = np.zeros((ctx.q - 1, code.n), dtype=np.int64)
+    expected[:, j] = [ctx.mul(s, ctx.inv(h[j])) for s in range(1, ctx.q)]
+    assert np.array_equal(out.witnesses, expected)
+
+
+def test_bfs_level_table_holds_the_orbit_representatives():
+    # PRS(12,5)/F_11: the level table covers the 2*11^6 indices below the
+    # top representative range (3.5 MB), not all 11^7 syndromes (19.5 MB)
+    code = prs_code(field_for_size(11), 5)
+    tracemalloc.start()
+    try:
+        out = _sweeps.syndrome_bfs(code, 10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.level_counts == [1, 120, 6600, 220000, 4777850, 14451800,
+                                30800]
+    assert peak < 20 * 2**20
 
 
 @pytest.mark.parametrize("make,q,k,counts", [
