@@ -7,7 +7,8 @@ Gauss-Jordan over column subsets: `subset_ops` reduces G's digits on every
 k-subset of columns or H's on the complement of every (k+1)-subset,
 whichever stack is smaller, and `LinearCode` its digit generator once over
 all columns.  With pivots in whole blocks of a digit columns, the F_p rref
-of `digit_expand(G)` is the digits of G's F_q rref.
+of `digit_expand(G)` is the digits of G's F_q rref.  Its pivot inverses
+are the array `inv` of F_p's `FieldCtx`, the package's one table pair.
 
 Every F_q matmul of the package is one call of `digit_matmul`: digit rows
 times a digit matrix, as a BLAS float matmul, cast to an integer dtype and
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import FieldCtx
+from .gf import FieldCtx, field_create
 
 
 def subset_reduce(Gd: np.ndarray, gather: np.ndarray, p: int):
@@ -38,7 +39,7 @@ def subset_reduce(Gd: np.ndarray, gather: np.ndarray, p: int):
     C, J = gather.shape
     K = Gd.shape[0]
     A = np.broadcast_to(Gd % p, (C,) + Gd.shape).copy()
-    inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
+    inv = field_create(p).inv(np.arange(p))  # 0 at 0
     rank = np.zeros(C, dtype=np.int64)
     b, rows = np.arange(C), np.arange(K)
     for c in range(J):

@@ -45,7 +45,9 @@ integers, so every functional value, and with it every agreement and
 contribution, is exact.  The RS/PRS generators are one evaluation matrix,
 `_sweep_generator`; its full-degree form V and V^-1,
 `eval_operators`, are the one coset map, and the functional tables are V
-times barycentric weights.
+times barycentric weights.  Every elementwise product and inverse
+(barycentric weights, 1/h_U[x], the BFS's scalar tables) is `FieldCtx.mul`
+or `FieldCtx.inv` over arrays, reads of the field's one exp/log table pair.
 
 A deep-hole listing scans `monic_plans`, one tail of each scalar orbit,
 and `dist._sweep` expands it by the F_q^* scalars.  A radius sweep
@@ -221,10 +223,8 @@ def subset_ops(code):
         hx = red[:, :, ::a].reshape(C, m, a, n)[t, x - k]
         hS = enc @ np.take_along_axis(hx, U[:, None, :-1], axis=2)
     h = np.column_stack([hS, np.ones(len(U), int)])
-    inv = np.zeros(ctx.q, dtype=np.min_scalar_type(ctx.q - 1))
-    for v in np.flatnonzero(np.bincount(h.ravel(), minlength=ctx.q)[1:]) + 1:
-        inv[v] = ctx.inv(int(v))
-    inv = inv[h[up, comp - (m - 1 - np.arange(m))]]  # x's place in S + {x}
+    inv = ctx.inv(h[up, comp - (m - 1 - np.arange(m))])  # x's place in S + {x}
+    inv = inv.astype(np.min_scalar_type(ctx.q - 1))
     w = (k + 1) * a
     table = ctx.mul_digit_matrix(h).transpose(0, 3, 1, 2).reshape(len(U), a, w)
     ops = (table.astype(_linops.exact_dtypes(w, p)[0]), U, comp, up, inv,
@@ -235,15 +235,6 @@ def subset_ops(code):
 # ----------------------------------------------------------------------
 # divided-difference functionals
 # ----------------------------------------------------------------------
-
-def _fmul(ctx: FieldCtx, x, y) -> np.ndarray:
-    """Elementwise product over F_q of two arrays of element encodings."""
-    if ctx.a == 1:
-        return x * y % ctx.p
-    d = np.einsum("...i,...ij->...j", ctx.digit_table()[x],
-                  ctx.mul_digit_matrix(y)) % ctx.p
-    return d @ ctx.p ** np.arange(ctx.a)
-
 
 def _dd_weights(ctx: FieldCtx, D: tuple, X: np.ndarray) -> np.ndarray:
     """Barycentric weights (|D|, C), an F_q matrix, of the C subsets X_c of
@@ -260,12 +251,10 @@ def _dd_weights(ctx: FieldCtx, D: tuple, X: np.ndarray) -> np.ndarray:
     diff = (Dd[:, None] - Dd[None]) % p @ p ** np.arange(ctx.a)  # x - y
     e = np.ones(n, dtype=np.int64)
     for col in (diff + np.eye(n, dtype=np.int64)).T:  # 1 at y = x
-        e = _fmul(ctx, e, col)
-    e = np.array([ctx.inv(int(v)) for v in e], dtype=np.int64)
-    comp = _complement(X, n)
-    w = e[X]
-    for y in comp.T:
-        w = _fmul(ctx, w, diff[X, y[:, None]])
+        e = ctx.mul(e, col)
+    w = ctx.inv(e)[X]
+    for y in _complement(X, n).T:
+        w = ctx.mul(w, diff[X, y[:, None]])
     W = np.zeros((n, len(X)), dtype=np.int64)
     W[X, np.arange(len(X))[:, None]] = w
     return W
@@ -686,25 +675,26 @@ def _scalar_tables(ctx: FieldCtx, h: int):
     """Tables over the P = q^h values x = sum e_j q^j of h syndrome
     coordinates: the field inverses (q,), 0 at 0; the inverse of x's
     leading (most significant nonzero) coordinate (P,), 0 for x = 0; and
-    c*x coordinatewise as a flat (q, P) table in np.min_scalar_type(P - 1),
-    so mul[c*P + x] is c*x, built a coordinate at a time from the (q, q)
-    products: c*(e_0 + q*x') = c*e_0 + q*(c*x').  The inverses are read
-    off the products, inv[e] = the c with c*e = 1."""
+    c*x coordinatewise as a flat (q, P) table in dt = np.min_scalar_type(P
+    - 1), so mul[c*P + x] is c*x.  The (q, q) products are `ctx.mul` a
+    chunk of rows at a time, written into dt; the table is built from them
+    a coordinate at a time, c*(e_0 + q*x') = c*e_0 + q*(c*x'), in dt,
+    where every partial value is below P."""
     q, P = ctx.q, ctx.q**h
+    dt = np.min_scalar_type(P - 1)
     r, rows = np.arange(q), max(1, CHUNK // q)
-    one = np.concatenate([_fmul(ctx, r[s:s + rows, None], r)
-                          for s in range(0, q, rows)])
-    inv = np.zeros(q, dtype=np.intp)
-    c, e = np.nonzero(one == 1)
-    inv[e] = c
+    one = np.empty((q, q), dtype=dt)
+    for s in range(0, q, rows):
+        one[s:s + rows] = ctx.mul(r[s:s + rows, None], r)
+    inv = ctx.inv(r)
     x, lead = np.arange(P), np.zeros(P, dtype=np.intp)
     for j in range(h):
         e = x // q**j % q
         lead = np.where(e != 0, e, lead)
     mul = one
     for _ in range(h - 1):
-        mul = (mul[:, :, None] * q + one[:, None, :]).reshape(q, -1)
-    return inv, inv[lead], mul.astype(np.min_scalar_type(P - 1)).ravel()
+        mul = (mul[:, :, None] * dt.type(q) + one[:, None, :]).reshape(q, -1)
+    return inv, inv[lead], mul.ravel()
 
 
 def _move_groups(code, g: int, lo: int, hi: int) -> np.ndarray:
@@ -831,7 +821,7 @@ def syndrome_bfs(code, enum_budget: int,
         wit = np.zeros((len(syn), n), dtype=wdt) if want_witness else None
         if m and want_witness:  # j the first nonzero entry of H's one row
             j = next(j for j, h in enumerate(code.H[0]) if h)
-            wit[:, j] = _fmul(ctx, syn, ctx.inv(code.H[0][j]))
+            wit[:, j] = ctx.mul(syn, ctx.inv(code.H[0][j]))
         return BfsOutcome(m, [1, q - 1][:m + 1], 0, syn, wit)
     g = ctx.a * (m // 2)
     P, G = p**g, -(-m * ctx.a // g)

@@ -181,8 +181,7 @@ def error_distances_mds(code: LinearCode, words):
         agree = _sweeps.agreements(~hw.any(axis=1), up)
         best = agree.argmax(axis=0)
         dist[s:s + step] = n - code.k - agree.max(axis=0)
-        x, fix = comp[best], _sweeps._fmul(ctx, hw[up[best], :, r - s] @ enc,
-                                           inv[best])
+        x, fix = comp[best], ctx.mul(hw[up[best], :, r - s] @ enc, inv[best])
         near[r, x] = (dt[w[r, x]] - dt[fix]) % ctx.p @ enc
     return dist, near
 
@@ -299,10 +298,9 @@ def _sweep(code: LinearCode, collect: bool, enum_budget: int, threads: int):
         return variant, replace(out, candidates=rows[:0], deep_v=deep[:0],
                                 truncated=True)
     cs = np.arange(1, q)
-    scaled = _sweeps._fmul(ctx, rows[nonzero][:, None], cs[:, None])
+    scaled = ctx.mul(rows[nonzero][:, None], cs[:, None])
     if kind == "prs":  # row c*t's mask at w is t's mask at c^-1 * w
-        inv = np.argsort(_sweeps._fmul(ctx, cs[:, None], np.arange(q)), axis=1)
-        sdeep = deep[nonzero][:, inv]
+        sdeep = deep[nonzero][:, ctx.mul(ctx.inv(cs)[:, None], np.arange(q))]
     else:
         sdeep = np.repeat(deep[nonzero], q - 1, axis=0)
     return variant, replace(

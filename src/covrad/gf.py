@@ -8,19 +8,15 @@ and 1 the multiplicative identity.
 The canonical element order is 1, 2, ..., q-1, 0: nonzero elements ascending
 by integer encoding, with 0 last.  Every construction in this package
 (generator matrices, coset reduction, reports) uses this order.
-Multiplying by e is F_p-linear on digit vectors: its matrix, for one e or
-an array of them, is a sum of precomputed companion-matrix powers.
+Every field keeps one pair of exp/log tables, read by `mul` and `inv` on
+ints and on integer arrays; addition is digit-wise mod p.  Multiplying by
+e is F_p-linear on digit vectors: its matrix, for one e or an array of
+them, is a sum of precomputed companion-matrix powers.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Extension fields (a > 1) up to this size precompute exp/log tables of a
-# primitive element (O(q) memory and time) for mul and inv; larger ones
-# multiply residue polynomials.  Addition is digit-wise mod p and prime
-# fields use integer arithmetic.
-TABLE_LIMIT = 1 << 12
 
 
 def is_prime(n: int) -> bool:
@@ -40,7 +36,8 @@ def is_prime(n: int) -> bool:
 
 
 def _polymod_mul(u, v, modulus, p):
-    """Multiply residue polynomials u, v (digit lists) mod (modulus, p)."""
+    """Residue-polynomial product of digit lists u, v mod (modulus, p): the
+    reference the exp/log tables are tested against."""
     prod = [0] * (len(u) + len(v) - 1)
     for i, ui in enumerate(u):
         if ui:
@@ -112,7 +109,12 @@ def smallest_irreducible(p: int, a: int) -> tuple[int, ...]:
 class FieldCtx:
     """A finite field F_q, q = p^a with p an odd prime.
 
-    Immutable after construction and safe to share across parallel workers.
+    Every field, prime or not, keeps one pair of exp/log tables of a
+    primitive element, O(q) like its digit table: `mul` and `inv` read
+    them for ints (an int back, at list-lookup speed) and for integer
+    arrays (broadcast, an int64 array back); prime-field ints multiply as
+    x*y mod p.  Immutable after construction and safe to share across
+    parallel workers.
     """
 
     def __init__(self, p: int, a: int = 1, modulus=None):
@@ -145,31 +147,43 @@ class FieldCtx:
         while len(xpow) < a:
             xpow.append(xpow[-1] @ X % p)
         self._xpow = np.reshape(xpow, (a, a * a))
-        self._exp = self._log = None
-        if a > 1 and self.q <= TABLE_LIMIT:
-            self._build_tables()
+        self._build_tables()
 
     def _build_tables(self):
-        """exp/log tables of the first primitive element g, in O(q): exp[i]
-        = g^i for i < q-1, built by doubling, since multiplying a batch of
-        elements by g^m is one F_p digit matrix, M_g^m.  g is primitive iff
-        1 does not recur in exp[1:]."""
-        q, p = self.q, self.p
-        for g in range(2, q):
-            M = self.mul_digit_matrix(g)
-            exp = np.ones(1, dtype=np.int64)
-            while len(exp) < q - 1:
-                exp = np.concatenate([exp, self._digits[exp] @ M % p @ self._enc])
-                M = M @ M % p
-            exp = exp[:q - 1]
-            if (exp[1:] != 1).all():
-                break
-        log = np.zeros(q, dtype=np.int64)
+        """exp/log tables of the first primitive element g, in O(q): g is
+        primitive iff g^((q-1)/r) != 1 for each prime r | q-1, a power of
+        its digit matrix M_g; exp[i] = g^i (i < q-1) is built by doubling,
+        a batch times g^m being one digit matrix M_g^m.  exp is stored
+        twice, then zeros, and log[0] = 2(q-1) points into the zeros: x*y
+        is exp[log x + log y] with no test for 0, 1/x is exp[q-1 - log x],
+        and for x = 0 that negative index wraps into the zeros too."""
+        q, p, a = self.q, self.p, self.a
+        primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+        eye = np.eye(a, dtype=np.int64)
+
+        def power(M, e):  # M^e mod p by squaring
+            R = eye
+            while e:
+                if e & 1:
+                    R = R @ M % p
+                M, e = M @ M % p, e >> 1
+            return R
+
+        g = next(g for g in range(2, q) if all(
+            (power(self.mul_digit_matrix(g), (q - 1) // r) != eye).any()
+            for r in primes))
+        M, exp = self.mul_digit_matrix(g), np.ones(1, dtype=np.int64)
+        while len(exp) < q - 1:
+            exp = np.concatenate([exp, self._digits[exp] @ M % p @ self._enc])
+            M = M @ M % p
+        exp, log = exp[:q - 1], np.full(q, 2 * (q - 1), dtype=np.int64)
         log[exp] = np.arange(q - 1)
-        self._exp, self._log = exp.tolist(), log.tolist()
+        self._exp = np.concatenate([exp, exp, np.zeros(2 * q - 1, np.int64)])
+        self._log, el = log, exp.tolist()
+        self._expl, self._logl = el + el + [0] * (2 * q - 1), log.tolist()
 
     # ------------------------------------------------------------------
-    # scalar arithmetic
+    # arithmetic: mul and inv on ints or integer arrays
     # ------------------------------------------------------------------
     def _digitwise(self, x: int, y: int, s: int) -> int:
         """x + s*y: digit-wise mod p, with plain integer arithmetic."""
@@ -190,37 +204,33 @@ class FieldCtx:
     def neg(self, x: int) -> int:
         return self._digitwise(0, x, -1)
 
-    def mul(self, x: int, y: int) -> int:
-        if self.a == 1:
-            return (x * y) % self.p
-        if self._log is not None:
-            lg = self._log
-            return self._exp[(lg[x] + lg[y]) % (self.q - 1)] if x and y else 0
-        v = _polymod_mul(list(self.digits(x)), list(self.digits(y)),
-                         list(self.modulus), self.p)
-        return int(np.dot(v, self._enc))
+    def mul(self, x, y):
+        """x*y: an int for two ints (a list lookup), else the int64 array
+        of the broadcast products of integer arrays (one gather)."""
+        if type(x) is int and type(y) is int:
+            if self.a == 1:
+                return x * y % self.p
+            lg = self._logl
+            return self._expl[lg[x] + lg[y]]
+        out = self._exp[self._log[x] + self._log[y]]
+        return out if np.ndim(out) else int(out)
 
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("inverse of 0 in a finite field")
-        if self.a == 1:
-            return pow(x, self.p - 2, self.p)
-        if self._log is not None:
-            return self._exp[-self._log[x]]
-        return self.pow(x, self.q - 2)
+    def inv(self, x):
+        """1/x: an int for an int, raising ZeroDivisionError at 0, else the
+        int64 array of the inverses of an integer array, 0 at 0."""
+        if type(x) is int or not np.ndim(x):
+            if x == 0:
+                raise ZeroDivisionError("inverse of 0 in a finite field")
+            return self._expl[self.q - 1 - self._logl[x]]
+        return self._exp[self.q - 1 - self._log[x]]
 
     def pow(self, x: int, e: int) -> int:
         """x**e with e a nonnegative integer; x**0 == 1."""
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        r = 1
-        b = x
-        while e:
-            if e & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return r
+        if e == 0 or x == 0:
+            return int(e == 0)
+        return self._expl[self._logl[x] * e % (self.q - 1)]
 
     # ------------------------------------------------------------------
     # enumeration and encoding

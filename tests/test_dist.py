@@ -257,8 +257,9 @@ def test_sweep_operators_match_lagrange_reference(q, k):
 
 def test_rs_sweep_and_decoder_share_one_operator_stack(monkeypatch):
     # the sweep no longer decodes subsets: it scores divided differences
-    # and builds no operator stack, so the decoder and the MDS check read
-    # one cached C(13,9) stack of code.G
+    # and builds no parity table, so the decoder and the MDS check read
+    # one cached parity table, H reduced on the C(12,9) = 220 subsets
+    # U - {max U}
     monkeypatch.setattr(_sweeps, "_SUBSET_OPS_CACHE", {})
     code = rs_code(field_create(13), 9)
     assert covering_radius_sweep(code).rho == 4
@@ -1098,6 +1099,26 @@ def test_bfs_one_redundant_coordinate_over_an_extension_field():
     assert ((out.witnesses != 0).sum(axis=1) == 1).all()
     assert np.array_equal(syndrome_indices(code, out.witnesses),
                           out.deep_syndromes)
+
+
+def test_scalar_tables_of_f_3_8_are_read_off_the_exp_log_tables():
+    # the (q, q) products of F_3^8 go into uint16 a chunk of rows at a
+    # time (86 MB); a digit-einsum build in int64 peaked at 657 MiB
+    ctx = field_create(3, 8)
+    q = ctx.q
+    tracemalloc.start()
+    try:
+        inv, lead, mul = _sweeps._scalar_tables(ctx, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * 2**20
+    assert mul.dtype == np.uint16
+    assert inv[0] == 0 and inv[1:].tolist() == [ctx.inv(e) for e in range(1, q)]
+    assert np.array_equal(lead, inv)  # one coordinate leads itself
+    table = mul.reshape(q, q)
+    for c in np.random.default_rng(q).choice(q, 6, replace=False).tolist():
+        assert table[c].tolist() == [ctx.mul(c, x) for x in range(q)]
 
 
 @pytest.mark.parametrize("make", [

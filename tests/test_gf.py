@@ -1,10 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
-from covrad.gf import (TABLE_LIMIT, FieldCtx, _polymod_mul, field_create,
-                       field_for_size, is_prime, parse_descriptor,
-                       smallest_irreducible)
+from covrad.gf import (FieldCtx, _polymod_mul, field_create, field_for_size,
+                       is_prime, parse_descriptor, smallest_irreducible)
 
 
 def naive_polymul_mod(u, v, modulus, p):
@@ -140,9 +140,8 @@ def test_digit_roundtrip():
 
 
 def test_extension_add_neg_sub_beyond_table_limit():
-    # q = 3^8 > TABLE_LIMIT: addition is digit-wise mod 3 with no table
+    # q = 3^8: addition is digit-wise mod 3 with no table
     ctx = field_create(3, 8)
-    assert ctx.q > TABLE_LIMIT
 
     def digits(x):
         return [x // 3**i % 3 for i in range(8)]
@@ -160,10 +159,9 @@ def test_extension_add_neg_sub_beyond_table_limit():
 
 
 def test_log_exp_tables_match_polynomial_product():
-    # q = 3^7 <= TABLE_LIMIT: mul and inv read exp/log tables of a
-    # primitive element; the residue-polynomial product is the reference
+    # q = 3^7: mul and inv read exp/log tables of a primitive element; the
+    # residue-polynomial product is the reference
     ctx = field_create(3, 7)
-    assert ctx.q <= TABLE_LIMIT
 
     def ref_mul(x, y):
         return ctx.undigits(_polymod_mul(list(ctx.digits(x)),
@@ -214,3 +212,46 @@ def test_element_order_stable_across_constructions():
     a = field_create(3, 2).elements()
     b = FieldCtx(3, 2).elements()
     assert a == b
+
+
+def _ref_mul(ctx, x, y):
+    return ctx.undigits(_polymod_mul(list(ctx.digits(x)), list(ctx.digits(y)),
+                                     list(ctx.modulus), ctx.p))
+
+
+@pytest.mark.parametrize("p,a", [(3, 7), (3, 8), (3, 10), (5, 2), (10007, 1)])
+def test_array_mul_and_inv_match_scalars_and_the_polynomial_product(p, a):
+    # one table pair: array mul/inv equal scalar mul/inv and the
+    # residue-polynomial product, with zeros in both operands; narrow
+    # operand dtypes give the same products
+    ctx = field_create(p, a)
+    rng = np.random.default_rng(ctx.q)
+    x = np.concatenate([[0, 0, 1, 7], rng.integers(0, ctx.q, 400)])
+    y = np.concatenate([[0, 7, 0, 1], rng.integers(0, ctx.q, 400)])
+    prod, inv = ctx.mul(x, y), ctx.inv(y)
+    assert prod.dtype == inv.dtype == np.int64
+    for u, v, uv, iv in zip(x.tolist(), y.tolist(), prod.tolist(),
+                            inv.tolist()):
+        assert ctx.mul(u, v) == uv == _ref_mul(ctx, u, v)
+        assert iv == (ctx.inv(v) if v else 0)
+        assert iv == 0 or _ref_mul(ctx, v, iv) == 1
+    narrow = np.min_scalar_type(ctx.q - 1)
+    assert np.array_equal(ctx.mul(x.astype(narrow), y.astype(narrow)), prod)
+    assert np.array_equal(ctx.mul(x[:20, None], y[:20]),
+                          [[ctx.mul(u, v) for v in y[:20].tolist()]
+                           for u in x[:20].tolist()])
+    assert ctx.mul(np.int64(x[-1]), 1) == x[-1]
+
+
+@pytest.mark.parametrize("q", [3, 5, 9, 11, 13, 25, 27, 2187, 6561, 10007,
+                               59049])
+def test_exp_table_holds_q_minus_1_distinct_powers(q):
+    ctx = field_for_size(q)
+    exp = ctx._exp[:q - 1].tolist()
+    assert exp[0] == 1 and len(set(exp)) == q - 1 and 0 not in exp
+    g = exp[1]  # exp[i + 1] = g * exp[i], checked on a sample
+    for i in random.Random(q).sample(range(q - 2), min(q - 2, 200)):
+        assert exp[i + 1] == _ref_mul(ctx, exp[i], g)
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(0)
+    assert ctx.inv(np.array([0, 1])).tolist() == [0, 1]
