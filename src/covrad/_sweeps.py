@@ -32,11 +32,10 @@ Two exact algorithms live here:
   pushed from the frontier, or pulled into the unreached representatives
   when fewer remain than the frontier holds; syndromes are added digit
   group by digit group through one shared addition table and normalized
-  by table lookups.  The radius is the level at which the
-  representatives run out; the levels, deep syndromes and witnesses are
-  expanded exactly by the q-1 scalars.  One parent key a representative
-  rebuilds each deep witness word, so neither q^n nor the table needs a
-  word matrix.
+  by table lookups.  The radius is the level at which the representatives
+  run out.  The levels, and the witnesses only a listing gets, are
+  expanded exactly by the q-1 scalars; one parent key a representative
+  rebuilds each deep witness word, with no word matrix.
 
 Divided differences, parity functionals and the BFS's move syndromes are
 each one F_q-linear map applied as `_linops.digit_matmul`, the package's
@@ -645,8 +644,7 @@ class BfsOutcome:
     level_counts: list            # syndromes at each level (min coset weight)
     words_examined: int           # steps: (orbit representative, move) pairs;
                                   # 0 for n-k <= 1, answered in closed form
-    deep_syndromes: np.ndarray | None
-    witnesses: np.ndarray | None  # (len(deep_syndromes), n) word rows
+    witnesses: np.ndarray | None  # (deep cosets, n) rows; None for a radius
 
 
 def _add_table(p: int, g: int):
@@ -733,6 +731,14 @@ def _blocks(level: np.ndarray, value: int, spans):
         yield np.concatenate(parts)
 
 
+def _listed(rows: int) -> int:
+    """`rows`, a BFS listing's deep cosets, or ValueError over the cap."""
+    if rows > DEEP_CANDIDATE_CAP:
+        raise ValueError(f"more than {DEEP_CANDIDATE_CAP} deep-hole candidates"
+                         f" (the candidate cap): {rows} deep cosets")
+    return rows
+
+
 def syndrome_bfs(code, enum_budget: int,
                  want_witness: bool = False) -> BfsOutcome:
     """Level-synchronous BFS over the q^(n-k) syndromes of any linear code,
@@ -761,15 +767,14 @@ def syndrome_bfs(code, enum_budget: int,
     the frontier holds, it instead pulls: an unreached representative t is
     at level w iff norm(t - m) is at level w-1 for some move m, and it
     leaves the search at its first hit.  `level_counts` are full syndrome
-    counts, 1 and then q-1 times the representatives a level, and
-    `deep_syndromes` is the deep representatives times every c != 0,
-    sorted.  Pull is what makes small last levels cheap (per-syndrome
-    search: push alone took 6.1 s on RS(17,12)/F_17, push/pull 0.20 s).  A
-    push stops early once no representative is left: they are recounted
-    after each batch that ends R or more steps after the last recount, R
-    the number of representatives.  `words_examined` counts the steps,
-    (representative, move) pairs tried: 709,330 on PRS(10,4)/F_9, where
-    the search over all syndromes took 5,225,484.
+    counts, 1 and then q-1 times the representatives a level.  Pull is what
+    makes small last levels cheap (per-syndrome search: push alone took
+    6.1 s on RS(17,12)/F_17, push/pull 0.20 s).  A push stops early once
+    no representative is left: they are recounted after each batch that
+    ends R or more steps after the last recount, R the number of
+    representatives.  `words_examined` counts the steps, (representative,
+    move) pairs tried: 709,330 on PRS(10,4)/F_9, where the search over all
+    syndromes took 5,225,484.
 
     Digit groups hold h = floor((n-k)/2) whole coordinates, the g = a*h
     base-p digits of a group added through one shared table,
@@ -792,21 +797,22 @@ def syndrome_bfs(code, enum_budget: int,
     with witness s/h_j * e_j, j the first nonzero entry of H's one row:
     the witness a search would pick, as its least parent key lands there.
 
-    Witnesses: one parent key a representative t, (M', c) as
-    M'*q + c < n(q-1)q in np.min_scalar_type, with t = c*r + M', r at
-    level w-1 and M' a move.  A push from r along m has c the inverse lead
-    of r + m and M' = c*m, and keeps the least key of the first batch that
-    reaches t (`np.minimum.at`); a pull along m has c the leading
-    coordinate of t - m and M' = m, from the first hit (`argmax`).  So no
-    result rests on the order of a scatter with repeated indices, which
-    NumPy leaves open.  The walk back from a deep representative sets
+    Witnesses, a listing's only (a radius returns after its levels): one
+    parent key a representative t, (M', c) as M'*q + c < n(q-1)q in
+    np.min_scalar_type, with t = c*r + M', r at level w-1 and M' a move.
+    A push from r along m has c the inverse lead of r + m and M' = c*m,
+    and keeps the least key of the first batch that reaches t
+    (`np.minimum.at`); a pull along m has c the leading coordinate of
+    t - m and M' = m, from the first hit (`argmax`).  So no result rests
+    on the order of a scatter with repeated indices, which NumPy leaves
+    open.  The walk back from a deep representative sets
     word[pos M'] = coef * val(M'), then coef <- coef*c and
     t <- norm(t - M'), rho times; the word has weight rho and syndrome t,
     and c times it has syndrome c*t, so the witnesses of all deep
     syndromes are the representatives' words times each c != 0 (a
-    product-table gather), rows in `deep_syndromes` order.  The same code
-    gives the same witnesses.  They are rows of element encodings in
-    np.min_scalar_type(q - 1).
+    product-table gather), unsorted.  The same code gives the same
+    witnesses, rows of element encodings in np.min_scalar_type(q - 1).
+    Over DEEP_CANDIDATE_CAP rows, ValueError before any is made.
     """
     ctx = code.ctx
     n, q, p, m = code.n, ctx.q, ctx.p, code.n - code.k
@@ -817,12 +823,13 @@ def syndrome_bfs(code, enum_budget: int,
             "use the representative sweep")
     wdt = np.min_scalar_type(q - 1)
     if m <= 1:  # rho = n-k: the zero coset, or each s != 0 at s/h_j * e_j
-        syn = np.arange(1, q) if m else np.array([0])
-        wit = np.zeros((len(syn), n), dtype=wdt) if want_witness else None
+        counts, wit = [1, q - 1][:m + 1], None
+        if want_witness:
+            wit = np.zeros((_listed(counts[-1]), n), dtype=wdt)
         if m and want_witness:  # j the first nonzero entry of H's one row
             j = next(j for j, h in enumerate(code.H[0]) if h)
-            wit[:, j] = ctx.mul(syn, ctx.inv(code.H[0][j]))
-        return BfsOutcome(m, [1, q - 1][:m + 1], 0, syn, wit)
+            wit[:, j] = ctx.mul(np.arange(1, q), ctx.inv(code.H[0][j]))
+        return BfsOutcome(m, counts, 0, wit)
     g = ctx.a * (m // 2)
     P, G = p**g, -(-m * ctx.a // g)
     add, row = _add_table(p, g)
@@ -919,25 +926,22 @@ def syndrome_bfs(code, enum_budget: int,
         if not reps[-1]:
             raise RuntimeError("syndrome space not covered by the moves")
         remaining -= reps[-1]
+    counts = [1] + [(q - 1) * x for x in reps[1:]]
+    if not want_witness:
+        return BfsOutcome(w, counts, steps, None)
+    _listed(counts[-1])
     deep = np.concatenate(list(_blocks(level, w, spans)))
     dg = split(deep)
-    cs = np.arange(1, q)
-    syn = np.concatenate([index([fmul(c, x) for x in dg]) for c in cs])
-    order = np.argsort(syn)
-    wit = None
-    if want_witness:
-        wit = np.zeros((len(deep), n), dtype=wdt)
-        for s in range(0, len(deep), CHUNK):
-            cur = [x[s:s + CHUNK] for x in dg]
-            rows = np.arange(s, s + len(cur[0]))
-            coef = np.ones(len(rows), dtype=np.intp)
-            for _ in range(w):
-                mi, c = np.divmod(parent[index(cur)].astype(np.intp), q)
-                pos, v = np.divmod(mi, q - 1)
-                wit[rows, pos] = fmul(coef, v + 1)
-                coef = fmul(coef, c)
-                cur = norm(step(cur, neg[mi]))[1]
-        wit = np.concatenate([fmul(c, wit) for c in cs])[order]
-        wit = wit.astype(wdt, copy=False)
-    counts = [1] + [(q - 1) * x for x in reps[1:]]
-    return BfsOutcome(w, counts, steps, syn[order], wit)
+    wit = np.zeros((len(deep), n), dtype=wdt)
+    for s in range(0, len(deep), CHUNK):
+        cur = [x[s:s + CHUNK] for x in dg]
+        rows = np.arange(s, s + len(cur[0]))
+        coef = np.ones(len(rows), dtype=np.intp)
+        for _ in range(w):
+            mi, c = np.divmod(parent[index(cur)].astype(np.intp), q)
+            pos, v = np.divmod(mi, q - 1)
+            wit[rows, pos] = fmul(coef, v + 1)
+            coef = fmul(coef, c)
+            cur = norm(step(cur, neg[mi]))[1]
+    wit = np.concatenate([fmul(c, wit) for c in range(1, q)])
+    return BfsOutcome(w, counts, steps, wit.astype(wdt, copy=False))

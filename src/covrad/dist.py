@@ -402,13 +402,13 @@ def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
 
     The sweep (RS/PRS codes) lists (tail, extra-coordinate) reps, from
     one monic tail a scalar orbit expanded by the F_q^* scalars (`_sweep`),
-    and the report compares them against the degree-k family; more than
-    `_sweeps.DEEP_CANDIDATE_CAP` deep tails raise ValueError rather than
-    return a partial listing.  The syndrome BFS (any code) lists one
-    minimum-weight witness word per deep coset and leaves the family
-    fields unset.  Reps are in `CosetRep.sort_key` order: one lexsort of
-    the coefficient or word rows gives it, since zero-padding a stripped
-    tail keeps tuple order.
+    and the report compares them against the degree-k family.  The
+    syndrome BFS (any code) lists one minimum-weight witness word per deep
+    coset and leaves the family fields unset.  Over
+    `_sweeps.DEEP_CANDIDATE_CAP` deep tails (sweep) or deep cosets (BFS),
+    either engine raises ValueError before listing.  Reps are in
+    `CosetRep.sort_key` order: one lexsort of the coefficient or word rows
+    gives it, since zero-padding a stripped tail keeps tuple order.
     """
     t0 = time.perf_counter()
     kind = code.structure.get("kind")

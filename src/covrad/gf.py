@@ -19,20 +19,20 @@ from __future__ import annotations
 import numpy as np
 
 
+def prime_divisors(n: int) -> list[int]:
+    """The primes dividing n, ascending (none for n < 2), by trial division."""
+    out, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    return out + [n] * (n > 1)
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test (fields here are small)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return prime_divisors(n) == [n]
 
 
 def _polymod_mul(u, v, modulus, p):
@@ -158,7 +158,7 @@ class FieldCtx:
         is exp[log x + log y] with no test for 0, 1/x is exp[q-1 - log x],
         and for x = 0 that negative index wraps into the zeros too."""
         q, p, a = self.q, self.p, self.a
-        primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+        primes = prime_divisors(q - 1)
         eye = np.eye(a, dtype=np.int64)
 
         def power(M, e):  # M^e mod p by squaring
@@ -291,16 +291,11 @@ def field_create(p: int, a: int = 1, modulus=None) -> FieldCtx:
 
 def field_for_size(q: int) -> FieldCtx:
     """Field context for the (unique) field of size q = p^a, default modulus."""
-    for p in range(3, q + 1, 2):
-        if not is_prime(p):
-            continue
-        a, t = 0, q
-        while t % p == 0:
-            t //= p
-            a += 1
-        if t == 1 and a >= 1:
-            return field_create(p, a)
-    raise ValueError(f"{q} is not an odd prime power")
+    primes = prime_divisors(q)
+    if len(primes) != 1 or primes == [2]:
+        raise ValueError(f"{q} is not an odd prime power")
+    p = primes[0]
+    return field_create(p, next(a for a in range(1, q) if p**a == q))
 
 
 def parse_descriptor(text: str) -> FieldCtx:

@@ -1008,15 +1008,17 @@ def test_bfs_reference_codes_cover_their_cases():
 
 
 def check_bfs(code):
-    """`syndrome_bfs` against `subset_bfs`: the same radius, level counts and
-    deep syndromes; every witness has weight rho and the syndrome it is
-    listed for; a second run gives the same witnesses."""
+    """`syndrome_bfs` against `subset_bfs`: the same radius and level
+    counts; the witnesses have weight rho and their syndromes, sorted, are
+    the deep syndromes; a second run gives the same witnesses, and a
+    radius-only run none."""
     rho, counts, deep, _ = subset_bfs(code)
     out = _sweeps.syndrome_bfs(code, 10**8, want_witness=True)
     assert (out.rho, out.level_counts) == (rho, counts)
-    assert np.array_equal(out.deep_syndromes, deep)
     assert ((out.witnesses != 0).sum(axis=1) == rho).all()
-    assert np.array_equal(syndrome_indices(code, out.witnesses), deep)
+    assert np.array_equal(np.sort(syndrome_indices(code, out.witnesses)),
+                          deep)
+    assert _sweeps.syndrome_bfs(code, 10**8).witnesses is None
     again = _sweeps.syndrome_bfs(code, 10**8, want_witness=True)
     assert np.array_equal(again.witnesses, out.witnesses)
 
@@ -1046,11 +1048,12 @@ def test_bfs_deep_syndromes_and_witnesses_scale_by_f_q_star(name):
     out = _sweeps.syndrome_bfs(code, 10**8, want_witness=True)
     mul = np.array([[ctx.mul(x, y) for y in range(ctx.q)]
                     for x in range(ctx.q)])
-    row = {s: i for i, s in enumerate(out.deep_syndromes.tolist())}
+    deep = syndrome_indices(code, out.witnesses).tolist()
+    row = {s: i for i, s in enumerate(deep)}
     for c in range(1, ctx.q):
         scaled = mul[c][out.witnesses]
         syn = syndrome_indices(code, scaled).tolist()
-        assert sorted(syn) == out.deep_syndromes.tolist()
+        assert sorted(syn) == sorted(deep)
         assert np.array_equal(out.witnesses[[row[s] for s in syn]], scaled)
 
 
@@ -1095,10 +1098,56 @@ def test_bfs_one_redundant_coordinate_over_an_extension_field():
         "syndrome-bfs", 1, [1, 6560])
     assert peak < 4 * 2**20
     out = _sweeps.syndrome_bfs(code, 10**8, want_witness=True)
-    assert out.deep_syndromes.tolist() == list(range(1, 6561))
     assert ((out.witnesses != 0).sum(axis=1) == 1).all()
-    assert np.array_equal(syndrome_indices(code, out.witnesses),
-                          out.deep_syndromes)
+    assert syndrome_indices(code, out.witnesses).tolist() == list(
+        range(1, 6561))
+
+
+def test_bfs_radius_lists_nothing():
+    # RS(4,2)/F_3^8: a radius reads only the levels, so none of the
+    # 43,020,480 deep syndromes is listed or sorted (a listing of them
+    # would take over 1 GiB); the add and scalar tables are 86 MB each
+    code = rs_code(field_create(3, 8), 2, evalset=[1, 2, 3, 4])
+    tracemalloc.start()
+    try:
+        out = _sweeps.syndrome_bfs(code, 10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.rho, out.level_counts) == (2, [1, 26240, 43020480])
+    assert out.witnesses is None
+    assert peak < 300 * 2**20
+
+
+def test_bfs_listing_over_the_candidate_cap_raises():
+    # RS(4,2)/F_3^8 has 43M deep cosets: the listing is refused before any
+    # witness row is made, as the sweep refuses one
+    code = rs_code(field_create(3, 8), 2, evalset=[1, 2, 3, 4])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"more than "
+                           f"{_sweeps.DEEP_CANDIDATE_CAP} deep-hole candidates"):
+            deep_holes(code, algo="syndrome")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * 2**20
+
+
+@pytest.mark.parametrize("name,deep", [("prs-9-4", 18000), ("prs-5-5", 4),
+                                       ("k-equals-n", 1)])
+def test_bfs_listing_cap_counts_the_deep_cosets(monkeypatch, name, deep):
+    # the search and the closed form check the last level count, the
+    # listing's rows, against the cap; a radius is not capped
+    code = BFS_CODES[name]()
+    monkeypatch.setattr(_sweeps, "DEEP_CANDIDATE_CAP", deep)
+    assert len(_sweeps.syndrome_bfs(code, 10**8, True).witnesses) == deep
+    monkeypatch.setattr(_sweeps, "DEEP_CANDIDATE_CAP", deep - 1)
+    with pytest.raises(ValueError, match=f"more than {deep - 1} "):
+        _sweeps.syndrome_bfs(code, 10**8, want_witness=True)
+    with pytest.raises(ValueError, match=f"more than {deep - 1} "):
+        deep_holes(code, algo="syndrome")
+    assert _sweeps.syndrome_bfs(code, 10**8).level_counts[-1] == deep
 
 
 def test_scalar_tables_of_f_3_8_are_read_off_the_exp_log_tables():
@@ -1134,7 +1183,8 @@ def test_bfs_one_redundant_coordinate_in_closed_form(make):
     out = _sweeps.syndrome_bfs(code, 10**8, want_witness=True)
     assert (out.rho, out.level_counts, out.words_examined) == (
         1, [1, ctx.q - 1], 0)
-    assert out.deep_syndromes.tolist() == list(range(1, ctx.q))
+    assert syndrome_indices(code, out.witnesses).tolist() == list(
+        range(1, ctx.q))
     j = next(j for j, x in enumerate(h) if x)
     expected = np.zeros((ctx.q - 1, code.n), dtype=np.int64)
     expected[:, j] = [ctx.mul(s, ctx.inv(h[j])) for s in range(1, ctx.q)]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from covrad.gf import (FieldCtx, _polymod_mul, field_create, field_for_size,
-                       is_prime, parse_descriptor, smallest_irreducible)
+                       is_prime, parse_descriptor, prime_divisors,
+                       smallest_irreducible)
 
 
 def naive_polymul_mod(u, v, modulus, p):
@@ -204,8 +205,29 @@ def test_field_for_size():
 
 def test_is_prime_small():
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
-    for n in range(2, 25):
+    for n in range(-2, 25):
         assert is_prime(n) == (n in primes)
+
+
+def test_prime_divisors_by_trial_division():
+    # against a scan of every r <= n, each tested for primality by the
+    # divisors below it
+    for n in list(range(-2, 2000)) + [3**8 - 1, 3**10 - 1, 10006, 65536]:
+        assert prime_divisors(n) == [
+            r for r in range(2, n + 1)
+            if n % r == 0 and all(r % d for d in range(2, r))]
+    assert prime_divisors(1000002) == [2, 3, 166667]
+    assert prime_divisors(1000003) == [1000003]
+
+
+def test_field_for_size_of_a_large_prime_or_prime_power():
+    # q's one prime divisor by trial division: no scan of the odd numbers
+    # below q, which took 2.5 s for q = 1000003
+    assert field_for_size(3**10) == field_create(3, 10)
+    assert field_for_size(10007) == field_create(10007)
+    for q in (1, 2, 4, 3 * 5**2, 1000001, 10007**2 * 3):
+        with pytest.raises(ValueError):
+            field_for_size(q)
 
 
 def test_element_order_stable_across_constructions():
