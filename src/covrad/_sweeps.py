@@ -353,7 +353,7 @@ class SweepOutcome:
                                 # max_contrib
     deep_v: np.ndarray          # (R, q) their deep extra values; (R, 1)
                                 # True for RS
-    truncated: bool = False
+    truncated: bool = False     # the kernel stopped listing at the cap
 
 
 def _tail_values_digits(ctx, plan, idx, dtype):
@@ -458,7 +458,10 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
     with q^L <= score_rows, so the table holds at most as many entries as
     one scored sub-chunk.  A grid of tails costs one digit product for the
     outer vectors of its high parts, and the zero test inner == -outer
-    mod p (`_zeros`) needs no add and no mod.  The products are exact
+    mod p (`_zeros`) needs no add and no mod.  A grid holds at most
+    min(CHUNK, 4 * score_rows * q^L) tails, so its outer vectors hold at
+    most 4 * score_rows * (C1 + C0) * a, about 4 * a * CHUNK * n, entries
+    however many functionals there are.  The products are exact
     (`_linops.digit_matmul`) and the identities hold over any field, so
     the contribution is exact.  Only the collected tails are decoded to
     coefficients.
@@ -509,7 +512,8 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
         inner = _linops.digit_matmul(
             T, _tail_values_digits(ctx, low, np.arange(Q), fdt).T, p).astype(vdt)
         T, fdt = table(high)
-        for h0, h1, l0, l1 in _grids(plan.start, plan.end, Q, CHUNK):
+        for h0, h1, l0, l1 in _grids(plan.start, plan.end, Q,
+                                     min(CHUNK, 4 * score_rows * Q)):
             cosets += (h1 - h0) * (l1 - l0)
             thr = n + extra - gmax + collect  # rows are kept iff bestA < thr
             if thr <= k:  # bestA >= k on every row
@@ -627,11 +631,10 @@ def run_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool, plans,
         outs = list(ex.map(_worker, tasks))
     gmax = max(o.max_contrib for o in outs)
     top = [o for o in outs if o.max_contrib == gmax]
-    cands = np.concatenate([o.candidates for o in top])
-    truncated = (len(cands) > DEEP_CANDIDATE_CAP
-                 or any(o.truncated for o in top))
-    return SweepOutcome(gmax, sum(o.cosets for o in outs), cands,
-                        np.concatenate([o.deep_v for o in top]), truncated)
+    return SweepOutcome(gmax, sum(o.cosets for o in outs),
+                        np.concatenate([o.candidates for o in top]),
+                        np.concatenate([o.deep_v for o in top]),
+                        any(o.truncated for o in top))
 
 
 # ----------------------------------------------------------------------
@@ -732,10 +735,12 @@ def _blocks(level: np.ndarray, value: int, spans):
 
 
 def _listed(rows: int) -> int:
-    """`rows`, a BFS listing's deep cosets, or ValueError over the cap."""
+    """`rows`, or ValueError over the cap: the one refusal of an oversize
+    listing, made before any of its rows, by the BFS (a row a deep coset)
+    and by `dist._sweep` (a row a deep tail)."""
     if rows > DEEP_CANDIDATE_CAP:
         raise ValueError(f"more than {DEEP_CANDIDATE_CAP} deep-hole candidates"
-                         f" (the candidate cap): {rows} deep cosets")
+                         f" (the candidate cap): {rows} to list")
     return rows
 
 

@@ -123,7 +123,7 @@ def cmd_analyze(args) -> int:
                                    args.threads)
         _emit(rep.to_json(), args.format)
     elif args.what == "deep-holes":
-        rep = dist.deep_holes(code, rho=args.rho, algo=args.algo_dh,
+        rep = dist.deep_holes(code, algo=args.algo_dh,
                               enum_budget=args.enum_budget,
                               threads=args.threads)
         _emit(rep.to_json(), args.format)
@@ -259,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
     p = asub.add_parser("deep-holes")
     p.add_argument("--code", required=True)
-    p.add_argument("--rho", type=int)
     p.add_argument("--algo", dest="algo_dh",
                    choices=("auto", "sweep", "syndrome"), default="auto")
     _add_enum_budget(p)

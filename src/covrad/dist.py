@@ -44,9 +44,6 @@ class CosetRep(NamedTuple):
     v: int | None = None      # extra-coordinate value (PRS only)
     word: tuple | None = None # minimum-weight word (generic codes only)
 
-    def sort_key(self):
-        return (self.tail, -1 if self.v is None else self.v, self.word or ())
-
     def to_json(self):
         out = {}
         if self.word is not None:
@@ -77,7 +74,6 @@ class RadiusReport:
     algorithm: str              # syndrome-bfs | rep-sweep | brute
     cosets_examined: int
     elapsed_ms: float
-    d: int | None = None
     variant: str = ""           # e.g. full / degree-sliced
     notes: list = dc_field(default_factory=list)
     level_counts: list | None = None    # syndrome BFS: syndromes a level
@@ -86,9 +82,9 @@ class RadiusReport:
 
     def to_json(self):
         return {
-            "code": self.code, "n": self.n, "k": self.k, "d": self.d,
-            "rho": self.rho, "algorithm": self.algorithm,
-            "variant": self.variant, "cosets_examined": self.cosets_examined,
+            "code": self.code, "n": self.n, "k": self.k, "rho": self.rho,
+            "algorithm": self.algorithm, "variant": self.variant,
+            "cosets_examined": self.cosets_examined,
             "level_counts": self.level_counts,
             "words_examined": self.words_examined,
             "notes": self.notes, "elapsed_ms": round(self.elapsed_ms, 3),
@@ -266,9 +262,11 @@ def _sweep(code: LinearCode, collect: bool, enum_budget: int, threads: int):
       - every nonzero tail is c*(a monic tail) for exactly one c, its
         leading coefficient, so the expansion is a bijection onto the
         nonzero tails at the maximum, with no duplicates.
-    `_sweeps.DEEP_CANDIDATE_CAP` counts the expanded rows, and is checked
-    before they are allocated: over it, the outcome is truncated and holds
-    no rows.  `cosets` counts the tails scanned.
+    `_sweeps._listed`, the one refusal of an oversize listing, counts the
+    expanded rows before any is made and raises ValueError over
+    `_sweeps.DEEP_CANDIDATE_CAP`, counting one more row when the kernel
+    stopped at the cap (`truncated`), as it then dropped some.  `cosets`
+    counts the tails scanned.
     """
     kind = code.structure.get("kind")
     if kind not in ("rs", "prs"):
@@ -292,11 +290,7 @@ def _sweep(code: LinearCode, collect: bool, enum_budget: int, threads: int):
         return variant, out
     rows, deep = out.candidates, out.deep_v
     nonzero = rows.any(axis=1)
-    nmonic = int(nonzero.sum())
-    if (out.truncated or len(rows) + (q - 2) * nmonic
-            > _sweeps.DEEP_CANDIDATE_CAP):
-        return variant, replace(out, candidates=rows[:0], deep_v=deep[:0],
-                                truncated=True)
+    _sweeps._listed(len(rows) + (q - 2) * int(nonzero.sum()) + out.truncated)
     cs = np.arange(1, q)
     scaled = ctx.mul(rows[nonzero][:, None], cs[:, None])
     if kind == "prs":  # row c*t's mask at w is t's mask at c^-1 * w
@@ -381,34 +375,30 @@ def covering_radius(code: LinearCode, algo: str = "auto",
 # deep holes
 # ----------------------------------------------------------------------
 
-def _degree_k_family(ctx: FieldCtx, k: int, vs):
-    """Representatives (c*x^k, v) for c != 0 and v in vs (v=None for RS)."""
-    for c in range(1, ctx.q):
-        for v in vs:
-            yield CosetRep(tail=(0,) * k + (c,), v=v)
-
-
 def deep_hole_family_prs(ctx: FieldCtx, k: int):
     """The (q-1)*q representatives (c*x^k, v), c != 0."""
     if not 2 <= k <= ctx.q - 2:
         raise ValueError(f"need 2 <= k <= q-2, got k={k}, q={ctx.q}")
-    return _degree_k_family(ctx, k, range(ctx.q))
+    return (CosetRep((0,) * k + (c,), v)
+            for c in range(1, ctx.q) for v in range(ctx.q))
 
 
-def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
+def deep_holes(code: LinearCode, algo: str = "auto",
                enum_budget: int = DEFAULT_ENUM_BUDGET,
                threads: int = 1) -> DeepHoleReport:
-    """All coset representatives at error distance exactly rho(C).
+    """All coset representatives at error distance exactly rho(C), which
+    the report carries.
 
     The sweep (RS/PRS codes) lists (tail, extra-coordinate) reps, from
     one monic tail a scalar orbit expanded by the F_q^* scalars (`_sweep`),
-    and the report compares them against the degree-k family.  The
-    syndrome BFS (any code) lists one minimum-weight witness word per deep
-    coset and leaves the family fields unset.  Over
-    `_sweeps.DEEP_CANDIDATE_CAP` deep tails (sweep) or deep cosets (BFS),
-    either engine raises ValueError before listing.  Reps are in
-    `CosetRep.sort_key` order: one lexsort of the coefficient or word rows
-    gives it, since zero-padding a stripped tail keeps tuple order.
+    and where x^k is a tail (k < |D|) the report compares them against
+    the degree-k family (c*x^k, v), c != 0.  The syndrome BFS (any code)
+    lists one minimum-weight witness word per deep coset.  Without a
+    family the family fields stay unset.  Over `_sweeps.DEEP_CANDIDATE_CAP`
+    deep tails (sweep) or deep cosets (BFS), either engine raises
+    ValueError in `_sweeps._listed` before listing.  Reps are sorted: one
+    lexsort of the coefficient or word rows gives tuple order, since
+    zero-padding a stripped tail keeps it.
     """
     t0 = time.perf_counter()
     kind = code.structure.get("kind")
@@ -417,8 +407,6 @@ def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
         algo = "sweep" if kind in ("rs", "prs") else "syndrome"
     if algo == "syndrome":
         out = _sweeps.syndrome_bfs(code, enum_budget, want_witness=True)
-        if rho is not None and rho != out.rho:
-            raise ValueError(f"supplied rho={rho} but BFS found {out.rho}")
         words = out.witnesses[np.lexsort(out.witnesses.T[::-1])].tolist()
         return DeepHoleReport(
             code=code.label, rho=out.rho, count=len(words),
@@ -429,13 +417,6 @@ def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
     if algo != "sweep":
         raise ValueError(f"unknown deep-hole algorithm {algo!r}")
     _, out = _sweep(code, True, enum_budget, threads)
-    if out.truncated:
-        raise ValueError(
-            f"more than {_sweeps.DEEP_CANDIDATE_CAP} deep-hole candidates "
-            "(the candidate cap); the listing would be incomplete")
-    if rho is not None and rho != out.max_contrib:
-        raise ValueError(
-            f"supplied rho={rho} but sweep found max distance {out.max_contrib}")
     # tails are distinct, so sorting them and then each one's v values
     # (nonzero is row-major) sorts the (tail, v) pairs
     order = np.lexsort(out.candidates.T[::-1])
@@ -445,23 +426,23 @@ def deep_holes(code: LinearCode, rho: int | None = None, algo: str = "auto",
     tails = _sweeps._tail_tuples(coeffs)
     reps = list(map(CosetRep, map(tails.__getitem__, r.tolist()),
                     map(vals.__getitem__, v.tolist())))
-    # family pairs (c*x^k, v), c != 0, in sort_key order: by c, then v
-    k, n = code.structure["k"], coeffs.shape[1]
-    is_cxk = np.zeros(len(coeffs), dtype=bool)  # tail c*x^k, c != 0
-    present = np.zeros((ctx.q, deep.shape[1]), dtype=bool)
-    if k < n:
+    family = {}
+    k = code.structure["k"]
+    if k < coeffs.shape[1]:
         is_cxk = (coeffs[:, k] != 0) & ~coeffs[:, k + 1:].any(axis=1)
+        present = np.zeros((ctx.q, deep.shape[1]), dtype=bool)
         present[coeffs[is_cxk, k]] = deep[is_cxk]
-    family = list(_degree_k_family(ctx, k, vals))
-    extras = np.nonzero(~is_cxk[r])[0].tolist()
-    missing = np.nonzero(~present[1:].ravel())[0].tolist()
+        extras = [reps[i] for i in np.flatnonzero(~is_cxk[r]).tolist()]
+        c, w = np.nonzero(~present[1:])  # (c*x^k, v) in order: by c, then v
+        missing = [CosetRep((0,) * k + (ci + 1,), vals[wi])
+                   for ci, wi in zip(c.tolist(), w.tolist())]
+        family = dict(family_size=(ctx.q - 1) * len(vals),
+                      matches_degree_k_family=not extras and not missing,
+                      extras=extras, missing_family=missing)
     return DeepHoleReport(
         code=code.label, rho=out.max_contrib, count=len(reps), reps=reps,
         algorithm="rep-sweep", elapsed_ms=(time.perf_counter() - t0) * 1e3,
-        family_size=len(family),
-        matches_degree_k_family=not extras and not missing,
-        extras=[reps[i] for i in extras],
-        missing_family=[family[i] for i in missing])
+        **family)
 
 
 # ----------------------------------------------------------------------

@@ -205,6 +205,7 @@ def test_verify_unknown_suite_usage_error(capsys):
 @pytest.mark.parametrize("argv", [
     ("analyze", "mds-check", "--code", "prs:q=5,k=4", "--threads", "2"),
     ("verify", "boundary", "--mem-budget", "5"),
+    ("analyze", "deep-holes", "--code", "prs:q=5,k=2", "--rho", "3"),
 ])
 def test_options_a_command_does_not_read_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:

@@ -794,6 +794,26 @@ def test_block_addition_candidate_cap(monkeypatch, cap):
     assert listed(out) == cands[:cap]
 
 
+def test_grids_are_bounded_by_the_functional_count():
+    # PRS(20,12)/F_19 scores C(19,13) + C(19,12) = 77520 functionals, so
+    # a scored sub-chunk is 16 tails and q^L = 1: a grid of CHUNK tails
+    # would take all 361 tails of the plan at once, 77520 outer values
+    # each, where 4 * 16 tails a grid hold a fifth of that
+    ctx, k = field_create(19), 12
+    D = ctx.elements()
+    _sweeps.divided_differences(ctx, D, k, True)  # the tables, cached
+    plan = _sweeps.TailPlan({18: 1}, range(12, 14), 19)
+    tracemalloc.start()
+    try:
+        out = _sweeps.profile_sweep(ctx, D, k, prs=True, plans=[plan],
+                                    collect=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.max_contrib, out.cosets) == (6, 361)
+    assert peak < 64 * 2**20
+
+
 def test_radius_dispatcher_auto():
     code = prs_code(field_create(5), 4)
     rep = covering_radius(code)
@@ -1409,6 +1429,19 @@ def test_syndrome_deep_holes_leave_family_fields_unset():
     assert not report.extras and not report.missing_family
 
 
+@pytest.mark.parametrize("q", [5, 7])
+def test_no_degree_k_family_when_k_is_the_length_of_d(q):
+    # PRS(q+1,q): x^q = x on F_q, so no tail c*x^q exists; each pair
+    # (c*x^q, v) is the coset ((), v), a listed deep hole for v != 0 and
+    # the code for v = 0, and the family fields stay unset
+    report = deep_holes(prs_code(field_create(q), q))
+    assert (report.rho, report.count) == (1, q - 1)
+    assert report.reps == [CosetRep((), v) for v in range(1, q)]
+    assert report.family_size is None
+    assert report.matches_degree_k_family is None
+    assert not report.extras and not report.missing_family
+
+
 def test_prs_deep_sets_match_syndrome_bfs():
     # independent cross-validation of the full deep-hole listing; over F_9
     # the extra-coordinate value is decoded from a = 2 digits
@@ -1448,12 +1481,29 @@ def test_deep_hole_listing_over_the_candidate_cap_raises(monkeypatch):
     assert _sweeps._tail_tuples(out.candidates) == [(0, 0, 1)]
 
 
-def test_deep_holes_respects_supplied_rho():
-    code = rs_code(field_create(5), 2)
-    report = deep_holes(code, rho=3)
-    assert report.count == 4
-    with pytest.raises(ValueError, match="rho"):
-        deep_holes(code, rho=2)
+@pytest.mark.parametrize("k,cap,rows", [
+    (2, 103, 104),  # 26 deep monic tails expand to 104 deep tails
+    (2, 2, 9),      # the kernel stops at 2 monic tails: 2 * 4, plus 1 as
+                    # it dropped some
+    (4, 1, 2),      # it stops at the zero tail, which does not expand
+])
+def test_sweep_listing_over_the_cap_is_refused_by_listed(monkeypatch, k, cap,
+                                                         rows):
+    # the BFS's refusal, with its message, on the expanded row count and
+    # before any row is scaled (no ctx.mul once the scan is done)
+    code = prs_code(field_create(5), k)
+    run_sweep = _sweeps.run_sweep
+
+    def sweep_then_forbid_mul(*args, **kw):
+        out = run_sweep(*args, **kw)
+        monkeypatch.setattr(type(code.ctx), "mul", None)
+        return out
+
+    monkeypatch.setattr(_sweeps, "run_sweep", sweep_then_forbid_mul)
+    monkeypatch.setattr(_sweeps, "DEEP_CANDIDATE_CAP", cap)
+    with pytest.raises(ValueError, match=rf"^more than {cap} deep-hole "
+                       rf"candidates \(the candidate cap\): {rows} to list$"):
+        deep_holes(code)
 
 
 def test_deep_hole_family_iterator():
@@ -1489,7 +1539,7 @@ def test_threaded_sweep_matches_serial():
     a = deep_holes(code, threads=1)
     b = deep_holes(code, threads=2)
     assert a.rho == b.rho and a.count == b.count
-    assert [r.sort_key() for r in a.reps] == [r.sort_key() for r in b.reps]
+    assert a.reps == b.reps
 
 
 class RecordingPool:
@@ -1536,22 +1586,24 @@ def test_run_sweep_starts_one_worker_a_task_and_none_for_one(monkeypatch):
 
 def sort_and_set(code):
     """The deep-hole report fields by sorting and set difference: every
-    (tail, v) of the sweep's listing as a CosetRep, sorted by sort_key, and
-    the degree-k family compared as sets.  A reference for `deep_holes`."""
+    (tail, v) of the sweep's listing as a CosetRep, sorted, and, where x^k
+    is a tail (k < |D|), the degree-k family (c*x^k, v), c != 0, compared
+    as sets.  A reference for `deep_holes`."""
     ctx, k = code.ctx, code.structure["k"]
     _, out = dist._sweep(code, True, dist.DEFAULT_ENUM_BUDGET, 1)
-    reps = sorted((CosetRep(tail=t, v=v) for t, vs in listed(out) for v in vs),
-                  key=CosetRep.sort_key)
+    reps = sorted(CosetRep(tail=t, v=v) for t, vs in listed(out) for v in vs)
+    if k >= len(code.structure["eval"]):
+        return reps, [], [], None
     vals = range(ctx.q) if code.structure["kind"] == "prs" else (None,)
-    fs, rs = set(dist._degree_k_family(ctx, k, vals)), set(reps)
-    return (reps, sorted(rs - fs, key=CosetRep.sort_key),
-            sorted(fs - rs, key=CosetRep.sort_key), fs == rs)
+    fs = {CosetRep((0,) * k + (c,), v) for c in range(1, ctx.q) for v in vals}
+    rs = set(reps)
+    return reps, sorted(rs - fs), sorted(fs - rs), fs == rs
 
 
 @pytest.mark.parametrize("make,q,k", [
     (rs_code, 5, 2), (rs_code, 7, 1), (rs_code, 9, 4), (rs_code, 9, 8),
     (prs_code, 5, 2), (prs_code, 5, 1), (prs_code, 9, 6), (prs_code, 7, 6),
-    (prs_code, 5, 5),  # k = q: the family tails x^q lie beyond D, all missing
+    (prs_code, 5, 5),  # k = q = |D|: no tail c*x^q, so no family fields
 ])
 def test_deep_hole_report_matches_sort_and_set(make, q, k):
     code = make(field_for_size(q), k)
@@ -1566,7 +1618,7 @@ def test_deep_hole_report_matches_sort_and_set(make, q, k):
 
 def test_syndrome_deep_holes_are_sorted_words():
     report = deep_holes(prs_code(field_create(5), 3), algo="syndrome")
-    assert report.reps == sorted(report.reps, key=CosetRep.sort_key)
+    assert report.reps == sorted(report.reps)
     assert len(set(report.reps)) == report.count == 100
 
 
@@ -1698,9 +1750,7 @@ def test_coset_rep_keeps_the_dataclass_semantics():
     ]
     for reps in groups:
         refs = [DataclassRep(*r) for r in reps]
-        assert ([DataclassRep(*r) for r in sorted(reps)] == sorted(refs)
-                == [DataclassRep(*r) for r in sorted(reps,
-                                                     key=CosetRep.sort_key)])
+        assert [DataclassRep(*r) for r in sorted(reps)] == sorted(refs)
         for r, ref in zip(reps, refs):
             assert hash(r) == hash(ref)
             assert repr(r) == repr(ref).replace("DataclassRep", "CosetRep")
@@ -1709,9 +1759,6 @@ def test_coset_rep_keeps_the_dataclass_semantics():
             assert CosetRep(tail=r.tail, v=r.v, word=r.word) == r
         assert len(set(reps + reps)) == len(reps)
     assert CosetRep() == CosetRep((), None, None)
-    assert CosetRep((0, 0, 3), 2).sort_key() == ((0, 0, 3), 2, ())
-    assert CosetRep((0, 1)).sort_key() == ((0, 1), -1, ())
-    assert CosetRep(word=(1, 0)).sort_key() == ((), -1, (1, 0))
     assert CosetRep((0, 0, 3), 2).to_json() == {"tail": "0,0,3", "v": 2}
     assert CosetRep(()).to_json() == {"tail": "0"}
     assert CosetRep(word=(1, 0, 2)).to_json() == {"word": "1,0,2"}
