@@ -1,9 +1,9 @@
 """Exact covering radii, error distances and deep holes of Reed-Solomon-type
 and MDS codes over small odd-characteristic finite fields."""
 
-from .code import (CodeParams, LinearCode, codes_equal, extend_code,
-                   export_code_spec, from_matrix, glynn_code, is_mds,
-                   min_distance, parse_code_spec, prs_code, rs_code)
+from .code import (LinearCode, codes_equal, extend_code, export_code_spec,
+                   from_matrix, glynn_code, is_mds, min_distance,
+                   parse_code_spec, prs_code, rs_code)
 from .dist import (CosetRep, DeepHoleReport, RadiusReport, covering_radius,
                    covering_radius_brute, covering_radius_sweep,
                    covering_radius_syndrome, deep_hole_family_prs, deep_holes,
@@ -24,7 +24,7 @@ __all__ = [
     "FieldCtx", "field_create", "field_for_size",
     "Poly", "NEG_INF", "evaluate_word", "interpolate", "from_roots",
     "weight", "hamming",
-    "LinearCode", "CodeParams", "rs_code", "prs_code", "glynn_code",
+    "LinearCode", "rs_code", "prs_code", "glynn_code",
     "from_matrix", "extend_code", "min_distance", "is_mds", "codes_equal",
     "export_code_spec", "parse_code_spec",
     "CosetRep", "RadiusReport", "DeepHoleReport",

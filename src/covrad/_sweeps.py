@@ -803,16 +803,17 @@ def syndrome_bfs(code, enum_budget: int,
     the witness a search would pick, as its least parent key lands there.
 
     Witnesses, a listing's only (a radius returns after its levels): one
-    parent key a representative t, (M', c) as M'*q + c < n(q-1)q in
-    np.min_scalar_type, with t = c*r + M', r at level w-1 and M' a move.
-    A push from r along m has c the inverse lead of r + m and M' = c*m,
-    and keeps the least key of the first batch that reaches t
-    (`np.minimum.at`); a pull along m has c the leading coordinate of
-    t - m and M' = m, from the first hit (`argmax`).  So no result rests
-    on the order of a scatter with repeated indices, which NumPy leaves
+    parent key a representative t, the index of a move M' < n(q-1) in
+    np.min_scalar_type, with t = c*r + M' and r at level w-1; c is then
+    the leading coordinate of t - M', as r has lead 1.  A push from r
+    along m has M' = c*m, c the inverse lead of r + m, and keeps the least
+    key of the first batch that reaches t (`np.minimum.at`); a pull along
+    m has M' = m, from the first hit (`argmax`).  So no result rests on
+    the order of a scatter with repeated indices, which NumPy leaves
     open.  The walk back from a deep representative sets
-    word[pos M'] = coef * val(M'), then coef <- coef*c and
-    t <- norm(t - M'), rho times; the word has weight rho and syndrome t,
+    word[pos M'] = coef * val(M'), then t <- norm(t - M'), whose inverse
+    lead is 1/c, and coef <- coef*c, rho times; the word has weight rho
+    and syndrome t,
     and c times it has syndrome c*t, so the witnesses of all deep
     syndromes are the representatives' words times each c != 0 (a
     product-table gather), unsorted.  The same code gives the same
@@ -886,7 +887,7 @@ def syndrome_bfs(code, enum_budget: int,
 
     level = np.full(spans[-1][1], 255, dtype=np.uint8)  # at representatives
     level[0] = 0
-    kdt = np.min_scalar_type(nmoves * q - 1)
+    kdt = np.min_scalar_type(nmoves - 1)
     parent = np.empty(len(level), dtype=kdt) if want_witness else None
     reps, steps, remaining, w = [1], 0, R - 1, 0
     while remaining:
@@ -897,16 +898,14 @@ def syndrome_bfs(code, enum_budget: int,
             while len(block) and i < nmoves and left:
                 B = max(1, cap // len(block))
                 if pull:
-                    c, r = norm(step(xg, neg[i:i + B, None]))
+                    r = norm(step(xg, neg[i:i + B, None]))[1]
                     hit = level[index(r)] == w - 1
                     steps += hit.size
                     found = hit.any(axis=0)
                     got = block[found]
                     level[got] = w
                     if parent is not None:  # t = lead(t - m) * r + m
-                        first = hit[:, found].argmax(axis=0)
-                        lc = inv.take(c[first, np.flatnonzero(found)])
-                        parent[got] = (first + i) * q + lc
+                        parent[got] = hit[:, found].argmax(axis=0) + i
                     block, xg = block[~found], [x[~found] for x in xg]
                 else:
                     c, r = norm(step(xg, mv[i:i + B, None]))
@@ -917,7 +916,7 @@ def syndrome_bfs(code, enum_budget: int,
                     if parent is not None:  # t = c*r + c*m; least key wins
                         pos, v = np.divmod(new // len(block) + i, q - 1)
                         cn = c.ravel()[new]
-                        key = (pos * (q - 1) + fmul(cn, v + 1) - 1) * q + cn
+                        key = pos * (q - 1) + fmul(cn, v + 1) - 1
                         parent[got] = np.iinfo(kdt).max
                         np.minimum.at(parent, got, key.astype(kdt))
                     level[got] = w
@@ -943,10 +942,10 @@ def syndrome_bfs(code, enum_budget: int,
         rows = np.arange(s, s + len(cur[0]))
         coef = np.ones(len(rows), dtype=np.intp)
         for _ in range(w):
-            mi, c = np.divmod(parent[index(cur)].astype(np.intp), q)
+            mi = parent[index(cur)].astype(np.intp)
             pos, v = np.divmod(mi, q - 1)
             wit[rows, pos] = fmul(coef, v + 1)
-            coef = fmul(coef, c)
-            cur = norm(step(cur, neg[mi]))[1]
+            c, cur = norm(step(cur, neg[mi]))  # t - M' = (1/c) * norm
+            coef = fmul(coef, inv.take(c))
     wit = np.concatenate([fmul(c, wit) for c in range(1, q)])
     return BfsOutcome(w, counts, steps, wit.astype(wdt, copy=False))

@@ -1,6 +1,10 @@
 """Command-line front end: code construction, distance/radius analyses, and
 the claim-verification suites.
 
+Every command names a code the one way `build_code` parses (`SELECTOR`;
+the default Glynn code is 'glynn:'); `covrad code --code S --out FILE`
+writes a code-spec file, whose path is itself a selector.
+
 Exit codes: 0 all requested checks pass, 1 any verification case fails,
 2 usage or input error.
 """
@@ -12,8 +16,8 @@ import json
 import sys
 
 from . import dist, ssp, verify
-from .code import (LinearCode, export_code_spec, from_matrix, glynn_code,
-                   is_mds, min_distance, parse_code_spec, prs_code, rs_code)
+from .code import (LinearCode, export_code_spec, glynn_code, is_mds,
+                   min_distance, parse_code_spec, prs_code, rs_code)
 from .gf import field_for_size
 from .verify import run_verification
 
@@ -42,8 +46,8 @@ def _emit_table(obj, indent=""):
         print(f"{indent}{obj}")
 
 
-def _parse_word(text):
-    return tuple(int(t) for t in text.split(","))
+SELECTOR = ("rs:q=Q,k=K[,eval=X+Y+...], prs:q=Q,k=K, glynn:[w=W] or a "
+            "code-spec file path")
 
 
 def build_code(selector: str) -> LinearCode:
@@ -97,19 +101,8 @@ def _code_summary(code: LinearCode) -> dict:
 # ----------------------------------------------------------------------
 
 def cmd_code(args) -> int:
-    if args.ctor == "rs":
-        ctx = field_for_size(args.q)
-        ev = _parse_word(args.eval) if args.eval else None
-        code = rs_code(ctx, args.k, ev)
-    elif args.ctor == "prs":
-        code = prs_code(field_for_size(args.q), args.k)
-    elif args.ctor == "glynn":
-        code = glynn_code(field_for_size(9), args.w)
-    elif args.ctor == "from-file":
-        code = build_code(args.path)
-    else:  # export
-        code = build_code(args.code)
-    if getattr(args, "out", None):
+    code = build_code(args.code)
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(export_code_spec(code))
     _emit(_code_summary(code), args.format)
@@ -123,13 +116,13 @@ def cmd_analyze(args) -> int:
                                    args.threads)
         _emit(rep.to_json(), args.format)
     elif args.what == "deep-holes":
-        rep = dist.deep_holes(code, algo=args.algo_dh,
+        rep = dist.deep_holes(code, algo=args.algo,
                               enum_budget=args.enum_budget,
                               threads=args.threads)
         _emit(rep.to_json(), args.format)
     elif args.what == "distance":
-        word = _parse_word(args.word)
-        if args.dist_algo == "brute":
+        word = tuple(int(t) for t in args.word.split(","))
+        if args.algo == "brute":
             d, near = dist.error_distance_brute(code, word, args.enum_budget)
         else:
             d, near = dist.error_distance_mds(code, word)
@@ -205,8 +198,8 @@ def _add_threads(p):
                    help="worker processes for the representative sweep")
 
 
-def _add_format(p):
-    p.add_argument("--format", choices=("json", "table", "csv"),
+def _add_format(p, *more):
+    p.add_argument("--format", choices=("json", "table", *more),
                    default="json")
 
 
@@ -218,39 +211,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "odd-characteristic fields.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("code", help="construct, validate, export codes")
-    csub = pc.add_subparsers(dest="ctor", required=True)
-    for name in ("rs", "prs"):
-        p = csub.add_parser(name)
-        p.add_argument("--q", type=int, required=True,
-                       help="field size (an odd prime power)")
-        p.add_argument("--k", type=int, required=True)
-        if name == "rs":
-            p.add_argument("--eval", help="comma-separated evaluation points")
-        p.add_argument("--out", help="write a code-spec file")
-        _add_format(p)
-        p.set_defaults(func=cmd_code)
-    p = csub.add_parser("glynn")
-    p.add_argument("--w", type=int, default=None,
-                   help="parameter with w^4 = -1; default: smallest such")
-    p.add_argument("--out")
-    _add_format(p)
-    p.set_defaults(func=cmd_code)
-    p = csub.add_parser("from-file")
-    p.add_argument("path")
-    p.add_argument("--out")
-    _add_format(p)
-    p.set_defaults(func=cmd_code)
-    p = csub.add_parser("export")
-    p.add_argument("--code", required=True, help="builtin selector or path")
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("code", help="construct a code, print its summary "
+                                    "and optionally write its code-spec file")
+    p.add_argument("--code", required=True, help=SELECTOR)
+    p.add_argument("--out", help="write a code-spec file")
     _add_format(p)
     p.set_defaults(func=cmd_code)
 
     pa = sub.add_parser("analyze", help="distances, radii, deep holes")
     asub = pa.add_subparsers(dest="what", required=True)
     p = asub.add_parser("radius")
-    p.add_argument("--code", required=True)
+    p.add_argument("--code", required=True, help=SELECTOR)
     p.add_argument("--algo", choices=("auto", "syndrome", "sweep", "brute"),
                    default="auto")
     _add_enum_budget(p)
@@ -258,30 +229,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=cmd_analyze)
     p = asub.add_parser("deep-holes")
-    p.add_argument("--code", required=True)
-    p.add_argument("--algo", dest="algo_dh",
-                   choices=("auto", "sweep", "syndrome"), default="auto")
+    p.add_argument("--code", required=True, help=SELECTOR)
+    p.add_argument("--algo", choices=("auto", "sweep", "syndrome"),
+                   default="auto")
     _add_enum_budget(p)
     _add_threads(p)
     _add_format(p)
     p.set_defaults(func=cmd_analyze)
     p = asub.add_parser("distance")
-    p.add_argument("--code", required=True)
+    p.add_argument("--code", required=True, help=SELECTOR)
     p.add_argument("--word", required=True)
-    p.add_argument("--algo", dest="dist_algo", choices=("mds", "brute"),
-                   default="mds")
+    p.add_argument("--algo", choices=("mds", "brute"), default="mds")
     _add_enum_budget(p)
     _add_format(p)
     p.set_defaults(func=cmd_analyze)
     for name in ("min-distance", "mds-check"):
         p = asub.add_parser(name)
-        p.add_argument("--code", required=True)
+        p.add_argument("--code", required=True, help=SELECTOR)
         if name == "min-distance":
             _add_enum_budget(p)
         _add_format(p)
         p.set_defaults(func=cmd_analyze)
     p = asub.add_parser("nested-max")
-    p.add_argument("--code", required=True, help="inner code C1")
+    p.add_argument("--code", required=True, help="inner code C1: " + SELECTOR)
     p.add_argument("--code2", required=True, help="outer code C2 containing C1")
     _add_enum_budget(p)
     _add_format(p)
@@ -303,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep only the cases of these dimensions; cases "
                         "without a dimension are kept (repeatable)")
     _add_threads(p)
-    _add_format(p)
+    _add_format(p, "csv")
     p.set_defaults(func=cmd_verify)
     return ap
 

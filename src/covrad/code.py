@@ -6,21 +6,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _linops, _sweeps
 from ._sweeps import DEFAULT_ENUM_BUDGET
 from .gf import FieldCtx, parse_descriptor
-
-
-@dataclass(frozen=True)
-class CodeParams:
-    n: int
-    k: int
-    d: int
-    mds: bool
 
 
 class LinearCode:
@@ -141,10 +132,6 @@ class LinearCode:
             cw.flags.writeable = False
             self._codewords = cw
         return self._codewords
-
-    def params(self, enum_budget: int = DEFAULT_ENUM_BUDGET) -> CodeParams:
-        d = min_distance(self, enum_budget)
-        return CodeParams(self.n, self.k, d, d == self.n - self.k + 1)
 
     def __repr__(self):
         return f"LinearCode({self.label})"

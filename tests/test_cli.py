@@ -14,7 +14,7 @@ def run_cli(capsys, *argv):
 
 
 def test_code_prs_summary(capsys):
-    rc, out, _ = run_cli(capsys, "code", "prs", "--q", "5", "--k", "4")
+    rc, out, _ = run_cli(capsys, "code", "--code", "prs:q=5,k=4")
     assert rc == 0
     data = json.loads(out)
     assert data["label"] == "PRS(6,4)/F_5"
@@ -23,31 +23,30 @@ def test_code_prs_summary(capsys):
 
 
 def test_code_rs_with_evalset(capsys):
-    rc, out, _ = run_cli(capsys, "code", "rs", "--q", "5", "--k", "1",
-                         "--eval", "1,2,3")
+    rc, out, _ = run_cli(capsys, "code", "--code", "rs:q=5,k=1,eval=1+2+3")
     assert rc == 0
     assert json.loads(out)["n"] == 3
 
 
 def test_code_glynn_default_parameter(capsys):
-    rc, out, _ = run_cli(capsys, "code", "glynn")
+    rc, out, _ = run_cli(capsys, "code", "--code", "glynn:")
     assert rc == 0
     data = json.loads(out)
     assert data["n"] == 10 and data["k"] == 5 and data["field"] == "3^2"
 
 
 def test_code_glynn_invalid_parameter(capsys):
-    rc, _, err = run_cli(capsys, "code", "glynn", "--w", "1")
+    rc, _, err = run_cli(capsys, "code", "--code", "glynn:w=1")
     assert rc == 2
     assert "w^4" in err
 
 
 def test_export_and_reparse_round_trip(tmp_path, capsys):
     path = tmp_path / "prs64.code"
-    rc, _, _ = run_cli(capsys, "code", "export", "--code", "prs:q=5,k=4",
+    rc, _, _ = run_cli(capsys, "code", "--code", "prs:q=5,k=4",
                        "--out", str(path))
     assert rc == 0
-    rc, out, _ = run_cli(capsys, "code", "from-file", str(path))
+    rc, out, _ = run_cli(capsys, "code", "--code", str(path))
     assert rc == 0
     data = json.loads(out)
     assert data["n"] == 6 and data["k"] == 4
@@ -59,9 +58,37 @@ def test_export_and_reparse_round_trip(tmp_path, capsys):
 def test_from_file_bad_row_diagnoses_line(tmp_path, capsys):
     path = tmp_path / "bad.code"
     path.write_text("5^1\n1,2,3\n1,7,3\n")
-    rc, _, err = run_cli(capsys, "code", "from-file", str(path))
+    rc, _, err = run_cli(capsys, "code", "--code", str(path))
     assert rc == 2
     assert "line 3" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("code", "rs", "--q", "5", "--k", "2"),
+    ("code", "prs", "--q", "5", "--k", "2"),
+    ("code", "glynn"),
+    ("code", "from-file", "prs64.code"),
+    ("code", "export", "--code", "prs:q=5,k=4", "--out", "prs64.code"),
+])
+def test_removed_code_subcommands_are_usage_errors(tmp_path, monkeypatch,
+                                                   argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [
+    ("code", "--code", "prs:q=5,k=2"),
+    ("analyze", "radius", "--code", "prs:q=5,k=2"),
+    ("ssp", "--q", "7", "--k", "3", "--target", "2"),
+])
+def test_csv_outside_verify_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 def test_analyze_radius_json(capsys):
@@ -87,6 +114,12 @@ def test_analyze_deep_holes(capsys):
     assert data["deep_hole_count"] == 4
     assert data["matches_degree_k_family"] is True
     assert data["deep_holes"][0] == {"tail": "0,0,1"}
+    for algo, name in (("sweep", "rep-sweep"), ("syndrome", "syndrome-bfs")):
+        rc, out, _ = run_cli(capsys, "analyze", "deep-holes", "--code",
+                             "rs:q=5,k=2", "--algo", algo)
+        assert rc == 0
+        data = json.loads(out)
+        assert data["algorithm"] == name and data["deep_hole_count"] == 4
 
 
 def test_deep_holes_over_the_candidate_cap_exit_2(capsys, monkeypatch):
