@@ -122,12 +122,18 @@ def eval_operators(ctx: FieldCtx, D: tuple):
     return _keep(_EVAL_OPS_CACHE, (ctx, D), (Vd, red[0, :, N:].copy()))
 
 
+def tail_lengths(coeffs: np.ndarray) -> np.ndarray:
+    """Lengths (N,) of the canonical tails of coefficient rows (N, m): one
+    past the last nonzero coefficient, 0 for a zero row."""
+    return np.where(coeffs != 0, np.arange(1, coeffs.shape[1] + 1), 0).max(
+        axis=1, initial=0)
+
+
 def _tail_tuples(coeffs: np.ndarray) -> list:
     """Canonical tails of coefficient rows (N, m): tuples of plain ints,
     constant first, with the trailing zeros stripped."""
-    nz = coeffs != 0
-    top = np.where(nz.any(axis=1), coeffs.shape[1] - nz[:, ::-1].argmax(axis=1), 0)
-    return [tuple(r[:t]) for r, t in zip(coeffs.tolist(), top.tolist())]
+    return [tuple(r[:t]) for r, t in zip(coeffs.tolist(),
+                                         tail_lengths(coeffs).tolist())]
 
 
 # ----------------------------------------------------------------------

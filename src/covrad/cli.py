@@ -53,14 +53,18 @@ SELECTOR = ("rs:q=Q,k=K[,eval=X+Y+...], prs:q=Q,k=K, glynn:[w=W] or a "
 def build_code(selector: str) -> LinearCode:
     """Builtin selector ('rs:q=5,k=2', 'prs:q=7,k=3', 'glynn:w=1') or a
     code-spec file path.  ValueError names a missing or unknown key: rs
-    takes q, k and optionally eval; prs q and k; glynn optionally w."""
+    takes q, k and optionally eval; prs q and k; glynn optionally w.  A
+    selector that is neither a known kind nor a file gets SELECTOR."""
     if ":" in selector and selector.split(":", 1)[0] in ("rs", "prs", "glynn"):
         kind, argstr = selector.split(":", 1)
         kv = {}
         for part in argstr.split(","):
             if not part:
                 continue
-            key, _, val = part.partition("=")
+            key, eq, val = part.partition("=")
+            if not eq and key.strip().isdigit() and "eval" in kv:
+                raise ValueError("eval takes '+'-separated points, "
+                                 "e.g. eval=1+2+3")
             kv[key.strip()] = val.strip()
         allowed = {"rs": ("q", "k", "eval"), "prs": ("q", "k"),
                    "glynn": ("w",)}[kind]
@@ -82,8 +86,12 @@ def build_code(selector: str) -> LinearCode:
                 ev = tuple(int(x) for x in kv["eval"].split("+"))
             return rs_code(ctx, k, ev)
         return prs_code(ctx, k)
-    with open(selector, encoding="utf-8") as fh:
-        return parse_code_spec(fh.read(), label=selector)
+    try:
+        with open(selector, encoding="utf-8") as fh:
+            return parse_code_spec(fh.read(), label=selector)
+    except FileNotFoundError:
+        raise ValueError(f"{selector!r} is neither a code selector nor a "
+                         f"file; a code is {SELECTOR}") from None
 
 
 def _code_summary(code: LinearCode) -> dict:

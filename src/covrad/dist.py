@@ -9,18 +9,21 @@ return one minimum-weight witness word per deep coset, for any code: the
 moves `_sweeps.syndrome_bfs` walks back from the deep syndrome's scalar
 orbit representative, scaled to the syndrome.  The same code always gets
 the same witness, but it is not canonical (not the coset's least word), so
-only its coset is the answer.  MDS error distances come from
-`error_distances_mds`, one digit product of a batch of words with the
-parity functionals of `_sweeps.subset_ops`, and any code's from
-`error_distances_brute`, the one codeword scan.  `_sweep` is the one
-set-up of the representative sweep; a listing scans one monic tail per
-scalar orbit and expands it by the F_q^* scalars, exactly.
+only its coset is the answer.  A `DeepHoleReport` keeps a listing as the
+engines' sorted arrays, which are the report: its CosetReps are views
+built only when read, and its JSON is formatted from the arrays.  MDS
+error distances come from `error_distances_mds`, one digit product of a
+batch of words with the parity functionals of `_sweeps.subset_ops`, and
+any code's from `error_distances_brute`, the one codeword scan.  `_sweep`
+is the one set-up of the representative sweep; a listing scans one monic
+tail per scalar orbit and expands it by the F_q^* scalars, exactly.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field, replace
+from functools import cached_property, partial
 from itertools import repeat
 from typing import NamedTuple
 
@@ -45,6 +48,8 @@ class CosetRep(NamedTuple):
     word: tuple | None = None # minimum-weight word (generic codes only)
 
     def to_json(self):
+        """This rep's JSON, which `DeepHoleReport.to_json` formats from its
+        arrays instead, a row at a time."""
         out = {}
         if self.word is not None:
             out["word"] = ",".join(str(x) for x in self.word)
@@ -57,12 +62,39 @@ class CosetRep(NamedTuple):
     def representative_word(self, code: LinearCode) -> tuple:
         if self.word is not None:
             return self.word
-        ctx, D = code.ctx, tuple(code.structure["eval"])
-        td = ctx.digit_table()[list(self.tail)].reshape(1, -1)
-        Vd = _sweeps.eval_operators(ctx, D)[0][:td.shape[1]]
-        u = _linops.digit_decode_cols(ctx, _linops.digit_matmul(td, Vd, ctx.p),
-                                      len(D))[0].tolist()
-        return tuple(u) + ((self.v,) if code.structure["kind"] == "prs" else ())
+        tail = np.array(self.tail, dtype=np.intp).reshape(1, -1)
+        return tuple(_coset_words(code, tail, [self.v])[0].tolist())
+
+
+def _coset_words(code: LinearCode, coeffs: np.ndarray, vs) -> np.ndarray:
+    """Representative words (N, n) of the RS/PRS cosets with tail
+    coefficient rows `coeffs` (N, at most |D|, constant first) and, for a
+    PRS code, extra-coordinate values `vs`: the tails' values on D, one
+    digit product with V of `_sweeps.eval_operators`."""
+    ctx, D = code.ctx, tuple(code.structure["eval"])
+    td = ctx.digit_table()[coeffs].reshape(len(coeffs), -1)
+    Vd = _sweeps.eval_operators(ctx, D)[0][:td.shape[1]]
+    u = _linops.digit_decode_cols(ctx, _linops.digit_matmul(td, Vd, ctx.p),
+                                  len(D))
+    return np.column_stack([u, vs]) if code.structure["kind"] == "prs" else u
+
+
+def _tail_reps(coeffs: np.ndarray, vs: np.ndarray | None) -> list:
+    """CosetReps of tail coefficient rows and their extra values (None for
+    RS): the one builder of tail reps."""
+    return list(map(CosetRep, _sweeps._tail_tuples(coeffs),
+                    repeat(None) if vs is None else vs.tolist()))
+
+
+def _joined(rows: np.ndarray, lengths: np.ndarray) -> list:
+    """`",".join(map(str, row[:length]))` of each row, every length at least
+    1, from one join over a table of the tokens "i," and "i\n"."""
+    top = int(rows.max(initial=0)) + 1
+    tokens = np.array([f"{i}," for i in range(top)]
+                      + [f"{i}\n" for i in range(top)], dtype=object)
+    cols = np.arange(rows.shape[1])
+    ids = rows.astype(np.intp) + top * (cols == lengths[:, None] - 1)
+    return "".join(tokens[ids[cols < lengths[:, None]]]).split("\n")[:-1]
 
 
 @dataclass
@@ -91,29 +123,103 @@ class RadiusReport:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class DeepHoleReport:
+    """The deep holes of a code, kept as the read-only arrays the engines
+    produce; the arrays are the report.
+
+    A sweep listing keeps its sorted coefficient rows `rows` (R, |D|), one
+    per deep tail, and two arrays over the `count` deep holes in sorted
+    (tail, v) order: `row`, each one's row in `rows`, and `v`, each one's
+    extra value (PRS only, else None).  A BFS listing keeps its sorted
+    witness words `rows` (count, n), one per deep hole, and `row` is None.
+    Where the sweep compares its listing with the degree-k family (c*x^k,
+    v), `extra` indexes the deep holes outside it, and `missing` (M, |D|)
+    and `missing_v` are the family members that are not deep.
+
+    `reps`, `extras` and `missing_family` are views of the arrays as sorted
+    CosetRep lists, built when first read; `reps_at` builds the reps of the
+    chosen deep holes only.  `words` and `to_json` read the arrays and
+    build no CosetRep.
+    """
     code: str
     rho: int
     count: int
-    reps: list                     # sorted CosetReps
+    rows: np.ndarray
     algorithm: str
     elapsed_ms: float
+    row: np.ndarray | None = None
+    v: np.ndarray | None = None
     family_size: int | None = None
     matches_degree_k_family: bool | None = None
-    extras: list = dc_field(default_factory=list)
-    missing_family: list = dc_field(default_factory=list)
+    extra: np.ndarray = dc_field(default_factory=partial(np.zeros, 0, np.intp))
+    missing: np.ndarray = dc_field(
+        default_factory=partial(np.zeros, (0, 0), np.intp))
+    missing_v: np.ndarray | None = None
     notes: list = dc_field(default_factory=list)
+
+    def __post_init__(self):
+        for a in (self.rows, self.row, self.v, self.extra, self.missing,
+                  self.missing_v):
+            if a is not None:
+                a.flags.writeable = False
+
+    def rows_at(self, idx) -> np.ndarray:
+        """The coefficient rows (sweep) or words (BFS) of deep holes idx."""
+        return self.rows[idx] if self.row is None else self.rows[self.row[idx]]
+
+    def _v_at(self, idx):
+        return None if self.v is None else self.v[idx]
+
+    def reps_at(self, idx) -> list:
+        """CosetReps of the deep holes idx (an index array or a slice)."""
+        if self.row is None:
+            return list(map(CosetRep, repeat(()), repeat(None),
+                            map(tuple, self.rows_at(idx).tolist())))
+        return _tail_reps(self.rows_at(idx), self._v_at(idx))
+
+    @cached_property
+    def reps(self) -> list:
+        return self.reps_at(slice(None))
+
+    @cached_property
+    def extras(self) -> list:
+        return self.reps_at(self.extra)
+
+    @cached_property
+    def missing_family(self) -> list:
+        return _tail_reps(self.missing, self.missing_v)
+
+    def words(self, code: LinearCode, idx=slice(None)) -> np.ndarray:
+        """Representative words (len(idx), n) of the deep holes idx."""
+        if self.row is None:
+            return self.rows_at(idx)
+        return _coset_words(code, self.rows_at(idx), self._v_at(idx))
+
+    def _json_rows(self, idx) -> list:
+        """`CosetRep.to_json` of the deep holes idx, from the arrays; a
+        sweep's tails are formatted once a row they use."""
+        if self.row is None:
+            words = self.rows_at(idx)
+            return [{"word": w} for w in
+                    _joined(words, np.full(len(words), words.shape[1]))]
+        used, at = np.unique(self.row[idx], return_inverse=True)
+        rows = self.rows[used]
+        tails = np.array(_joined(rows, np.maximum(_sweeps.tail_lengths(rows), 1)),
+                         dtype=object)[at]
+        if self.v is None:
+            return [{"tail": t} for t in tails]
+        return [{"tail": t, "v": v} for t, v in zip(tails, self.v[idx].tolist())]
 
     def to_json(self):
         return {
             "code": self.code, "rho": self.rho,
             "deep_hole_count": self.count,
-            "deep_holes": [r.to_json() for r in self.reps],
+            "deep_holes": self._json_rows(slice(None)),
             "matches_degree_k_family": self.matches_degree_k_family,
             "family_size": self.family_size,
-            "extra_count": len(self.extras),
-            "extras": [r.to_json() for r in self.extras[:200]],
+            "extra_count": len(self.extra),
+            "extras": self._json_rows(self.extra[:200]),
             "algorithm": self.algorithm, "notes": self.notes,
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
@@ -192,31 +298,41 @@ def error_distance_mds(code: LinearCode, word):
 # coset reduction
 # ----------------------------------------------------------------------
 
-def reduce_to_coset_reps(code: LinearCode, words) -> list:
-    """Canonical CosetReps of a batch of words.  RS/PRS: the words' values
-    on D times V^-1 of `_sweeps.eval_operators` are their coefficients."""
+def coset_rows(code: LinearCode, words):
+    """(coefficient rows (N, |D|), extra values) of the canonical reps of a
+    batch of words of an RS/PRS code: the words' values on D times V^-1 of
+    `_sweeps.eval_operators` are their coefficients, here with the degree
+    < k part zeroed; the extra values are an array (PRS) or None (RS)."""
     w = check_words(code, words)
-    ctx, kind = code.ctx, code.structure["kind"]
-    if kind not in ("rs", "prs"):
-        # min weight, then lexicographic: w - c for all codewords c at once
-        dt, cw = ctx.digit_table(), code.codeword_matrix(DEFAULT_ENUM_BUDGET)
-        reps = []
-        for x in w:
-            delta = _linops.digit_decode_cols(ctx, (dt[x] - dt[cw]) % ctx.p,
-                                              code.n)
-            # lexsort's last key is its primary key
-            keys = tuple(delta[:, ::-1].T) + ((delta != 0).sum(axis=1),)
-            reps.append(CosetRep(word=tuple(delta[np.lexsort(keys)[0]].tolist())))
-        return reps
-    k, D = code.structure["k"], tuple(code.structure["eval"])
+    ctx, k, D = code.ctx, code.structure["k"], tuple(code.structure["eval"])
     m = len(D)
     cd = _linops.digit_matmul(ctx.digit_table()[w[:, :m]].reshape(-1, m * ctx.a),
                               _sweeps.eval_operators(ctx, D)[1], ctx.p)
     coeffs = _linops.digit_decode_cols(ctx, cd, m)
-    vs = (list(map(ctx.sub, w[:, m].tolist(), coeffs[:, k - 1].tolist()))
-          if kind == "prs" else [None] * len(w))
+    vs = (np.array(list(map(ctx.sub, w[:, m].tolist(),
+                            coeffs[:, k - 1].tolist())), dtype=np.intp)
+          if code.structure["kind"] == "prs" else None)
     coeffs[:, :k] = 0
-    return list(map(CosetRep, _sweeps._tail_tuples(coeffs), vs))
+    return coeffs, vs
+
+
+def reduce_to_coset_reps(code: LinearCode, words) -> list:
+    """Canonical CosetReps of a batch of words: `coset_rows` for RS/PRS
+    codes, else the (weight, lexicographic) least word of each coset."""
+    if code.structure["kind"] in ("rs", "prs"):
+        return _tail_reps(*coset_rows(code, words))
+    w = check_words(code, words)
+    ctx = code.ctx
+    # min weight, then lexicographic: w - c for all codewords c at once
+    dt, cw = ctx.digit_table(), code.codeword_matrix(DEFAULT_ENUM_BUDGET)
+    reps = []
+    for x in w:
+        delta = _linops.digit_decode_cols(ctx, (dt[x] - dt[cw]) % ctx.p,
+                                          code.n)
+        # lexsort's last key is its primary key
+        keys = tuple(delta[:, ::-1].T) + ((delta != 0).sum(axis=1),)
+        reps.append(CosetRep(word=tuple(delta[np.lexsort(keys)[0]].tolist())))
+    return reps
 
 
 def reduce_to_coset_rep(code: LinearCode, word) -> CosetRep:
@@ -387,7 +503,8 @@ def deep_holes(code: LinearCode, algo: str = "auto",
                enum_budget: int = DEFAULT_ENUM_BUDGET,
                threads: int = 1) -> DeepHoleReport:
     """All coset representatives at error distance exactly rho(C), which
-    the report carries.
+    the report carries as the engines' sorted arrays; CosetReps are views
+    of them, built when read (`DeepHoleReport`).
 
     The sweep (RS/PRS codes) lists (tail, extra-coordinate) reps, from
     one monic tail a scalar orbit expanded by the F_q^* scalars (`_sweep`),
@@ -396,9 +513,9 @@ def deep_holes(code: LinearCode, algo: str = "auto",
     lists one minimum-weight witness word per deep coset.  Without a
     family the family fields stay unset.  Over `_sweeps.DEEP_CANDIDATE_CAP`
     deep tails (sweep) or deep cosets (BFS), either engine raises
-    ValueError in `_sweeps._listed` before listing.  Reps are sorted: one
-    lexsort of the coefficient or word rows gives tuple order, since
-    zero-padding a stripped tail keeps it.
+    ValueError in `_sweeps._listed` before listing.  Rows are sorted: one
+    lexsort of the coefficient or word rows gives the reps' tuple order,
+    since zero-padding a stripped tail keeps it.
     """
     t0 = time.perf_counter()
     kind = code.structure.get("kind")
@@ -407,11 +524,9 @@ def deep_holes(code: LinearCode, algo: str = "auto",
         algo = "sweep" if kind in ("rs", "prs") else "syndrome"
     if algo == "syndrome":
         out = _sweeps.syndrome_bfs(code, enum_budget, want_witness=True)
-        words = out.witnesses[np.lexsort(out.witnesses.T[::-1])].tolist()
+        words = out.witnesses[np.lexsort(out.witnesses.T[::-1])]
         return DeepHoleReport(
-            code=code.label, rho=out.rho, count=len(words),
-            reps=list(map(CosetRep, repeat(()), repeat(None),
-                          map(tuple, words))),
+            code=code.label, rho=out.rho, count=len(words), rows=words,
             algorithm="syndrome-bfs",
             elapsed_ms=(time.perf_counter() - t0) * 1e3)
     if algo != "sweep":
@@ -422,27 +537,25 @@ def deep_holes(code: LinearCode, algo: str = "auto",
     order = np.lexsort(out.candidates.T[::-1])
     coeffs, deep = out.candidates[order], out.deep_v[order]
     r, v = np.nonzero(deep)
-    vals = range(ctx.q) if kind == "prs" else (None,)
-    tails = _sweeps._tail_tuples(coeffs)
-    reps = list(map(CosetRep, map(tails.__getitem__, r.tolist()),
-                    map(vals.__getitem__, v.tolist())))
+    prs = kind == "prs"
     family = {}
     k = code.structure["k"]
     if k < coeffs.shape[1]:
         is_cxk = (coeffs[:, k] != 0) & ~coeffs[:, k + 1:].any(axis=1)
         present = np.zeros((ctx.q, deep.shape[1]), dtype=bool)
         present[coeffs[is_cxk, k]] = deep[is_cxk]
-        extras = [reps[i] for i in np.flatnonzero(~is_cxk[r]).tolist()]
+        extra = np.flatnonzero(~is_cxk[r])
         c, w = np.nonzero(~present[1:])  # (c*x^k, v) in order: by c, then v
-        missing = [CosetRep((0,) * k + (ci + 1,), vals[wi])
-                   for ci, wi in zip(c.tolist(), w.tolist())]
-        family = dict(family_size=(ctx.q - 1) * len(vals),
-                      matches_degree_k_family=not extras and not missing,
-                      extras=extras, missing_family=missing)
+        missing = np.zeros((len(c), coeffs.shape[1]), dtype=coeffs.dtype)
+        missing[:, k] = c + 1
+        family = dict(family_size=(ctx.q - 1) * deep.shape[1],
+                      matches_degree_k_family=not len(extra) and not len(c),
+                      extra=extra, missing=missing,
+                      missing_v=w if prs else None)
     return DeepHoleReport(
-        code=code.label, rho=out.max_contrib, count=len(reps), reps=reps,
-        algorithm="rep-sweep", elapsed_ms=(time.perf_counter() - t0) * 1e3,
-        **family)
+        code=code.label, rho=out.max_contrib, count=len(r), rows=coeffs,
+        row=r, v=v if prs else None, algorithm="rep-sweep",
+        elapsed_ms=(time.perf_counter() - t0) * 1e3, **family)
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,9 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, partial
 from typing import Callable
 
-from . import dist, ssp
+import numpy as np
+
+from . import _sweeps, dist, ssp
 from .code import (_glynn_rows, from_matrix, glynn_code, is_mds, min_distance,
                    prs_code, rs_code)
 from .dist import (covering_radius_sweep, covering_radius_syndrome, deep_holes,
@@ -176,8 +178,8 @@ def suite_thm3(qs=(5, 7, 11, 9), threads=1, **_):
 def _recheck_extras(code, report, sample=12):
     """Re-verify sampled extra deep holes by brute force over all codewords,
     independently of the sweep's divided differences."""
-    step = max(1, len(report.extras) // sample)
-    words = [rep.representative_word(code) for rep in report.extras[::step]]
+    step = max(1, len(report.extra) // sample)
+    words = report.words(code, report.extra[::step])
     return bool((error_distances_brute(code, words)[0] == report.rho).all())
 
 
@@ -195,14 +197,15 @@ def suite_conj3(qs=(5, 7), threads=1, **_):
     def family_missing(case):
         report = holes(**case.params)[1]
         case.notes.append(f"family size {report.family_size}")
-        return len(report.missing_family)
+        return len(report.missing)
 
     def family_complete(case):
         code, report = holes(**case.params)
-        if not report.extras:
+        if not len(report.extra):
             return True
-        degrees = sorted({len(r.tail) - 1 for r in report.extras})
-        case.notes.append(f"{len(report.extras)} deep cosets outside the "
+        lengths = _sweeps.tail_lengths(report.rows_at(report.extra))
+        degrees = sorted(set((lengths - 1).tolist()))
+        case.notes.append(f"{len(report.extra)} deep cosets outside the "
                           f"family; extra tail degrees {degrees}")
         case.notes.append(
             "independent recheck of sampled extras: "
@@ -377,34 +380,44 @@ def _repetition_deep_holes(case, threads):
         return all((d == q - 1) == (max(map(w.count, w)) == 2)
                    for w, d in zip(words, dists))
     case.notes.append("checked every deep coset representative")
-    words = (r.representative_word(code)
-             for r in deep_holes(code, threads=threads).reps)
+    words = deep_holes(code, threads=threads).words(code).tolist()
     return all(max(map(w.count, w)) == 2 for w in words)
+
+
+def _coset_keys(code, words):
+    """The distinct (tail coefficients, v) rows of the PRS cosets of
+    `words`, sorted as a sweep listing sorts its deep holes."""
+    coeffs, vs = dist.coset_rows(code, words)
+    return np.unique(np.column_stack([coeffs, vs]), axis=0)
+
+
+def _deep_keys(report):
+    """The (tail coefficients, v) rows of a PRS sweep listing's deep holes."""
+    return np.column_stack([report.rows_at(slice(None)), report.v])
 
 
 def _kq1_deep_holes(case, threads):
     code = _code(case, prs_code)
     q = code.ctx.q
     report = deep_holes(code, threads=threads)
-    words = [(a,) * (q - 1) + (0, v) for a in range(q) for v in range(q)]
-    # every word but the codewords, whose rep is the zero coset's
-    shaped = set(dist.reduce_to_coset_reps(code, words)) - {dist.CosetRep((), 0)}
-    nonconst = [r for r in report.reps
-                if not r.tail and r.v is not None and r.v != 0]
+    shaped = _coset_keys(code, [(a,) * (q - 1) + (0, v)
+                                for a in range(q) for v in range(q)])
+    nonconst = ~report.rows_at(slice(None)).any(axis=1) & (report.v != 0)
     case.notes.append(
         f"deep cosets {report.count}; the a != 0 sub-family covers "
-        f"{report.family_size} of them; {len(nonconst)} further deep "
+        f"{report.family_size} of them; {int(nonconst.sum())} further deep "
         "cosets have a constant-zero word part with a mismatched last "
         "coordinate")
-    return set(report.reps) == shaped
+    # every word but the codewords, whose rep is the zero coset's
+    return np.array_equal(_deep_keys(report), shaped[shaped.any(axis=1)])
 
 
 def _weight1_deep_holes(case, threads):
     code = _code(case, prs_code)
     n, q = code.n, code.ctx.q
-    w1 = dist.reduce_to_coset_reps(code, [[c * (i == pos) for i in range(n)]
-                                          for pos in range(n) for c in range(1, q)])
-    return set(deep_holes(code, threads=threads).reps) == set(w1)
+    w1 = _coset_keys(code, [[c * (i == pos) for i in range(n)]
+                            for pos in range(n) for c in range(1, q)])
+    return np.array_equal(_deep_keys(deep_holes(code, threads=threads)), w1)
 
 
 def suite_boundary(qs=(5,), threads=1, **_):

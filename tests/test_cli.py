@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -122,6 +123,32 @@ def test_analyze_deep_holes(capsys):
         assert data["algorithm"] == name and data["deep_hole_count"] == 4
 
 
+# sha1 of each listing's output with its elapsed_ms line dropped, recorded
+# before the report kept its rows as arrays: the JSON and table output must
+# stay byte-identical
+LISTING_SHA1 = [
+    ("prs:q=5,k=2", "auto", "json", "4105d7301cdb46ee796995313959de04f578375a"),
+    ("rs:q=7,k=3", "auto", "json", "54a744a749f49a6f14c27dba686bde921931e07e"),
+    ("prs:q=5,k=5", "auto", "json", "d913b3ff9b40e660aa4aea23438c28c2598df9e4"),
+    ("prs:q=9,k=5", "syndrome", "json",
+     "c6a09c34c1103a19fb2a1857071e73fc924c6b00"),
+    ("glynn:", "syndrome", "json", "83dc3136afb00c4bc36910c018f945657eb142b3"),
+    ("prs:q=5,k=2", "auto", "table", "a2ebebdaf4de25e804b95c2aaefd069d73d7571b"),
+    ("prs:q=5,k=3", "syndrome", "table",
+     "df2ba83d3a5dd76d240257a9601d74a692c6bee5"),
+]
+
+
+@pytest.mark.parametrize("selector, algo, fmt, sha1", LISTING_SHA1)
+def test_deep_hole_listing_output_is_pinned(capsys, selector, algo, fmt, sha1):
+    rc, out, _ = run_cli(capsys, "analyze", "deep-holes", "--code", selector,
+                         "--algo", algo, "--format", fmt)
+    assert rc == 0
+    text = "".join(line for line in out.splitlines(True)
+                   if "elapsed_ms" not in line)
+    assert hashlib.sha1(text.encode()).hexdigest() == sha1
+
+
 def test_deep_holes_over_the_candidate_cap_exit_2(capsys, monkeypatch):
     monkeypatch.setattr(_sweeps, "DEEP_CANDIDATE_CAP", 10)
     rc, out, err = run_cli(capsys, "analyze", "deep-holes", "--code",
@@ -209,6 +236,20 @@ def test_selector_with_a_missing_or_unknown_key_exit_2(capsys, selector, key):
     rc, _, err = run_cli(capsys, "analyze", "mds-check", "--code", selector)
     assert rc == 2
     assert key in err and "selector" in err
+
+
+@pytest.mark.parametrize("selector", ["glynn", "rss:q=5,k=2"])
+def test_selector_neither_a_kind_nor_a_file_names_the_grammar(capsys,
+                                                             selector):
+    rc, _, err = run_cli(capsys, "code", "--code", selector)
+    assert rc == 2
+    assert cli.SELECTOR in err and "No such file" not in err
+
+
+def test_eval_written_with_commas_says_plus(capsys):
+    rc, _, err = run_cli(capsys, "code", "--code", "rs:q=5,k=1,eval=1,2,3")
+    assert rc == 2
+    assert "eval takes '+'-separated points, e.g. eval=1+2+3" in err
 
 
 def test_verify_boundary_exit_zero(capsys):

@@ -1622,6 +1622,69 @@ def test_syndrome_deep_holes_are_sorted_words():
     assert len(set(report.reps)) == report.count == 100
 
 
+@pytest.mark.parametrize("code, algo", [
+    (prs_code(field_create(5), 2), "sweep"),   # extras, zero tail
+    (prs_code(field_create(5), 4), "sweep"),   # deep zero tails
+    (prs_code(field_create(5), 5), "sweep"),   # no family
+    (rs_code(field_create(7), 3), "sweep"),    # no v
+    (prs_code(field_create(5), 3), "syndrome"),
+    (glynn_code(field_for_size(9)), "syndrome"),
+])
+def test_report_json_and_words_are_those_of_its_reps(code, algo):
+    """The report formats its JSON and representative words from its
+    arrays; the per-rep `CosetRep.to_json` and `representative_word` are the
+    reference."""
+    report = deep_holes(code, algo=algo)
+    data = report.to_json()
+    assert data["deep_holes"] == [r.to_json() for r in report.reps]
+    assert data["extras"] == [r.to_json() for r in report.extras[:200]]
+    assert data["extra_count"] == len(report.extras)
+    words = report.words(code)
+    assert words.shape == (report.count, code.n)
+    assert [tuple(w) for w in words.tolist()] == [
+        r.representative_word(code) for r in report.reps]
+
+
+def test_reporting_builds_no_coset_reps(monkeypatch, capsys):
+    """JSON, words and `verify conj3` read the report's arrays; `reps_at`
+    builds the reps of the deep holes it is given and no others."""
+    from covrad import cli, verify
+    built = []
+
+    def counted(*args, **kw):
+        built.append(args)
+        return CosetRep(*args, **kw)
+
+    monkeypatch.setattr(dist, "CosetRep", counted)
+    code = prs_code(field_create(5), 2)
+    report = deep_holes(code)
+    report.to_json()
+    report.words(code)
+    bfs = deep_holes(code, algo="syndrome")
+    bfs.to_json()
+    assert not built
+    assert not {"reps", "extras", "missing_family"} & (vars(report).keys()
+                                                        | vars(bfs).keys())
+
+    reports = []
+
+    def listing(*args, **kw):
+        reports.append(deep_holes(*args, **kw))
+        return reports[-1]
+
+    monkeypatch.setattr(verify, "deep_holes", listing)
+    assert cli.main(["verify", "conj3", "--q", "5"]) == 1
+    capsys.readouterr()
+    assert len(reports) == 2 and not built
+    assert not any({"reps", "extras"} & vars(r).keys() for r in reports)
+
+    sample = report.extra[::50]
+    reps = report.reps_at(sample)
+    assert len(built) == len(sample) == 7
+    assert "reps" not in vars(report)
+    assert reps == [deep_holes(code).reps[i] for i in sample.tolist()]
+
+
 def listing_code(kind, q, k, m=None):
     """PRS(q+1,k), or RS(m,k) on the first m elements of F_q (all of F_q
     when m is None)."""
