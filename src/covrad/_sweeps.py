@@ -42,11 +42,14 @@ each one F_q-linear map applied as `_linops.digit_matmul`, the package's
 one digit product: a float matmul exact below 2^53, reduced mod p in
 integers, so every functional value, and with it every agreement and
 contribution, is exact.  The RS/PRS generators are one evaluation matrix,
-`_sweep_generator`; its full-degree form V and V^-1,
-`eval_operators`, are the one coset map, and the functional tables are V
-times barycentric weights.  Every elementwise product and inverse
-(barycentric weights, 1/h_U[x], the BFS's scalar tables) is `FieldCtx.mul`
-or `FieldCtx.inv` over arrays, reads of the field's one exp/log table pair.
+`_sweep_generator`; its full-degree form V and V^-1, `eval_operators`,
+are the one coset map, and the functional tables are V times barycentric
+weights.  The barycentric weights, `_weights`, are every closed form of an
+RS/PRS code: its divided differences, its parity functionals h_U, its
+systematic generator and V^-1, so no RS/PRS code is row-reduced.  Every
+elementwise product and inverse (barycentric weights, 1/h_U[x], the BFS's
+scalar tables) is `FieldCtx.mul` or `FieldCtx.inv` over arrays, reads of
+the field's one exp/log table pair.
 
 A deep-hole listing scans `monic_plans`, one tail of each scalar orbit,
 and `dist._sweep` expands it by the F_q^* scalars.  A radius sweep
@@ -62,7 +65,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,17 +77,26 @@ from .gf import FieldCtx, field_create
 DEFAULT_ENUM_BUDGET = 10**8
 CHUNK = 1 << 16
 DEEP_CANDIDATE_CAP = 5_000_000
+# concurrent.futures.ProcessPoolExecutor, imported by the first `run_sweep`
+# that starts a pool: its import (multiprocessing, socket, logging) would
+# cost every process, most of which never start one
+ProcessPoolExecutor = None
 
 
 def _sweep_generator(ctx: FieldCtx, D: tuple, k: int, prs=True) -> tuple:
     """The one evaluation matrix: rows x^0 ... x^(k-1) over D by running
-    products (one `ctx.mul` per entry), plus the column e_(k-1) when `prs`,
-    so a codeword's last coordinate is its x^(k-1) coefficient.  It is
-    code.G of `code.rs_code` (prs=False) and `code.prs_code`."""
-    rows = [(1,) * len(D)]
-    for i in range(k - 1):
-        rows.append(tuple(map(ctx.mul, rows[i], D)))
-    return tuple(r + (int(i == k - 1),) * prs for i, r in enumerate(rows))
+    products (one `ctx.mul` over D a row), plus the column e_(k-1) when
+    `prs`, so a codeword's last coordinate is its x^(k-1) coefficient.  It
+    is code.G of `code.rs_code` (prs=False) and `code.prs_code`."""
+    n, x = len(D), np.asarray(D, dtype=np.int64)
+    V = np.zeros((k, n + prs), dtype=np.int64)
+    V[0, :n] = 1
+    for i in range(1, k):
+        V[i, :n] = ctx.mul(V[i - 1, :n], x)
+    V[k - 1, n:] = 1
+    shared = {}  # one int object per value, shared by the rows
+    return tuple(tuple(map(shared.setdefault, r, r))
+                 for r in map(np.ndarray.tolist, V))
 
 
 def _keep(cache: dict, key, arrays: tuple) -> tuple:
@@ -106,20 +117,19 @@ _EVAL_OPS_CACHE: dict = {}  # the 32 latest maps
 def eval_operators(ctx: FieldCtx, D: tuple):
     """The coset-coordinate map over D, cached per (ctx, D): (Vd, Vinvd),
     the read-only digit expansions of V, rows x^0 ... x^(|D|-1) over D, and
-    of V^-1, from one `subset_reduce` of [Vd | I].  Coefficient rows c have
-    the values c @ V on D, and values u the coefficients u @ V^-1.  Raises
-    ValueError, before allocating, when [Vd | I] has more than
-    DEFAULT_ENUM_BUDGET entries."""
+    of V^-1, the Lagrange basis of D (`_lagrange_coefficients`).
+    Coefficient rows c have the values c @ V on D, and values u the
+    coefficients u @ V^-1.  Raises ValueError, before allocating, when the
+    two hold more than DEFAULT_ENUM_BUDGET entries."""
     if (ctx, D) in _EVAL_OPS_CACHE:
         return _EVAL_OPS_CACHE[(ctx, D)]
     N = len(D) * ctx.a
     if 2 * N * N > DEFAULT_ENUM_BUDGET:
-        raise ValueError(f"evaluation matrix [Vd | I] of {N} x {2 * N} "
-                         f"digits exceeds budget {DEFAULT_ENUM_BUDGET}")
+        raise ValueError(f"evaluation matrices V and V^-1 of {N} x {N} "
+                         f"digits each exceed budget {DEFAULT_ENUM_BUDGET}")
     Vd = _linops.digit_expand(ctx, _sweep_generator(ctx, D, len(D), prs=False))
-    red, _ = _linops.subset_reduce(np.hstack([Vd, np.eye(N, dtype=np.int64)]),
-                                   np.arange(N)[None], ctx.p)
-    return _keep(_EVAL_OPS_CACHE, (ctx, D), (Vd, red[0, :, N:].copy()))
+    return _keep(_EVAL_OPS_CACHE, (ctx, D),
+                 (Vd, _linops.digit_expand(ctx, _lagrange_coefficients(ctx, D))))
 
 
 def tail_lengths(coeffs: np.ndarray) -> np.ndarray:
@@ -196,27 +206,53 @@ _SUBSET_OPS_CACHE: dict = {}  # the 32 latest tables
 def subset_ops(code):
     """The parity functionals h_U of a linear [n, k] code, cached per
     (ctx, G): (table, U, comp, up, inv, singular) over `subset_index`.
-    h_U, the dual codeword of the code punctured to U, scaled to 1 at
-    x = max U, comes from one `_linops.subset_reduce` of G or H, whichever
-    has fewer rows, on each S = U - {x}: G_S^-1 G has column c at x and
-    h_U = (-c, 1); H pivoting on S's complement has h_U as x's row block.
+    h_U is the dual codeword of the code punctured to U, scaled to 1 at
+    x = max U.  An RS or PRS code reads it in closed form
+    (`_parity_weights`); any other code gets it from `_reduced_parity`.
     table (C1, a, (k+1)*a) holds the blocks M(h_U[U_i])^T, so times w's
     digits on U it gives h_U . w; inv holds 1/h_U[x], x = comp[s, j],
     U = up[s, j].  singular flags the U with short pivots or a zero of h_U
     on U: the code is MDS iff none is.  Raises ValueError, before
-    allocating, over DEFAULT_ENUM_BUDGET entries."""
+    allocating, when the table's C1*(k+1)*a*a digits, the index's
+    C0*(n-k) entries and any reduction stack exceed DEFAULT_ENUM_BUDGET."""
     ctx, n, k, a, p = code.ctx, code.n, code.k, code.ctx.a, code.ctx.p
     m, key = n - k, (ctx, code.G)
     if key in _SUBSET_OPS_CACHE:
         return _SUBSET_OPS_CACHE[key]
-    gen, C = not m or k <= m, math.comb(n - 1, k)  # k = n has no U
-    entries = C * (k if gen else m) * a * n * a
+    closed = code.structure.get("kind") in ("rs", "prs")
+    entries = math.comb(n, k + 1) * (k + 1) * a * a + math.comb(n, k) * m
+    what = (f"C({n},{k + 1}) parity functionals of {(k + 1) * a} x {a} "
+            f"digits and their C({n},{k}) x {m} index")
+    if not closed:
+        rows = (min(k, m) or k) * a  # G's rows or H's, as `_reduced_parity`
+        entries += math.comb(n - 1, k) * rows * n * a
+        what += f" from C({n - 1},{k}) reductions of {rows} x {n * a} digits"
     if entries > DEFAULT_ENUM_BUDGET:
-        raise ValueError(
-            f"C({n},{k + 1}) parity functionals from C({n - 1},{k}) "
-            f"reductions of {(k if gen else m) * a} x {n * a} digits = "
-            f"{entries} entries exceed budget {DEFAULT_ENUM_BUDGET}")
+        raise ValueError(f"{what} = {entries} entries exceed budget "
+                         f"{DEFAULT_ENUM_BUDGET}")
     U, _, comp, up = subset_index(n, k)
+    if closed:
+        h, short = _parity_weights(ctx, tuple(code.structure["eval"]), U), False
+    else:
+        h, short = _reduced_parity(code, U)
+    inv = ctx.inv(h[up, comp - (m - 1 - np.arange(m))])  # x's place in S + {x}
+    inv = inv.astype(np.min_scalar_type(ctx.q - 1))
+    w = (k + 1) * a
+    table = ctx.mul_digit_matrix(h).transpose(0, 3, 1, 2).reshape(len(U), a, w)
+    ops = (table.astype(_linops.exact_dtypes(w, p)[0]), U, comp, up, inv,
+           short | (h == 0).any(axis=1))
+    return _keep(_SUBSET_OPS_CACHE, key, ops)
+
+
+def _reduced_parity(code, U: np.ndarray):
+    """(h, short): h_U of any linear code for the (k+1)-subsets U of
+    `subset_index`, from one `_linops.subset_reduce` of G or H, whichever
+    has fewer rows, on each S = U - {x}, x = max U: G_S^-1 G has column c
+    at x and h_U = (-c, 1); H pivoting on S's complement has h_U as x's
+    row block.  short flags the U whose S had short pivots."""
+    ctx, n, k, a, p = code.ctx, code.n, code.k, code.ctx.a, code.ctx.p
+    m, C = n - k, math.comb(n - 1, k)
+    gen = not m or k <= m  # k = n has no U
     enc, dig, top = p ** np.arange(a), np.arange(a), _subsets(n - 1, k)
     t, x = np.repeat(np.arange(C), n - 1 - top[:, -1]), U[:, -1]  # top[t] + x
     piv = (top if gen else _complement(top, n)).astype(int)[:, :, None] * a
@@ -227,42 +263,110 @@ def subset_ops(code):
     else:  # x is the (x - k)-th pivot; column 0 of a block has h's digits
         hx = red[:, :, ::a].reshape(C, m, a, n)[t, x - k]
         hS = enc @ np.take_along_axis(hx, U[:, None, :-1], axis=2)
-    h = np.column_stack([hS, np.ones(len(U), int)])
-    inv = ctx.inv(h[up, comp - (m - 1 - np.arange(m))])  # x's place in S + {x}
-    inv = inv.astype(np.min_scalar_type(ctx.q - 1))
-    w = (k + 1) * a
-    table = ctx.mul_digit_matrix(h).transpose(0, 3, 1, 2).reshape(len(U), a, w)
-    ops = (table.astype(_linops.exact_dtypes(w, p)[0]), U, comp, up, inv,
-           (rank[t] < red.shape[1]) | (h == 0).any(axis=1))
-    return _keep(_SUBSET_OPS_CACHE, key, ops)
+    return (np.column_stack([hS, np.ones(len(U), int)]),
+            rank[t] < red.shape[1])
 
 
 # ----------------------------------------------------------------------
 # divided-difference functionals
 # ----------------------------------------------------------------------
 
-def _dd_weights(ctx: FieldCtx, D: tuple, X: np.ndarray) -> np.ndarray:
-    """Barycentric weights (|D|, C), an F_q matrix, of the C subsets X_c of
-    D, the index rows of X, with complements comp_c: column c holds
+def _fsub(ctx: FieldCtx, x, y) -> np.ndarray:
+    """x - y for broadcast int64 arrays of encodings: mod p in a prime
+    field; digit by digit mod p in an extension field, where digit i of x
+    is x // p^i mod p, so the differences of x // p^i and y // p^i give
+    it."""
+    if ctx.a == 1:
+        return (x - y) % ctx.p
+    out = 0
+    for P in (ctx.p ** i for i in range(ctx.a)):
+        out = out + (x // P - y // P) % ctx.p * P
+    return out
+
+
+def _weights(ctx: FieldCtx, D: tuple, X: np.ndarray,
+             unit_last: bool = False) -> np.ndarray:
+    """Barycentric weights (C, s) of the s-subsets X_c of D, the index rows
+    of X:
 
         w_c(x) = prod_{y in X_c, y != x} (x - y)^-1
-               = e(x) * prod_{y in comp_c} (x - y)
+               = e(x)^-1 * prod_{y in D - X_c} (x - y),
 
-    at x in X_c and 0 elsewhere, e(x) the weight over all of D, so values
-    on D times column c give the divided difference over X_c,
-    [X_c]f = sum_{x in X_c} w_c(x) f(x)."""
-    n, p = len(D), ctx.p
-    Dd = ctx.digit_table()[list(D)]
-    diff = (Dd[:, None] - Dd[None]) % p @ p ** np.arange(ctx.a)  # x - y
-    e = np.ones(n, dtype=np.int64)
-    for col in (diff + np.eye(n, dtype=np.int64)).T:  # 1 at y = x
-        e = ctx.mul(e, col)
-    w = ctx.inv(e)[X]
-    for y in _complement(X, n).T:
-        w = ctx.mul(w, diff[X, y[:, None]])
-    W = np.zeros((n, len(X)), dtype=np.int64)
-    W[X, np.arange(len(X))[:, None]] = w
+    e(x) = prod_{y in D, y != x} (x - y): a product over the s - 1 other
+    points of X_c, or over the n - s points of its complement when those
+    are fewer, for about CHUNK weights at a time, and e a `FieldCtx.prod`;
+    with `unit_last`, each row divided by its last entry.  They are the
+    closed forms of the RS/PRS codes: the divided-difference functionals
+    (`_dd_weights`), the parity functionals (`_parity_weights`), the
+    systematic generator (`code._systematic`) and the Lagrange basis
+    (`_lagrange_coefficients`)."""
+    n, (C, s) = len(D), X.shape
+    Dx, inside = np.asarray(D, dtype=np.int64), s <= n - s
+    if not inside:  # e over blocks of points x, the factors y along axis 0
+        e, rows = np.empty(n, dtype=np.int64), max(1, CHUNK // n)
+        for b in range(0, n, rows):
+            d = _fsub(ctx, Dx[b:b + rows], Dx[:, None])
+            d[np.arange(b, b + d.shape[1]), np.arange(d.shape[1])] = 1  # y = x
+            e[b:b + rows] = ctx.prod(d, axis=0)
+        e = ctx.inv(e)
+    w = np.empty((C, s), dtype=np.int64)
+    step = max(1, CHUNK // s)
+    for b in range(0, C, step):
+        Xb = X[b:b + step]
+        x = Dx[Xb]
+        if inside:
+            wb = np.ones(x.shape, dtype=np.int64)
+            for j in range(s):
+                d = _fsub(ctx, x, x[:, j:j + 1])
+                d[:, j] = 1  # y = x
+                wb = ctx.mul(wb, d)
+            wb = ctx.inv(wb)
+        else:
+            wb = e[Xb]
+            for y in Dx[_complement(Xb, n)].T:
+                wb = ctx.mul(wb, _fsub(ctx, x, y[:, None]))
+        w[b:b + step] = ctx.mul(wb, ctx.inv(wb[:, -1:])) if unit_last else wb
+    return w
+
+
+def _dd_weights(ctx: FieldCtx, D: tuple, X: np.ndarray) -> np.ndarray:
+    """(|D|, C) F_q matrix whose column c holds the `_weights` of X_c at x
+    in X_c and 0 elsewhere, so values on D times column c give the divided
+    difference over X_c, [X_c]f = sum_{x in X_c} w_c(x) f(x)."""
+    W = np.zeros((len(D), len(X)), dtype=np.int64)
+    W[X, np.arange(len(X))[:, None]] = _weights(ctx, D, X)
     return W
+
+
+def _parity_weights(ctx: FieldCtx, D: tuple, U: np.ndarray) -> np.ndarray:
+    """h_U (C, k+1) of the RS code over D, or of the PRS code whose
+    coordinate |D| carries the x^(k-1) coefficient, for the (k+1)-subsets
+    U, ascending index rows: the dual codeword supported on U, scaled to 1
+    at max U.  For U within D, sum_{x in U} w_U(x) f(x) = [U]f = 0 when
+    deg f < k, so h_U is U's `_weights` over the one at max U; for U =
+    S + {|D|}, [S]f is f's x^(k-1) coefficient, so h_U = (-w_S, 1)."""
+    h = np.ones(U.shape, dtype=np.int64)
+    ext = U[:, -1] == len(D)
+    h[~ext] = _weights(ctx, D, U[~ext], unit_last=True)
+    h[ext, :-1] = ctx.mul(_weights(ctx, D, U[ext, :-1]), ctx.p - 1)  # -1 is p-1
+    return h
+
+
+def _lagrange_coefficients(ctx: FieldCtx, D: tuple) -> np.ndarray:
+    """(N, N) F_q matrix, N = |D|, whose row j holds the coefficients,
+    constant first, of the Lagrange polynomial of D at x_j: w_j times the
+    quotient of l(x) = prod_{y in D} (x - y) by x - x_j, w_j the weight of
+    x_j over all of D (`_weights`), by synthetic division.  It is V^-1."""
+    N, x = len(D), np.asarray(D, dtype=np.int64)
+    l = np.zeros(N + 1, dtype=np.int64)
+    l[0] = 1
+    for y in D:  # l <- l * (x - y), a degree below N + 1 each time
+        l = _fsub(ctx, np.roll(l, 1), ctx.mul(l, y))
+    B, nx = np.empty((N, N), dtype=np.int64), ctx.mul(x, ctx.p - 1)
+    B[:, -1] = 1  # b_(N-1) = l_N, b_(i-1) = l_i + x_j * b_i
+    for i in range(N - 1, 0, -1):
+        B[:, i - 1] = _fsub(ctx, l[i], ctx.mul(nx, B[:, i]))
+    return ctx.mul(_weights(ctx, D, np.arange(N)[None])[0][:, None], B)
 
 
 def _dd_table(ctx: FieldCtx, D: tuple, X: np.ndarray) -> np.ndarray:
@@ -296,7 +400,7 @@ def divided_differences(ctx: FieldCtx, D: tuple, k: int, prs: bool):
     if entries > DEFAULT_ENUM_BUDGET:
         raise ValueError(f"divided-difference tables of C({n},{k + 1}) and "
                          f"C({n},{k}) subsets = {entries} entries exceed "
-                         f"budget {DEFAULT_ENUM_BUDGET}; use algo='syndrome'")
+                         f"budget {DEFAULT_ENUM_BUDGET}")
     U, S, _, up = subset_index(n, k)
     return _keep(_DD_CACHE, key, (_dd_table(ctx, D, U), up,
                                   _dd_table(ctx, D, S) if prs else None))
@@ -633,6 +737,9 @@ def run_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool, plans,
                              floor=floor)
     tasks = [(ctx.p, ctx.a, ctx.modulus, D, k, prs, g, collect, floor)
              for g in groups]
+    global ProcessPoolExecutor
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as ex:
         outs = list(ex.map(_worker, tasks))
     gmax = max(o.max_contrib for o in outs)

@@ -19,43 +19,53 @@ class LinearCode:
 
     Immutable after construction.  Besides the generator G (a tuple of
     row tuples) it stores `Gd`, the read-only (k*a, n*a) digit expansion
-    of G, and Gd's digit rref.  The parity check H and `HTd`, the
-    read-only (n*a, (n-k)*a) digit expansion of H^T, are built from that
+    of G, and the systematic part of Gd's digit rref: its pivot columns
+    and the rest.  An RS or PRS code passes `systematic`, the F_q matrix A
+    of G's rref [I | A] in closed form; any other code gets the rref from
+    one `_linops.subset_reduce` of Gd.  The parity check H and `HTd`, the
+    read-only (n*a, (n-k)*a) digit expansion of H^T, are built from the
     rref on first use; `HTd` raises ValueError, before allocating, when it
     has more than DEFAULT_ENUM_BUDGET entries.  `codeword_matrix`,
     `min_distance`, `syndrome` and the syndrome BFS are digit products
     with them; `encode` and `codewords()` stay scalar, as the reference
     the digit products are tested against.  `structure` records how the
     code was built ('rs', 'prs', 'glynn' or 'generic'); the distance
-    machinery uses it to pick coset parameterizations.
+    machinery uses it to pick coset parameterizations and closed forms.
     """
 
-    def __init__(self, ctx: FieldCtx, rows, label: str = "", structure=None):
-        # F_p's elements are the integers mod p; F_q's encodings, a > 1, are not
-        rows = [tuple(int(v) % ctx.q if ctx.a == 1 else int(v) for v in r)
-                for r in rows]
-        if any(not 0 <= v < ctx.q for r in rows for v in r):
-            raise ValueError(f"generator entries must be encodings in [0, {ctx.q})")
+    def __init__(self, ctx: FieldCtx, rows, label: str = "", structure=None,
+                 systematic=None):
+        rows = [tuple(map(int, r)) for r in rows]
         if not rows or not rows[0]:
             raise ValueError("empty generator matrix")
         n = len(rows[0])
         if any(len(r) != n for r in rows):
             raise ValueError("ragged generator matrix")
+        G = np.array(rows, dtype=np.int64)
+        if ctx.a == 1 and ((G < 0) | (G >= ctx.q)).any():
+            G %= ctx.q  # F_p's elements are the integers mod p
+            rows = list(map(tuple, G.tolist()))
+        if ((G < 0) | (G >= ctx.q)).any():  # F_q's encodings, a > 1, are not
+            raise ValueError(f"generator entries must be encodings in [0, {ctx.q})")
         k = len(rows)
         if not 0 < k <= n:
             raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
         a = ctx.a
-        Gd = _linops.digit_expand(ctx, rows)
-        red, rank = _linops.subset_reduce(Gd, np.arange(n * a)[None], ctx.p)
-        if rank[0] < k * a:
-            raise ValueError("generator matrix is rank-deficient")
+        Gd = _linops.digit_expand(ctx, G)
+        if systematic is None:
+            red, rank = _linops.subset_reduce(Gd, np.arange(n * a)[None], ctx.p)
+            if rank[0] < k * a:
+                raise ValueError("generator matrix is rank-deficient")
+            lead = (red[0] != 0).argmax(axis=1)
+            self._rref = lead, np.delete(red[0], lead, axis=1)
+        else:
+            self._rref = np.arange(k * a), _linops.digit_expand(ctx, systematic)
         self.ctx = ctx
         self.n = n
         self.k = k
         self.G = tuple(rows)
         self.Gd = Gd
         Gd.flags.writeable = False
-        self._rref = red[0]
         self.label = label or f"[{n},{k}]/F_{ctx.q}"
         self.structure = structure or {"kind": "generic"}
         self._d = None
@@ -68,7 +78,7 @@ class LinearCode:
             raise ValueError(
                 f"parity check of {n * a} x {m * a} digits exceeds budget "
                 f"{DEFAULT_ENUM_BUDGET}")
-        HTd = _parity_check_t(self._rref, self.ctx.p)
+        HTd = _parity_check_t(*self._rref, self.ctx.p)
         HTd.flags.writeable = False
         return HTd
 
@@ -160,17 +170,17 @@ def check_words(code: LinearCode, words) -> np.ndarray:
     return w.astype(np.int64, copy=False)
 
 
-def _parity_check_t(red: np.ndarray, p: int) -> np.ndarray:
-    """Digit expansion of H^T, (N, N-K), from the digit rref `red` (K x N)
-    of a full-rank generator: a pivot row gets minus the rref's free
-    columns, the free rows the identity.  Pivots come in whole blocks of a
-    digit columns, so this is the F_q back-permutation digit by digit."""
-    K, N = red.shape
-    lead = (red != 0).argmax(axis=1)
+def _parity_check_t(lead: np.ndarray, rest: np.ndarray, p: int) -> np.ndarray:
+    """Digit expansion of H^T, (N, N-K), from the digit rref of a full-rank
+    generator, given as its K pivot columns `lead` and its other columns
+    `rest` (K x N-K): a pivot row gets minus `rest`, the free rows the
+    identity.  Pivots come in whole blocks of a digit columns, so this is
+    the F_q back-permutation digit by digit."""
+    K, N = len(lead), len(lead) + rest.shape[1]
     free = np.ones(N, dtype=bool)
     free[lead] = False
     HTd = np.zeros((N, N - K), dtype=np.int64)
-    HTd[lead] = -red[:, free] % p
+    HTd[lead] = -rest % p
     HTd[free] = np.eye(N - K, dtype=np.int64)
     return HTd
 
@@ -194,7 +204,8 @@ def rs_code(ctx: FieldCtx, k: int, evalset=None) -> LinearCode:
     full = D == ctx.elements()
     label = f"RS({n},{k})/F_{ctx.q}" if full else f"RS(D[{n}],{k})/F_{ctx.q}"
     return LinearCode(ctx, _sweeps._sweep_generator(ctx, D, k, prs=False), label,
-                      {"kind": "rs", "k": k, "eval": D, "full_field": full})
+                      {"kind": "rs", "k": k, "eval": D, "full_field": full},
+                      _systematic(ctx, D, k, prs=False))
 
 
 def prs_code(ctx: FieldCtx, k: int) -> LinearCode:
@@ -207,7 +218,21 @@ def prs_code(ctx: FieldCtx, k: int) -> LinearCode:
     D = ctx.elements()
     return LinearCode(ctx, _sweeps._sweep_generator(ctx, D, k),
                       f"PRS({q + 1},{k})/F_{q}",
-                      {"kind": "prs", "k": k, "eval": D, "full_field": True})
+                      {"kind": "prs", "k": k, "eval": D, "full_field": True},
+                      _systematic(ctx, D, k, prs=True))
+
+
+def _systematic(ctx: FieldCtx, D: tuple, k: int, prs: bool) -> np.ndarray:
+    """A of the rref [I | A] of the RS generator over D, or of the PRS one
+    (`_sweeps._sweep_generator`): row i is the codeword of the Lagrange
+    polynomial L_i of the first k points, so A holds its values L_i(x_j)
+    at the other points and, for PRS, its leading coefficient last.  With
+    h_U the parity functional of U = {0, ..., k-1, j} (`_sweeps.
+    _parity_weights`), h_U . L_i = h_U[i] + L_i(x_j) = 0 gives column j."""
+    n = len(D) + prs
+    U = np.column_stack([np.broadcast_to(np.arange(k), (n - k, k)),
+                         np.arange(k, n)])
+    return ctx.mul(_sweeps._parity_weights(ctx, D, U)[:, :k], ctx.p - 1).T
 
 
 def glynn_code(ctx: FieldCtx, w: int | None = None) -> LinearCode:

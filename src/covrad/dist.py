@@ -366,11 +366,11 @@ def _sweep(code: LinearCode, collect: bool, enum_budget: int, threads: int):
     ('degree-sliced', exact by orbit invariance); every other radius scans
     all q^(n-k) tails ('full'), at most enum_budget.
 
-    A listing (collect=True, the same budget) scans the zero tail and the
-    monic tails ('monic', `_sweeps.monic_plans`), q^(|D|-k-1) + ... + 1 + 1
-    of them, and returns the listing of all q^(|D|-k) tails: the zero row
-    once, and each monic row t with deep-value mask V as the q-1 rows c*t,
-    c in F_q^*, with masks V'[c*v] = V[v].  This is exact:
+    A listing (collect=True) scans the zero tail and the monic tails
+    ('monic', `_sweeps.monic_plans`), q^(|D|-k-1) + ... + 1 + 1 of them, at
+    most enum_budget, and returns the listing of all q^(|D|-k) tails: the
+    zero row once, and each monic row t with deep-value mask V as the q-1
+    rows c*t, c in F_q^*, with masks V'[c*v] = V[v].  This is exact:
       - c*C = C, and scaling a word does not change its weight, so
         d(c*w, C) = d(w, C) and c*t is deep iff t is;
       - c*(u_t, v) = (u_(c*t), c*v), and c*t has no coefficient below
@@ -390,16 +390,16 @@ def _sweep(code: LinearCode, collect: bool, enum_budget: int, threads: int):
                          "RS- or PRS-structured code")
     ctx, k, D = code.ctx, code.structure["k"], tuple(code.structure["eval"])
     q, m = ctx.q, len(D)
-    ntails = q ** (m - k)
     if (not collect and code.structure["full_field"]
-            and ntails > min(2**16, enum_budget)):
+            and q ** (m - k) > min(2**16, enum_budget)):
         variant, plans = "degree-sliced", _sweeps.sliced_plans(ctx, k)
-    elif ntails > enum_budget:
-        raise ValueError(f"{ntails} tail cosets exceed budget {enum_budget}")
-    elif collect:
-        variant, plans = "monic", _sweeps.monic_plans(ctx, m, k)
     else:
-        variant, plans = "full", _sweeps.full_plans(ctx, m, k)
+        variant, plans = (("monic", _sweeps.monic_plans(ctx, m, k)) if collect
+                          else ("full", _sweeps.full_plans(ctx, m, k)))
+        ntails = sum(plan.count for plan in plans)
+        if ntails > enum_budget:
+            raise ValueError(f"{ntails} {variant} tail cosets exceed budget "
+                             f"{enum_budget}")
     out = _sweeps.run_sweep(ctx, D, k, prs=(kind == "prs"), plans=plans,
                             collect=collect, threads=threads)
     if not collect:
@@ -464,13 +464,15 @@ def covering_radius(code: LinearCode, algo: str = "auto",
     """Dispatch.  'auto' runs the syndrome BFS when its q^(n-k) table fits
     enum_budget, unless the code is RS/PRS with n-k >= 5, where the sweep
     was measured faster before the BFS searched one syndrome per scalar
-    orbit.  Cold single calls on a 2-core host, median of 3, BFS vs sweep,
-    since then: at n-k >= 5, RS(13,8)/F_13 9 vs 7 ms, RS(17,12)/F_17 26 vs
-    14 ms, PRS(10,4)/F_9 22 vs 22 ms, PRS(12,6)/F_11 65 vs 7 ms, but
-    PRS(14,9)/F_13 12 vs 28 ms and PRS(10,5)/F_9 3 vs 11 ms.  Below, the
-    BFS wins on PRS codes (PRS(12,8)/F_11 3 vs 7 ms, PRS(68,65)/F_67 27 vs
-    74 ms) and loses on RS codes over larger fields (RS(13,9)/F_13 9 vs
-    3 ms).  Over budget it runs the sweep."""
+    orbit.  Cold single calls in fresh processes on a 2-core host, median
+    of 3, BFS vs sweep, with RS/PRS codes built in closed form: at
+    n-k >= 5, PRS(12,5)/F_11 1.1 s vs 6 ms, PRS(12,6)/F_11 40 vs 4 ms,
+    RS(17,12)/F_17 18 vs 11 ms, PRS(10,4)/F_9 13 vs 12 ms, RS(13,8)/F_13
+    5 vs 6 ms, but PRS(14,9)/F_13 6 vs 18 ms and PRS(10,5)/F_9 1.5 vs
+    6 ms.  Below, the BFS wins on PRS codes (PRS(12,8)/F_11 0.9 vs 4 ms,
+    PRS(68,65)/F_67 1 vs 39 ms) and on RS(41,38)/F_41 (3 vs 14 ms), and
+    loses on RS(13,9)/F_13 (4 vs 2 ms).  Over budget it runs the sweep; if
+    the sweep refuses too, the error says that neither engine fits."""
     if algo == "syndrome":
         return covering_radius_syndrome(code, enum_budget)
     if algo == "sweep":
@@ -480,11 +482,19 @@ def covering_radius(code: LinearCode, algo: str = "auto",
         return covering_radius_brute(code, enum_budget)
     if algo != "auto":
         raise ValueError(f"unknown algorithm {algo!r}")
-    if (code.ctx.q ** (code.n - code.k) <= enum_budget
-            and (code.structure.get("kind") not in ("rs", "prs")
-                 or code.n - code.k < 5)):
+    size = code.ctx.q ** (code.n - code.k)
+    if size <= enum_budget and (code.structure.get("kind") not in ("rs", "prs")
+                                or code.n - code.k < 5):
         return covering_radius_syndrome(code, enum_budget)
-    return covering_radius_sweep(code, enum_budget=enum_budget, threads=threads)
+    try:
+        return covering_radius_sweep(code, enum_budget=enum_budget,
+                                     threads=threads)
+    except ValueError as err:
+        if size <= enum_budget:
+            raise
+        raise ValueError(f"neither engine fits {code.label}: the syndrome "
+                         f"table q^(n-k) = {size} exceeds budget "
+                         f"{enum_budget}, and the sweep refused: {err}") from None
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,10 @@ The canonical element order is 1, 2, ..., q-1, 0: nonzero elements ascending
 by integer encoding, with 0 last.  Every construction in this package
 (generator matrices, coset reduction, reports) uses this order.
 Every field keeps one pair of exp/log tables, read by `mul` and `inv` on
-ints and on integer arrays; addition is digit-wise mod p.  Multiplying by
-e is F_p-linear on digit vectors: its matrix, for one e or an array of
-them, is a sum of precomputed companion-matrix powers.
+integer arrays and, in an extension field, on ints; addition is digit-wise
+mod p.  Multiplying by e is F_p-linear on digit vectors: its matrix, for
+one e or an array of them, is a sum of precomputed companion-matrix
+powers.
 """
 
 from __future__ import annotations
@@ -110,11 +111,12 @@ class FieldCtx:
     """A finite field F_q, q = p^a with p an odd prime.
 
     Every field, prime or not, keeps one pair of exp/log tables of a
-    primitive element, O(q) like its digit table: `mul` and `inv` read
-    them for ints (an int back, at list-lookup speed) and for integer
-    arrays (broadcast, an int64 array back); prime-field ints multiply as
-    x*y mod p.  Immutable after construction and safe to share across
-    parallel workers.
+    primitive element, O(q) numpy arrays like its digit table: `mul`,
+    `inv` and `prod` read them for integer arrays (an int64 array back).
+    Ints get an int back: an extension field reads the tables' Python list
+    copies, at list-lookup speed; a prime field keeps no O(q) lists and
+    takes x*y, pow(x, e) and pow(x, -1) mod p.  Immutable after
+    construction and safe to share across parallel workers.
     """
 
     def __init__(self, p: int, a: int = 1, modulus=None):
@@ -172,15 +174,21 @@ class FieldCtx:
         g = next(g for g in range(2, q) if all(
             (power(self.mul_digit_matrix(g), (q - 1) // r) != eye).any()
             for r in primes))
-        M, exp = self.mul_digit_matrix(g), np.ones(1, dtype=np.int64)
-        while len(exp) < q - 1:
-            exp = np.concatenate([exp, self._digits[exp] @ M % p @ self._enc])
-            M = M @ M % p
-        exp, log = exp[:q - 1], np.full(q, 2 * (q - 1), dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        self._exp = np.concatenate([exp, exp, np.zeros(2 * q - 1, np.int64)])
-        self._log, el = log, exp.tolist()
-        self._expl, self._logl = el + el + [0] * (2 * q - 1), log.tolist()
+        exp = np.zeros(4 * q - 3, dtype=np.int64)  # filled in place: no copies
+        exp[0], M, n = 1, self.mul_digit_matrix(g), 1
+        while n < q - 1:  # exp[n:2n] = exp[:n] * g^n, M = M_g^n
+            m = min(n, q - 1 - n)
+            exp[n:n + m] = self._digits[exp[:m]] @ M % p @ self._enc
+            M, n = M @ M % p, n + m
+        exp[q - 1:2 * q - 2] = exp[:q - 1]
+        log = np.full(q, 2 * (q - 1), dtype=np.int64)
+        for s in range(0, q - 1, 1 << 16):  # no O(q) index temporary
+            e = min(s + (1 << 16), q - 1)
+            log[exp[s:e]] = np.arange(s, e)
+        self._exp, self._log = exp, log
+        if a > 1:  # a prime field's scalars take x*y, pow and pow(x, -1) mod p
+            el = exp[:2 * q - 2].tolist()
+            self._expl, self._logl = el + [0] * (2 * q - 1), log.tolist()
 
     # ------------------------------------------------------------------
     # arithmetic: mul and inv on ints or integer arrays
@@ -221,8 +229,17 @@ class FieldCtx:
         if type(x) is int or not np.ndim(x):
             if x == 0:
                 raise ZeroDivisionError("inverse of 0 in a finite field")
+            if self.a == 1:
+                return pow(int(x), -1, self.p)
             return self._expl[self.q - 1 - self._logl[x]]
         return self._exp[self.q - 1 - self._log[x]]
+
+    def prod(self, x, axis: int = -1) -> np.ndarray:
+        """The products of an integer array's entries along `axis`, an
+        int64 array: exp of the sum of their logs, 0 where one is 0."""
+        x = np.asarray(x)
+        out = self._exp[self._log[x].sum(axis=axis) % (self.q - 1)]
+        return np.where((x == 0).any(axis=axis), 0, out)
 
     def pow(self, x: int, e: int) -> int:
         """x**e with e a nonnegative integer; x**0 == 1."""
@@ -230,6 +247,8 @@ class FieldCtx:
             raise ValueError("exponent must be nonnegative")
         if e == 0 or x == 0:
             return int(e == 0)
+        if self.a == 1:
+            return pow(int(x), e, self.p)
         return self._expl[self._logl[x] * e % (self.q - 1)]
 
     # ------------------------------------------------------------------

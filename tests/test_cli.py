@@ -1,9 +1,13 @@
 import hashlib
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import covrad
 from covrad import _sweeps, cli
 from covrad.cli import build_code, main
 
@@ -12,6 +16,20 @@ def run_cli(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def test_import_starts_no_process_pool_machinery():
+    # ProcessPoolExecutor is imported by the first sweep that starts a
+    # pool: a fresh `import covrad` loads no multiprocessing, socket or
+    # logging
+    src = str(Path(covrad.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, covrad; print(sorted(m for m in ("
+         "'concurrent.futures.process', 'multiprocessing', 'socket', "
+         "'logging') if m in sys.modules))"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={"PYTHONPATH": src, "PATH": ""})
+    assert out.stdout.strip() == "[]"
 
 
 def test_code_prs_summary(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -250,6 +251,70 @@ def test_digit_rref_matches_scalar_rref(q):
         else:
             assert from_matrix(ctx, rows).H == expected
     assert deficient >= 10
+
+
+def _sha1(arrays) -> str:
+    h = hashlib.sha1()
+    for a in arrays:
+        h.update(f"{a.dtype} {a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _closed_form_codes():
+    """Every RS and PRS code over F_5 ... F_13, and RS codes on two partial
+    evaluation sets a field."""
+    for q in (5, 7, 9, 11, 13):
+        ctx = field_for_size(q)
+        yield from (rs_code(ctx, k) for k in range(1, q))
+        yield from (prs_code(ctx, k) for k in range(1, q + 1))
+        for D in (ctx.elements()[::-1][:q - 2], ctx.elements()[1::2]):
+            yield from (rs_code(ctx, k, D) for k in range(1, len(D)))
+
+
+def test_closed_forms_equal_the_gauss_jordan_oracle(monkeypatch):
+    # rs_code and prs_code give LinearCode the rref [I | A] of G, and
+    # subset_ops reads their parity functionals, in closed form from the
+    # barycentric weights, with no row reduction; from_matrix of the same
+    # G row-reduces, the oracle: the rref, HTd and the subset_ops table
+    # are byte-identical
+    def no_reduction(*args):
+        raise AssertionError("an RS/PRS code ran subset_reduce")
+
+    monkeypatch.setattr(_sweeps, "_SUBSET_OPS_CACHE", {})
+    closed = []
+    with monkeypatch.context() as m:
+        m.setattr(_linops, "subset_reduce", no_reduction)
+        for code in _closed_form_codes():
+            closed.append((code, _sha1(code._rref), _sha1([code.HTd]),
+                           _sha1(_sweeps.subset_ops(code))))
+            _sweeps._SUBSET_OPS_CACHE.clear()
+    assert len(closed) == 130
+    for code, rref, HTd, ops in closed:
+        oracle = from_matrix(code.ctx, code.G)
+        assert oracle.structure["kind"] == "generic"
+        assert (_sha1(oracle._rref), _sha1([oracle.HTd])) == (rref, HTd)
+        assert _sha1(_sweeps.subset_ops(oracle)) == ops, code
+        _sweeps._SUBSET_OPS_CACHE.clear()
+
+
+def test_rs_1031_1030_builds_in_closed_form(monkeypatch):
+    # its 1030 x 1031 generator's rref [I | A] and its one parity row come
+    # from the barycentric weights: the row reduction took 8.2 s with an
+    # 88 MiB tracemalloc peak
+    ctx = field_for_size(1031)
+    monkeypatch.setattr(_linops, "subset_reduce", None)
+    tracemalloc.start()
+    try:
+        code = rs_code(ctx, 1030)
+        HTd = code.HTd
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    assert HTd.shape == (1031, 1) and len(code.H[0]) == 1031
+    assert all(code.contains(code.G[i]) for i in (0, 1, 1029))
+    assert not code.contains((1,) + (0,) * 1030)
 
 
 def test_glynn_parity_check_matches_scalar_rref():

@@ -270,17 +270,17 @@ def test_rs_sweep_and_decoder_share_one_operator_stack(monkeypatch):
 
 
 def test_subset_ops_budget_raises_before_allocating():
-    # RS(37,6)'s parity functionals come from G's reductions (6 rows, fewer
-    # than H's 31) on the C(36,6) subsets U - {max U}, 6 x 37 digits each,
-    # 432409824 entries, over 3 GB in int64: the MDS check refuses them
+    # RS(37,6)'s parity functionals are closed forms, but their table of
+    # C(37,7) x 7 digits and its index of C(37,6) x 31 entries hold
+    # 144136608 entries, over 1 GB in int64: the MDS check refuses them
     # unallocated.  RS(37,32) under 'auto' (n-k = 5) goes to the sweep,
     # whose tables hold C(37,33) * 37 + C(37,32) * 5 entries
     mid, code = rs_code(field_create(37), 6), rs_code(field_create(37), 32)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="C\\(37,7\\) parity functionals "
-                           "from C\\(36,6\\) reductions of 6 x 37 digits = "
-                           "432409824 entries exceed budget 100000000"):
+                           "of 7 x 1 digits and their C\\(37,6\\) x 31 index = "
+                           "144136608 entries exceed budget 100000000"):
             is_mds(mid)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
@@ -814,6 +814,22 @@ def test_grids_are_bounded_by_the_functional_count():
     assert peak < 64 * 2**20
 
 
+def test_radius_auto_says_when_neither_engine_fits():
+    # PRS(82,77)/F_81 has 81^5 syndromes, and its divided-difference tables
+    # would hold 2273436720 entries; a generic code has no sweep
+    code = prs_code(field_for_size(81), 77)
+    with pytest.raises(ValueError, match="^neither engine fits "
+                       "PRS\\(82,77\\)/F_81: the syndrome table q\\^\\(n-k\\) = "
+                       "3486784401 exceeds budget 100000000, and the sweep "
+                       "refused: divided-difference tables"):
+        covering_radius(code)
+    generic = from_matrix(field_create(5), [[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError, match="^neither engine fits .* needs an "
+                       "RS- or PRS-structured code$"):
+        covering_radius(generic, enum_budget=4)
+    assert covering_radius(generic, enum_budget=5).rho == 1
+
+
 def test_radius_dispatcher_auto():
     code = prs_code(field_create(5), 4)
     rep = covering_radius(code)
@@ -826,14 +842,14 @@ def test_radius_dispatcher_auto():
 # RS/PRS codes with n-k >= 5, the BFS below.  Times are BFS / sweep, one
 # cold `covering_radius_syndrome` or `covering_radius_sweep` call in a
 # fresh process, median of 3, on a 2-core host; the faster engine is not
-# always the one picked (RS(13,9)/F_13)
+# always the one picked (RS(13,9)/F_13, RS(13,8)/F_13 a tie)
 @pytest.mark.parametrize("make,q,k,algorithm,rho", [
-    (prs_code, 11, 5, "rep-sweep", 6),      # 1.4 s / 8 ms
-    (rs_code, 53, 51, "syndrome-bfs", 2),   # 6 ms / 10 ms
-    (rs_code, 41, 38, "syndrome-bfs", 3),   # 41^3 cosets: 7 ms / 22 ms
-    (prs_code, 67, 65, "syndrome-bfs", 2),  # 67^3 cosets: 17 ms / 70 ms
-    (rs_code, 13, 9, "syndrome-bfs", 4),    # n-k = 4: 9 ms / 4 ms
-    (rs_code, 13, 8, "rep-sweep", 5),       # n-k = 5: 12 ms / 5 ms
+    (prs_code, 11, 5, "rep-sweep", 6),      # 1.1 s / 6 ms
+    (rs_code, 53, 51, "syndrome-bfs", 2),   # 2 ms / 5 ms
+    (rs_code, 41, 38, "syndrome-bfs", 3),   # 41^3 cosets: 3 ms / 14 ms
+    (prs_code, 67, 65, "syndrome-bfs", 2),  # 67^3 cosets: 1 ms / 39 ms
+    (rs_code, 13, 9, "syndrome-bfs", 4),    # n-k = 4: 4 ms / 2 ms
+    (rs_code, 13, 8, "rep-sweep", 5),       # n-k = 5: 5 ms / 6 ms
 ])
 def test_radius_dispatcher_picks_the_engine_by_redundancy(make, q, k,
                                                           algorithm, rho):
@@ -1398,9 +1414,42 @@ def test_batched_reduction_of_no_words_and_of_a_wrong_length():
         reduce_to_coset_reps(code, [()])
 
 
+@pytest.mark.parametrize("q", [5, 9, 11, 13, 27])
+def test_inverse_evaluation_matrix_is_the_gauss_jordan_inverse(q, monkeypatch):
+    # V^-1 of eval_operators is the Lagrange basis of D; the oracle is one
+    # Gauss-Jordan of [Vd | I], and the scalar reference poly.lagrange_basis
+    ctx = field_for_size(q)
+    N0 = len(ctx.elements())
+    for D in (ctx.elements(), ctx.elements()[2::3], ctx.elements()[N0 - 4:]):
+        monkeypatch.setattr(_sweeps, "_EVAL_OPS_CACHE", {})
+        Vd, Vinvd = _sweeps.eval_operators(ctx, D)
+        N = len(D) * ctx.a
+        red, rank = _linops.subset_reduce(
+            np.hstack([Vd, np.eye(N, dtype=np.int64)]), np.arange(N)[None],
+            ctx.p)
+        assert rank[0] == N and Vinvd.dtype == np.int64
+        assert Vinvd.flags.c_contiguous and not Vinvd.flags.writeable
+        assert np.array_equal(Vinvd, red[0, :, N:])
+        assert np.array_equal(Vinvd, _linops.digit_expand(
+            ctx, lagrange_basis(ctx, D)))
+
+
 # ----------------------------------------------------------------------
 # deep holes
 # ----------------------------------------------------------------------
+
+def test_listing_budget_counts_the_monic_tails_it_scans():
+    # PRS(6,2)/F_5 lists its 5^3 tails from 1 + 1 + 5 + 25 = 32 scanned
+    # monic tails: a budget of 100 lists them all, 31 refuses
+    code = prs_code(field_create(5), 2)
+    full, report = deep_holes(code), deep_holes(code, enum_budget=100)
+    assert report.count == full.count == 360
+    assert np.array_equal(report.rows, full.rows)
+    assert np.array_equal(report.v, full.v)
+    with pytest.raises(ValueError, match="^32 monic tail cosets exceed "
+                       "budget 31$"):
+        deep_holes(code, enum_budget=31)
+
 
 def test_rs52_deep_holes_are_square_multiples():
     report = deep_holes(rs_code(field_create(5), 2))

@@ -1,4 +1,6 @@
+import functools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +265,12 @@ def test_array_mul_and_inv_match_scalars_and_the_polynomial_product(p, a):
                           [[ctx.mul(u, v) for v in y[:20].tolist()]
                            for u in x[:20].tolist()])
     assert ctx.mul(np.int64(x[-1]), 1) == x[-1]
+    # products along an axis, 0 where a factor is 0
+    P = np.stack([x[:40], y[:40], x[40:80]])
+    assert ctx.prod(P, axis=0).tolist() == [
+        ctx.mul(ctx.mul(u, v), w) for u, v, w in P.T.tolist()]
+    assert ctx.prod(P).tolist() == [functools.reduce(ctx.mul, r)
+                                    for r in P.tolist()]
 
 
 @pytest.mark.parametrize("q", [3, 5, 9, 11, 13, 25, 27, 2187, 6561, 10007,
@@ -277,3 +285,22 @@ def test_exp_table_holds_q_minus_1_distinct_powers(q):
     with pytest.raises(ZeroDivisionError):
         ctx.inv(0)
     assert ctx.inv(np.array([0, 1])).tolist() == [0, 1]
+
+
+def test_prime_field_keeps_no_o_q_lists():
+    # F_1000003 took a 160.6 MiB tracemalloc peak when scalar inv read O(q)
+    # Python lists of the exp/log tables; a prime field's scalars take
+    # pow(x, -1, p) and pow(x, e, p) instead
+    tracemalloc.start()
+    try:
+        ctx = FieldCtx(1000003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160.6 / 3 * 2**20
+    assert not hasattr(ctx, "_expl") and not hasattr(ctx, "_logl")
+    x = [1, 2, 3, 500001, 999999, 1000002]
+    assert ctx.inv(np.array(x)).tolist() == [ctx.inv(v) for v in x]
+    assert ctx.inv(np.int64(2)) == 500002
+    assert [ctx.pow(v, 1000002) for v in x] == [1] * len(x)
+    assert ctx.pow(np.int64(3), 2) == 9

@@ -19,7 +19,7 @@ def test_all_suites_at_q5_match_golden_report():
     # every suite's case table at q = 5: ids, params, values, notes, status
     golden = json.loads(GOLDEN.read_text())
     assert without_timings(run_verification("all", qs=(5,))) == golden
-    assert golden["summary"] == {"pass": 32, "fail": 3, "skipped": 1}
+    assert golden["summary"] == {"pass": 33, "fail": 3, "skipped": 0}
 
 
 def test_k_filter_keeps_only_the_requested_dimensions():
