@@ -51,14 +51,16 @@ elementwise product and inverse (barycentric weights, 1/h_U[x], the BFS's
 scalar tables) is `FieldCtx.mul` or `FieldCtx.inv` over arrays, reads of
 the field's one exp/log table pair.
 
-A deep-hole listing scans `monic_plans`, one tail of each scalar orbit,
-and `dist._sweep` expands it by the F_q^* scalars.  A radius sweep
-optionally enumerates only degree-normalized slices (monic tails,
-subleading coefficient removed where the characteristic allows): every coset
-orbit under the substitutions x -> ax+b and scalar multiples meets the
-slice, and both the best agreement and whether every extra-coordinate
-value reaches it are orbit invariants, so the maximum over slices is the
-exact radius.
+A sweep over the full field may enumerate only degree-normalized slices
+(`sliced_plans`: monic tails, subleading coefficient removed where the
+characteristic allows): every coset orbit under the substitutions
+x -> ax+b and scalar multiples meets the slice, and both the best
+agreement and whether every extra-coordinate value reaches it are orbit
+invariants, so the maximum over slices is the exact radius.  A listing
+over the full field scans the slices too, and `dist._sweep` expands its
+deep rows by the translations x -> x - b to the monic tails, one a scalar
+orbit, and these by the F_q^* scalars; over a partial evaluation set it
+scans `monic_plans`.
 """
 
 from __future__ import annotations
@@ -438,8 +440,11 @@ def sliced_plans(ctx: FieldCtx, k: int) -> list[TailPlan]:
     """Degree-normalized slices plus the zero tail; full-field sets only.
 
     Degree-d tails are normalized monic; the x^(d-1) coefficient is removed
-    by a substitution x -> x + b unless p divides d, in which case it stays
-    free.  Every coset orbit meets the resulting slice set.
+    by a substitution x -> x + b unless p divides d or d = k, in which case
+    the slice is every monic tail of degree d.  Every coset orbit meets the
+    resulting slice set, and the translates of a slice with the coefficient
+    removed are the monic tails of its degree, each once
+    (`dist._translations`).
     """
     q, p = ctx.q, ctx.p
     plans = [TailPlan({}, (), q)]

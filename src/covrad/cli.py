@@ -29,6 +29,33 @@ def _emit(obj, fmt="json"):
         _emit_table(obj)
 
 
+def _records_json(cols: dict) -> str:
+    """`json.dumps(records, indent=2)` of a list of records given as its
+    columns, {field: values}, nested one level deep, from fixed text: each
+    record is one template, '"%s"' for a string field and '%d' for an int.
+    So the strings must need no escape (`DeepHoleReport` tails and words:
+    digits and commas)."""
+    if not next(iter(cols.values()), ()):
+        return "[]"
+    item = "    {\n" + ",\n".join(
+        f'      "{name}": ' + ('"%s"' if isinstance(vals[0], str) else "%d")
+        for name, vals in cols.items()) + "\n    }"
+    return "[\n" + ",\n".join(map(item.__mod__, zip(*cols.values()))) + "\n  ]"
+
+
+def _listing_json(obj: dict) -> str:
+    """`json.dumps(obj, indent=2)` of a report whose dict values are record
+    columns (`DeepHoleReport.to_json(records=False)`): those lists from
+    fixed text (`_records_json`), every other value by `json.dumps`.  With
+    an indent, json runs its pure-Python encoder, several times slower on a
+    large listing than these templates."""
+    return "{\n" + ",\n".join(
+        f"  {json.dumps(key)}: " + (
+            _records_json(value) if isinstance(value, dict)
+            else json.dumps(value, indent=2).replace("\n", "\n  "))
+        for key, value in obj.items()) + "\n}"
+
+
 def _emit_table(obj, indent=""):
     if isinstance(obj, dict):
         for k, v in obj.items():
@@ -127,7 +154,10 @@ def cmd_analyze(args) -> int:
         rep = dist.deep_holes(code, algo=args.algo,
                               enum_budget=args.enum_budget,
                               threads=args.threads)
-        _emit(rep.to_json(), args.format)
+        if args.format == "json":
+            print(_listing_json(rep.to_json(records=False)))
+        else:
+            _emit(rep.to_json(), args.format)
     elif args.what == "distance":
         word = tuple(int(t) for t in args.word.split(","))
         if args.algo == "brute":

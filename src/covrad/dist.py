@@ -15,8 +15,11 @@ built only when read, and its JSON is formatted from the arrays.  MDS
 error distances come from `error_distances_mds`, one digit product of a
 batch of words with the parity functionals of `_sweeps.subset_ops`, and
 any code's from `error_distances_brute`, the one codeword scan.  `_sweep`
-is the one set-up of the representative sweep; a listing scans one monic
-tail per scalar orbit and expands it by the F_q^* scalars, exactly.
+is the one set-up of the representative sweep; a listing over the full
+field scans the degree slices and expands them, exactly, by the
+translations x -> x - b to the monic tails, one a scalar orbit, and these
+by the F_q^* scalars; over a partial evaluation set it scans the monic
+tails.
 """
 
 from __future__ import annotations
@@ -196,30 +199,39 @@ class DeepHoleReport:
             return self.rows_at(idx)
         return _coset_words(code, self.rows_at(idx), self._v_at(idx))
 
-    def _json_rows(self, idx) -> list:
-        """`CosetRep.to_json` of the deep holes idx, from the arrays; a
-        sweep's tails are formatted once a row they use."""
+    def _json_columns(self, idx) -> dict:
+        """The `CosetRep.to_json` fields of the deep holes idx as columns,
+        {"word": strings} or {"tail": strings} plus {"v": ints} for PRS,
+        from the arrays; a sweep's tails are formatted once a row they use.
+        The strings hold digits and commas only."""
         if self.row is None:
             words = self.rows_at(idx)
-            return [{"word": w} for w in
-                    _joined(words, np.full(len(words), words.shape[1]))]
+            return {"word": _joined(words, np.full(len(words), words.shape[1]))}
         used, at = np.unique(self.row[idx], return_inverse=True)
         rows = self.rows[used]
         tails = np.array(_joined(rows, np.maximum(_sweeps.tail_lengths(rows), 1)),
                          dtype=object)[at]
         if self.v is None:
-            return [{"tail": t} for t in tails]
-        return [{"tail": t, "v": v} for t, v in zip(tails, self.v[idx].tolist())]
+            return {"tail": tails.tolist()}
+        return {"tail": tails.tolist(), "v": self.v[idx].tolist()}
 
-    def to_json(self):
+    def to_json(self, records: bool = True):
+        """The report as JSON values.  With records=False the lists
+        "deep_holes" and "extras" stay the columns of their records,
+        {field: values}, which `cli` writes from fixed text."""
+        def listing(idx):
+            cols = self._json_columns(idx)
+            if not records:
+                return cols
+            return [dict(zip(cols, vals)) for vals in zip(*cols.values())]
         return {
             "code": self.code, "rho": self.rho,
             "deep_hole_count": self.count,
-            "deep_holes": self._json_rows(slice(None)),
+            "deep_holes": listing(slice(None)),
             "matches_degree_k_family": self.matches_degree_k_family,
             "family_size": self.family_size,
             "extra_count": len(self.extra),
-            "extras": self._json_rows(self.extra[:200]),
+            "extras": listing(self.extra[:200]),
             "algorithm": self.algorithm, "notes": self.notes,
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
@@ -309,8 +321,7 @@ def coset_rows(code: LinearCode, words):
     cd = _linops.digit_matmul(ctx.digit_table()[w[:, :m]].reshape(-1, m * ctx.a),
                               _sweeps.eval_operators(ctx, D)[1], ctx.p)
     coeffs = _linops.digit_decode_cols(ctx, cd, m)
-    vs = (np.array(list(map(ctx.sub, w[:, m].tolist(),
-                            coeffs[:, k - 1].tolist())), dtype=np.intp)
+    vs = (_sweeps._fsub(ctx, w[:, m], coeffs[:, k - 1])
           if code.structure["kind"] == "prs" else None)
     coeffs[:, :k] = 0
     return coeffs, vs
@@ -358,19 +369,58 @@ def covering_radius_syndrome(code: LinearCode,
         level_counts=out.level_counts, words_examined=out.words_examined)
 
 
+def _translations(code: LinearCode, rows: np.ndarray, deep: np.ndarray):
+    """The q translates t(x - b), b in F_q, of each of R tail rows t (R, |D|)
+    of a full-field RS/PRS code, with their deep-value masks from the
+    rows' masks `deep`: (rows (R*q, |D|), masks (R*q, q or 1)), row r*q + i
+    translating row r by D[i].  One `coset_rows` product of the R*q words,
+    the rows' words with their columns permuted to x - b.  x -> x - b keeps
+    the degree-< k part of t(x - b) below degree k, so the translate's rep
+    is its tail T.  For PRS that part has some x^(k-1) coefficient l, and
+    (u_t, v + l) maps to (u_T, v), so T's mask at v is t's at v + l;
+    `coset_rows` of the extra value 0 gives -l."""
+    ctx, D, n, q = code.ctx, tuple(code.structure["eval"]), code.n, code.ctx.q
+    pos, Dx = np.empty(q, dtype=np.intp), np.asarray(D, dtype=np.int64)
+    pos[Dx] = np.arange(q)
+    perm = np.full((q, n), q)  # PRS: the extra coordinate stays put
+    perm[:, :q] = pos[_sweeps._fsub(ctx, Dx, Dx[:, None])]  # b, x: x - b
+    words = _coset_words(code, rows, np.zeros(len(rows), dtype=np.intp))
+    coeffs, vs = coset_rows(code, words[:, perm].reshape(-1, n))
+    masks = np.repeat(deep, q, axis=0)
+    if vs is not None:
+        masks = np.take_along_axis(
+            masks, _sweeps._fsub(ctx, np.arange(q), vs[:, None]), axis=1)
+    return coeffs, masks
+
+
 def _sweep(code: LinearCode, collect: bool, enum_budget: int, threads: int):
     """The one set-up of the representative sweep: (variant, SweepOutcome).
 
-    A radius (collect=False) over the full field with more than
-    min(2^16, enum_budget) tails scans one normalized slice per tail degree
-    ('degree-sliced', exact by orbit invariance); every other radius scans
-    all q^(n-k) tails ('full'), at most enum_budget.
+    Over the full field, a listing (collect=True), and a radius with more
+    than min(2^16, enum_budget) tails, scan one normalized slice per tail
+    degree ('degree-sliced', `_sweeps.sliced_plans`), which is exact by
+    orbit invariance; every other radius scans all q^(n-k) tails ('full'),
+    and a listing over a partial evaluation set the zero tail and the monic
+    tails ('monic', `_sweeps.monic_plans`), q^(|D|-k-1) + ... + 1 + 1 of
+    them.  A listing scans at most enum_budget tails.
 
-    A listing (collect=True) scans the zero tail and the monic tails
-    ('monic', `_sweeps.monic_plans`), q^(|D|-k-1) + ... + 1 + 1 of them, at
-    most enum_budget, and returns the listing of all q^(|D|-k) tails: the
-    zero row once, and each monic row t with deep-value mask V as the q-1
-    rows c*t, c in F_q^*, with masks V'[c*v] = V[v].  This is exact:
+    A listing returns the rows of all q^(|D|-k) tails at the maximum and
+    their deep-value masks.  A sliced scan first becomes the monic listing:
+    each row t of degree d >= k+1 with p not dividing d is replaced by its
+    q translates, the tails of t(x - b), b in F_q (`_translations`).  This
+    is exact:
+      - x -> x - b maps D = F_q onto itself and the code onto itself, and
+        keeps the PRS coordinate, the x^(k-1) coefficient of a codeword, so
+        it keeps every distance, and a translate is deep iff t is;
+      - the slice of degree d holds the monic tails with x^(d-1)
+        coefficient 0, and that coefficient of t(x - b) is -d*b, so the
+        translates of the slice are the q^(d-k) monic tails of degree d,
+        each once: no duplicates;
+      - the slices of degree k or a multiple of p, and the zero tail, are
+        whole monic slices already and are not expanded.
+    Then the zero row stays once, and each monic row t with deep-value
+    mask V becomes the q-1 rows c*t, c in F_q^*, with masks V'[c*v] = V[v].
+    This is exact:
       - c*C = C, and scaling a word does not change its weight, so
         d(c*w, C) = d(w, C) and c*t is deep iff t is;
       - c*(u_t, v) = (u_(c*t), c*v), and c*t has no coefficient below
@@ -379,10 +429,10 @@ def _sweep(code: LinearCode, collect: bool, enum_budget: int, threads: int):
         leading coefficient, so the expansion is a bijection onto the
         nonzero tails at the maximum, with no duplicates.
     `_sweeps._listed`, the one refusal of an oversize listing, counts the
-    expanded rows before any is made and raises ValueError over
-    `_sweeps.DEEP_CANDIDATE_CAP`, counting one more row when the kernel
-    stopped at the cap (`truncated`), as it then dropped some.  `cosets`
-    counts the tails scanned.
+    translated rows, then the scaled rows, before any is made and raises
+    ValueError over `_sweeps.DEEP_CANDIDATE_CAP`, counting one more row
+    when the kernel stopped at the cap (`truncated`), as it then dropped
+    some.  `cosets` counts the tails scanned.
     """
     kind = code.structure.get("kind")
     if kind not in ("rs", "prs"):
@@ -390,12 +440,14 @@ def _sweep(code: LinearCode, collect: bool, enum_budget: int, threads: int):
                          "RS- or PRS-structured code")
     ctx, k, D = code.ctx, code.structure["k"], tuple(code.structure["eval"])
     q, m = ctx.q, len(D)
-    if (not collect and code.structure["full_field"]
-            and q ** (m - k) > min(2**16, enum_budget)):
+    sliced = code.structure["full_field"] and (
+        collect or q ** (m - k) > min(2**16, enum_budget))
+    if sliced:
         variant, plans = "degree-sliced", _sweeps.sliced_plans(ctx, k)
     else:
         variant, plans = (("monic", _sweeps.monic_plans(ctx, m, k)) if collect
                           else ("full", _sweeps.full_plans(ctx, m, k)))
+    if collect or not sliced:
         ntails = sum(plan.count for plan in plans)
         if ntails > enum_budget:
             raise ValueError(f"{ntails} {variant} tail cosets exceed budget "
@@ -405,8 +457,16 @@ def _sweep(code: LinearCode, collect: bool, enum_budget: int, threads: int):
     if not collect:
         return variant, out
     rows, deep = out.candidates, out.deep_v
+    d = _sweeps.tail_lengths(rows) - 1  # -1 for the zero tail
+    grow = sliced & (d > k) & (d % ctx.p != 0)
+    zero = int(np.count_nonzero(d < 0))
+    monic = len(rows) - zero + (q - 1) * int(grow.sum())  # once translated
+    _sweeps._listed(zero + (q - 1) * monic + out.truncated)
+    if grow.any():
+        moved = _translations(code, rows[grow], deep[grow])
+        rows, deep = (np.concatenate([rows[~grow], moved[0]]),
+                      np.concatenate([deep[~grow], moved[1]]))
     nonzero = rows.any(axis=1)
-    _sweeps._listed(len(rows) + (q - 2) * int(nonzero.sum()) + out.truncated)
     cs = np.arange(1, q)
     scaled = ctx.mul(rows[nonzero][:, None], cs[:, None])
     if kind == "prs":  # row c*t's mask at w is t's mask at c^-1 * w
@@ -516,10 +576,17 @@ def deep_holes(code: LinearCode, algo: str = "auto",
     the report carries as the engines' sorted arrays; CosetReps are views
     of them, built when read (`DeepHoleReport`).
 
-    The sweep (RS/PRS codes) lists (tail, extra-coordinate) reps, from
-    one monic tail a scalar orbit expanded by the F_q^* scalars (`_sweep`),
-    and where x^k is a tail (k < |D|) the report compares them against
-    the degree-k family (c*x^k, v), c != 0.  The syndrome BFS (any code)
+    The sweep (RS/PRS codes) lists (tail, extra-coordinate) reps
+    (`_sweep`).  Over the full field it scans one normalized slice a tail
+    degree, and each deep slice tail t of degree d >= k+1, p not dividing
+    d, stands for its q translates t(x - b): x -> x - b maps F_q onto
+    itself and the code onto itself, keeps the PRS coordinate, and moves
+    the x^(d-1) coefficient by -d*b, so the translates are distinct and
+    deep, and with the whole slices they are the monic tails.  Over a
+    partial evaluation set it scans the monic tails.  Each monic tail
+    stands for its q-1 scalar multiples.  Where x^k is a tail (k < |D|)
+    the report compares the reps against the degree-k family (c*x^k, v),
+    c != 0.  The syndrome BFS (any code)
     lists one minimum-weight witness word per deep coset.  Without a
     family the family fields stay unset.  Over `_sweeps.DEEP_CANDIDATE_CAP`
     deep tails (sweep) or deep cosets (BFS), either engine raises

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import covrad
-from covrad import _sweeps, cli
+from covrad import _sweeps, cli, dist
 from covrad.cli import build_code, main
 
 
@@ -338,3 +338,18 @@ def test_table_format(capsys):
                          "--format", "table")
     assert rc == 0
     assert "rho" in out and "{" not in out
+
+
+@pytest.mark.parametrize("selector, algo", [
+    ("prs:q=5,k=2", "sweep"),     # extras and v values
+    ("rs:q=5,k=2", "sweep"),      # no extras, no v
+    ("prs:q=5,k=5", "sweep"),     # no family
+    ("prs:q=5,k=3", "syndrome"),  # witness words
+])
+def test_listing_json_is_the_indented_dump(selector, algo):
+    # the fixed-text listing writer against json.dumps(indent=2) of the
+    # same report, here with notes that need escapes and nesting
+    rep = dist.deep_holes(cli.build_code(selector), algo=algo)
+    rep.notes = ['a "quoted"\nnote', {"nested": [1, [2]]}, []]
+    assert (cli._listing_json(rep.to_json(records=False))
+            == json.dumps(rep.to_json(), indent=2))

@@ -1438,17 +1438,24 @@ def test_inverse_evaluation_matrix_is_the_gauss_jordan_inverse(q, monkeypatch):
 # deep holes
 # ----------------------------------------------------------------------
 
-def test_listing_budget_counts_the_monic_tails_it_scans():
-    # PRS(6,2)/F_5 lists its 5^3 tails from 1 + 1 + 5 + 25 = 32 scanned
-    # monic tails: a budget of 100 lists them all, 31 refuses
-    code = prs_code(field_create(5), 2)
-    full, report = deep_holes(code), deep_holes(code, enum_budget=100)
-    assert report.count == full.count == 360
+@pytest.mark.parametrize("code,count,scanned,variant", [
+    # PRS(6,2)/F_5 lists its 5^3 tails from the 1 + 1 + 1 + 5 = 8 sliced
+    # tails it scans
+    (prs_code(field_create(5), 2), 360, 8, "degree-sliced"),
+    # a partial evaluation set scans the monic tails: RS(D[4],1)/F_5 lists
+    # its 5^3 tails from 1 + 1 + 5 + 25 = 32
+    (rs_code(field_create(5), 1, (1, 2, 3, 4)), 24, 32, "monic"),
+], ids=["prs-sliced", "rs-partial-monic"])
+def test_listing_budget_counts_the_tails_it_scans(code, count, scanned,
+                                                  variant):
+    # a budget of the scanned count lists them all, one less refuses
+    full, report = deep_holes(code), deep_holes(code, enum_budget=scanned)
+    assert report.count == full.count == count
     assert np.array_equal(report.rows, full.rows)
-    assert np.array_equal(report.v, full.v)
-    with pytest.raises(ValueError, match="^32 monic tail cosets exceed "
-                       "budget 31$"):
-        deep_holes(code, enum_budget=31)
+    assert (report.v is full.v is None) or np.array_equal(report.v, full.v)
+    with pytest.raises(ValueError, match=f"^{scanned} {variant} tail cosets "
+                       f"exceed budget {scanned - 1}$"):
+        deep_holes(code, enum_budget=scanned - 1)
 
 
 def test_rs52_deep_holes_are_square_multiples():
@@ -1531,21 +1538,24 @@ def test_deep_hole_listing_over_the_candidate_cap_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("k,cap,rows", [
-    (2, 103, 104),  # 26 deep monic tails expand to 104 deep tails
-    (2, 2, 9),      # the kernel stops at 2 monic tails: 2 * 4, plus 1 as
-                    # it dropped some
+    (2, 103, 104),  # 6 deep sliced tails expand to 26 deep monic tails
+                    # and 104 deep tails
+    (2, 2, 25),     # the kernel stops at 2 sliced tails, x^2 and x^3: 1 + 5
+                    # translates, times 4 scalars, plus 1 as it dropped some
     (4, 1, 2),      # it stops at the zero tail, which does not expand
 ])
 def test_sweep_listing_over_the_cap_is_refused_by_listed(monkeypatch, k, cap,
                                                          rows):
     # the BFS's refusal, with its message, on the expanded row count and
-    # before any row is scaled (no ctx.mul once the scan is done)
+    # before any row is translated or scaled (no ctx.mul or digit product
+    # once the scan is done)
     code = prs_code(field_create(5), k)
     run_sweep = _sweeps.run_sweep
 
     def sweep_then_forbid_mul(*args, **kw):
         out = run_sweep(*args, **kw)
         monkeypatch.setattr(type(code.ctx), "mul", None)
+        monkeypatch.setattr(_linops, "digit_matmul", None)
         return out
 
     monkeypatch.setattr(_sweeps, "run_sweep", sweep_then_forbid_mul)
@@ -1751,8 +1761,9 @@ def sorted_listing(out):
 
 # (kind, q, k, |D| for a partial RS evaluation set, threads): every RS and
 # PRS code over F_5 and F_7, with k = |D| (PRS k = q: the zero tail only)
-# and k = |D| - 1; some over F_9, F_25 and F_27; partial sets; and
-# threads=2, where CHUNK = 256 splits the monic tails into several tasks
+# and k = |D| - 1; some over F_9, F_25 and F_27; partial sets, which scan
+# the monic tails; and threads=2, where CHUNK = 256 splits the scanned
+# tails into several tasks
 MONIC_CASES = (
     [("rs", q, k, None, 1) for q in (5, 7) for k in range(1, q)]
     + [("prs", q, k, None, 1) for q in (5, 7) for k in range(1, q + 1)]
@@ -1774,8 +1785,14 @@ def test_monic_listing_expands_to_the_full_listing(monkeypatch, kind, q, k,
     if threads > 1:
         monkeypatch.setattr(_sweeps, "CHUNK", 256)
     variant, out = dist._sweep(code, True, dist.DEFAULT_ENUM_BUDGET, threads)
-    assert variant == "monic" and not out.truncated
-    assert out.cosets == (q ** (len(D) - k) - 1) // (q - 1) + 1
+    assert not out.truncated
+    if m is None:  # the full field: the slices, translated and scaled
+        assert variant == "degree-sliced"
+        assert out.cosets == sum(plan.count
+                                 for plan in _sweeps.sliced_plans(ctx, k))
+    else:
+        assert variant == "monic"
+        assert out.cosets == (q ** (len(D) - k) - 1) // (q - 1) + 1
     assert out.max_contrib == full.max_contrib
     for got, want in zip(sorted_listing(out), sorted_listing(full)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -1808,6 +1825,110 @@ def test_listing_cap_counts_expanded_rows_and_raises_before_expanding(
     assert expand_peak > 1 << 20 > peak
 
 
+def test_listing_cap_raises_before_translating(monkeypatch):
+    # PRS(12,6)/F_11 scans 134 deep sliced tails: x^6, and 133 that
+    # translate to the 1463 deep monic tails of degree 7 to 10; the 1464
+    # monic tails scale to 14640 deep tails.  An over-cap listing is
+    # refused with less traced memory after the scan than the translated
+    # rows would hold, and without translating.
+    code = prs_code(field_for_size(11), 6)
+    run_sweep, translations = _sweeps.run_sweep, dist._translations
+    calls = []
+
+    def sweep_then_reset_peak(*args, **kw):
+        out = run_sweep(*args, **kw)
+        tracemalloc.reset_peak()
+        return out
+
+    def record(code, rows, deep):
+        calls.append(len(rows))
+        return translations(code, rows, deep)
+
+    monkeypatch.setattr(_sweeps, "run_sweep", sweep_then_reset_peak)
+    monkeypatch.setattr(dist, "_translations", record)
+    tracemalloc.start()
+    try:
+        monkeypatch.setattr(_sweeps, "DEEP_CANDIDATE_CAP", 14639)
+        with pytest.raises(ValueError, match="more than 14639 .*: 14640 to"):
+            deep_holes(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    monkeypatch.setattr(_sweeps, "DEEP_CANDIDATE_CAP", 14640)
+    _, out = dist._sweep(code, True, dist.DEFAULT_ENUM_BUDGET, 1)
+    assert calls == [133] and out.cosets == 1466
+    assert len(out.candidates) == 14640
+    assert peak < 1463 * 11 * 8  # the translated coefficient rows
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 25, 27])
+def test_translations_biject_slices_onto_monic_tails(q):
+    # x -> x - b takes a slice of degree d >= k+1, p not dividing d, onto
+    # the monic tails of degree d: its q^(d-k-1) tails, each with x^(d-1)
+    # coefficient 0, have q^(d-k) distinct translates, the x^(d-1)
+    # coefficient -d*b telling b apart.  Every other slice is whole.  A
+    # slice of at most 64 tails is translated whole and checked equal to
+    # the monic tails of its degree, a larger one by 64 random tails.
+    ctx, rng = field_for_size(q), np.random.default_rng(q)
+    for k in range(1, q):
+        code = prs_code(ctx, k)
+        for plan in _sweeps.sliced_plans(ctx, k)[1:]:
+            (d,) = plan.fixed
+            free = list(plan.free_degrees)
+            grows = d > k and d % ctx.p != 0
+            assert free == list(range(k, d - grows))
+            if not grows:
+                continue
+            if plan.count <= 64:
+                lows = _linops.mixed_radix(np.arange(plan.count), q, len(free))
+            else:
+                lows = np.unique(rng.integers(0, q, (64, len(free))), axis=0)
+            take = len(lows)
+            rows = np.zeros((take, q), dtype=np.int64)
+            rows[:, free], rows[:, d] = lows, 1
+            deep = np.ones((take, q), dtype=bool)
+            moved, masks = dist._translations(code, rows, deep)
+            assert moved.shape == (take * q, q) and masks.all()
+            assert len(np.unique(moved, axis=0)) == take * q
+            assert (_sweeps.tail_lengths(moved) == d + 1).all()
+            assert not moved[:, :k].any() and (moved[:, d] == 1).all()
+            lead = moved[:, d - 1].reshape(take, q)
+            assert (np.sort(lead, axis=1) == np.arange(q)).all()
+            if plan.count == take:
+                monic = np.zeros((q ** (d - k), q), dtype=np.int64)
+                monic[:, k:d] = _linops.mixed_radix(np.arange(len(monic)),
+                                                    q, d - k)
+                monic[:, d] = 1
+                assert np.array_equal(np.unique(moved, axis=0),
+                                      np.unique(monic, axis=0))
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_listing_translates_only_the_partial_slices(monkeypatch, q):
+    # of a sliced scan's deep rows, exactly those of degree d >= k+1 with p
+    # not dividing d are translated
+    ctx = field_for_size(q)
+    translations, seen = dist._translations, []
+
+    def record(code, rows, deep):
+        seen.append(rows)
+        return translations(code, rows, deep)
+
+    monkeypatch.setattr(dist, "_translations", record)
+    for k in range(1, q):
+        code = rs_code(ctx, k)
+        seen.clear()
+        dist._sweep(code, True, dist.DEFAULT_ENUM_BUDGET, 1)
+        scan = _sweeps.run_sweep(ctx, ctx.elements(), k, prs=False,
+                                 plans=_sweeps.sliced_plans(ctx, k),
+                                 collect=True).candidates
+        d = _sweeps.tail_lengths(scan) - 1
+        want = scan[(d > k) & (d % ctx.p != 0)]
+        got = np.concatenate(seen) if seen else np.zeros((0, q), np.int64)
+        assert np.array_equal(got, want)
+
+
 class TaskRecordingPool(RecordingPool):
     """`RecordingPool` that also records the tasks it maps."""
     tasks: list = []
@@ -1821,15 +1942,15 @@ def test_listing_tasks_pack_small_plans(monkeypatch):
     monkeypatch.setattr(_sweeps, "ProcessPoolExecutor", TaskRecordingPool)
     monkeypatch.setattr(TaskRecordingPool, "started", [])
     monkeypatch.setattr(TaskRecordingPool, "tasks", [])
-    # the 16106 monic tails of PRS(12,6)/F_11 fit one task: no pool
+    # the 1466 sliced tails of PRS(12,6)/F_11 fit one task: no pool
     _, out = dist._sweep(prs_code(field_for_size(11), 6), True,
                          dist.DEFAULT_ENUM_BUDGET, 2)
-    assert out.cosets == 16106 and TaskRecordingPool.started == []
-    # CHUNK = 8: the monic plans of PRS(6,2)/F_5 hold 1, 1, 5 and 25 tails;
-    # the first three share a task and the last splits in max(8, 25 /
-    # threads) tails, so 32 > 2 * CHUNK tails make 3 tasks at threads=2 and
-    # 5 at threads=16, one worker a task up to `threads`
-    code = prs_code(field_create(5), 2)
+    assert out.cosets == 1466 and TaskRecordingPool.started == []
+    # CHUNK = 8: the monic plans of RS(D[4],1)/F_5 hold 1, 1, 5 and 25
+    # tails; the first three share a task and the last splits in max(8, 25
+    # / threads) tails, so 32 > 2 * CHUNK tails make 3 tasks at threads=2
+    # and 5 at threads=16, one worker a task up to `threads`
+    code = rs_code(field_create(5), 1, (1, 2, 3, 4))
     serial = deep_holes(code)
     monkeypatch.setattr(_sweeps, "CHUNK", 8)
     for threads, sizes, workers in [(2, [7, 13, 12], 2),
