@@ -18,10 +18,13 @@ Two exact algorithms live here:
   from one inner table per plan (all q^L low parts) and one outer vector a
   high part.  Both are below p, so their sum fits the tables' dtype
   np.min_scalar_type(2*(p-1)), and a value vanishes iff inner == -outer
-  mod p.  `agreements` counts the vanishing ones of each k-subset.  For
-  any linear code, `subset_ops` tabulates the same functionals on words,
-  the parity functional of each (k+1)-subset: `dist.error_distances_mds`
-  and `code.is_mds` read it, over the same `subset_index`.
+  mod p, compared as field encodings.  A radius that starts at q - k only
+  refutes tails, streaming the (k+1)-functionals in blocks until one
+  vanishes on each.  `agreements` counts the vanishing ones of each
+  k-subset.  For any linear code, `subset_ops` tabulates the same
+  functionals on words, the parity functional of each (k+1)-subset:
+  `dist.error_distances_mds` and `code.is_mds` read it, over the same
+  `subset_index`.
 
 * a syndrome coset-leader BFS for arbitrary linear codes: a level-
   synchronous BFS over the q^(n-k) syndromes whose edges are the n(q-1)
@@ -509,28 +512,42 @@ def _pointwise(op, inner, outer, hi, lo):
     return out.reshape(len(out), math.prod(out.shape[1:]))
 
 
-def _zeros(inner, neg, hi, lo, a):
+def _encode(d, a, p, dt):
+    """(C, N) field encodings sum_i d[c*a + i] * p^i, in dt, of the
+    functional-major digit rows d (C*a, N), each digit below p."""
+    v = d[a - 1::a].astype(dt)
+    for i in range(a - 2, -1, -1):
+        v = v * p + d[i::a].astype(dt)
+    return v
+
+
+def _zeros(inner, neg, hi, lo):
     """(C, R) bool: which of C functionals vanish on the tails hi x lo of
     `_pointwise`.  The value of functional c on tail h*Q + l is inner[c, l]
-    + outer[c, h] digit by digit mod p, so it vanishes iff inner[c, l] ==
-    neg[c, h] = -outer[c, h] mod p on all a digits."""
-    z = _pointwise(np.equal, inner[::a], neg[::a], hi, lo)
-    for d in range(1, a):
-        z &= _pointwise(np.equal, inner[d::a], neg[d::a], hi, lo)
-    return z
+    + outer[c, h] digit by digit mod p, so it vanishes iff every digit of
+    inner[c, l] equals that of neg[c, h] = -outer[c, h], that is iff their
+    `_encode`s are equal: one comparison for any a."""
+    return _pointwise(np.equal, inner, neg, hi, lo)
 
 
-def _unrefuted(inner, neg, hi, lo, a):
-    """(R,) bool over the tails hi x lo of `_pointwise`: those at which
-    none of the functionals of `_zeros` vanishes; for the (k+1)-functionals,
-    the tails with bestA = k.  The functionals are tested 16 at a time,
-    stopping once every tail is refuted.  Each test broadcasts over the
+def _survivors(T1, X, inner, lo, p, a):
+    """(R,) bool over the tails hi x lo of `_pointwise`, hi every high part
+    of X: those on which none of the C functionals of T1 vanishes; for the
+    (k+1)-functionals, the tails with bestA = k.  T1 (C*a, w*a) holds the
+    negated functional rows of the high part, X (w*a, H) the high parts'
+    digits, inner (C, Q) the `_encode`d values on the low parts.
+
+    The functionals are streamed 16 at a time: each block multiplies only
+    its rows of T1 by X, encodes them and clears the tails it refutes, and
+    the scan stops once no tail is alive.  Each test broadcasts over the
     whole grid: a gather of the survivors measured 5 to 20 times slower a
     tail."""
-    alive = np.ones((hi.stop - hi.start) * (lo.stop - lo.start), dtype=bool)
-    for b in range(0, len(inner), 16 * a):
-        alive &= ~_zeros(inner[b:b + 16 * a], neg[b:b + 16 * a], hi, lo,
-                         a).any(axis=0)
+    hi = slice(0, X.shape[1])
+    alive = np.ones(X.shape[1] * (lo.stop - lo.start), dtype=bool)
+    for b in range(0, len(inner), 16):
+        neg = _encode(_linops.digit_matmul(T1[b * a:(b + 16) * a], X, p), a,
+                      p, inner.dtype)
+        alive &= ~_zeros(inner[b:b + 16], neg, hi, lo).any(axis=0)
         if not alive.any():
             break
     return alive
@@ -567,13 +584,16 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
     lowest and the rest, so tail h*q^L + l is the low part l plus the high
     part h (with the fixed coefficients), and by linearity every
     functional value is inner[:, l] + outer[:, h] digit by digit mod p.
-    The inner table holds the M1 and, for PRS, the M0 functionals of all
-    q^L low parts, functional-major, in np.min_scalar_type(2*(p-1)), so
-    v = (inner + outer) mod p is exact without widening; L is the largest
-    with q^L <= score_rows, so the table holds at most as many entries as
-    one scored sub-chunk.  A grid of tails costs one digit product for the
-    outer vectors of its high parts, and the zero test inner == -outer
-    mod p (`_zeros`) needs no add and no mod.  A grid holds at most
+    The inner tables hold the functionals of all q^L low parts,
+    functional-major: the M1 ones as `_encode`d field elements in
+    np.min_scalar_type(q-1), and for PRS the M0 digits in
+    np.min_scalar_type(2*(p-1)), so v = (inner + outer) mod p is exact
+    without widening; L is the largest with q^L <= score_rows, so the
+    tables hold at most as many entries as one scored sub-chunk.  The high
+    part's M1 rows are negated once per plan, so a grid's digit product
+    gives neg = -outer for them, and the zero test (`_zeros`) compares the
+    encodings of inner and neg: one comparison for any a, no add and no
+    mod.  A grid holds at most
     min(CHUNK, 4 * score_rows * q^L) tails, so its outer vectors hold at
     most 4 * score_rows * (C1 + C0) * a, about 4 * a * CHUNK * n, entries
     however many functionals there are.  The products are exact
@@ -586,10 +606,16 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
     kept iff bestA < n + extra - gmax + collect, extra = 1 for PRS; a
     dropped row contributes at most gmax, a value some coset attains, so a
     radius-only sweep drops ties and a listing keeps them.  The threshold
-    picks the work: at most k drops every row unread; at k + 1 the rows
-    kept are those where no (k+1)-functional vanishes, and a grid without
-    one (`_unrefuted`) is skipped unscored; otherwise every functional is
-    scored.
+    picks the work: at most k drops every row unread; above k + 1 every
+    functional is scored.  At k + 1, where a PRS radius starts when its
+    floor is Theorem 3's q - k, the rows kept are those on which no
+    (k+1)-functional vanishes, so a tail is done once one does: the grid
+    streams the (k+1)-functionals 16 at a time (`_survivors`), multiplying
+    only a block's rows of the high table, clearing the tails the block
+    refutes, and stopping once no tail is alive.  Stopping skips blocks
+    only when every tail is already refuted, and equal encodings mean
+    equal digits, so the survivors are exactly the rows kept; only a grid
+    with one gets the full product and is scored as above.
     """
     n, a, q, p = len(D), ctx.a, ctx.q, ctx.p
     M1, up, M0 = divided_differences(ctx, D, k, prs)
@@ -625,25 +651,29 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
         high = TailPlan(plan.fixed, plan.free_degrees[L:], q)
         T, fdt = table(low)
         inner = _linops.digit_matmul(
-            T, _tail_values_digits(ctx, low, np.arange(Q), fdt).T, p).astype(vdt)
+            T, _tail_values_digits(ctx, low, np.arange(Q), fdt).T, p)
+        inner0 = inner[C1 * a:].astype(vdt)
+        inner = _encode(inner[:C1 * a], a, p, edt)
         T, fdt = table(high)
+        T[:C1 * a] = (p - T[:C1 * a]) % p  # their products are -outer
         for h0, h1, l0, l1 in _grids(plan.start, plan.end, Q,
                                      min(CHUNK, 4 * score_rows * Q)):
             cosets += (h1 - h0) * (l1 - l0)
             thr = n + extra - gmax + collect  # rows are kept iff bestA < thr
             if thr <= k:  # bestA >= k on every row
                 continue
-            outer = _linops.digit_matmul(T, _tail_values_digits(
-                ctx, high, np.arange(h0, h1), fdt).T, p).astype(vdt)
-            neg = (p - outer[:C1 * a]) % p
+            X = _tail_values_digits(ctx, high, np.arange(h0, h1), fdt).T
             lo = slice(l0, l1)
-            if thr == k + 1 and not _unrefuted(
-                    inner[:C1 * a], neg, slice(0, h1 - h0), lo, a).any():
+            if thr == k + 1 and not _survivors(T[:C1 * a], X, inner, lo, p,
+                                               a).any():
                 continue
+            outer = _linops.digit_matmul(T, X, p)
+            neg = _encode(outer[:C1 * a], a, p, edt)
+            outer = outer[C1 * a:].astype(vdt)
             step = max(1, score_rows // (l1 - l0))
             for g in range(0, h1 - h0, step):
                 hs = slice(g, min(g + step, h1 - h0))
-                agree = agreements(_zeros(inner[:C1 * a], neg, hs, lo, a), up)
+                agree = agreements(_zeros(inner, neg, hs, lo), up)
                 best = agree.max(axis=0)
                 keep = np.nonzero(best < n + extra - gmax + collect - k)[0]
                 if len(keep) == 0:
@@ -653,12 +683,8 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
                 if prs:
                     # v_S digits, each inner + outer < 2p: min(s, s - p)
                     # wraps below p to above it, so it is s mod p
-                    d = _pointwise(np.add, inner[C1 * a:], outer[C1 * a:],
-                                   hs, lo)[:, keep]
-                    d = np.minimum(d, d - p)
-                    v = d[a - 1::a].astype(edt)
-                    for i in range(a - 2, -1, -1):
-                        v = v * p + d[i::a]
+                    d = _pointwise(np.add, inner0, outer, hs, lo)[:, keep]
+                    v = _encode(np.minimum(d, d - p), a, p, edt)
                     at = np.flatnonzero(agree == best)
                     reached = np.zeros((R, q), dtype=bool)
                     reached.ravel()[at % R * q + v.ravel()[at]] = True

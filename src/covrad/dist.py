@@ -526,11 +526,11 @@ def covering_radius(code: LinearCode, algo: str = "auto",
     was measured faster before the BFS searched one syndrome per scalar
     orbit.  Cold single calls in fresh processes on a 2-core host, median
     of 3, BFS vs sweep, with RS/PRS codes built in closed form: at
-    n-k >= 5, PRS(12,5)/F_11 1.1 s vs 6 ms, PRS(12,6)/F_11 40 vs 4 ms,
-    RS(17,12)/F_17 18 vs 11 ms, PRS(10,4)/F_9 13 vs 12 ms, RS(13,8)/F_13
-    5 vs 6 ms, but PRS(14,9)/F_13 6 vs 18 ms and PRS(10,5)/F_9 1.5 vs
-    6 ms.  Below, the BFS wins on PRS codes (PRS(12,8)/F_11 0.9 vs 4 ms,
-    PRS(68,65)/F_67 1 vs 39 ms) and on RS(41,38)/F_41 (3 vs 14 ms), and
+    n-k >= 5, PRS(12,5)/F_11 0.96 s vs 5 ms, PRS(12,6)/F_11 37 vs 4 ms,
+    RS(17,12)/F_17 17 vs 10 ms, PRS(10,4)/F_9 14 vs 10 ms, RS(13,8)/F_13
+    6 vs 4 ms, but PRS(14,9)/F_13 7 vs 16 ms and PRS(10,5)/F_9 1.8 vs
+    5 ms.  Below, the BFS wins on PRS codes (PRS(12,8)/F_11 0.9 vs 4 ms,
+    PRS(68,65)/F_67 1 vs 33 ms) and on RS(41,38)/F_41 (3 vs 11 ms), and
     loses on RS(13,9)/F_13 (4 vs 2 ms).  Over budget it runs the sweep; if
     the sweep refuses too, the error says that neither engine fits."""
     if algo == "syndrome":
@@ -610,13 +610,16 @@ def deep_holes(code: LinearCode, algo: str = "auto",
         raise ValueError(f"unknown deep-hole algorithm {algo!r}")
     _, out = _sweep(code, True, enum_budget, threads)
     # tails are distinct, so sorting them and then each one's v values
-    # (nonzero is row-major) sorts the (tail, v) pairs
-    order = np.lexsort(out.candidates.T[::-1])
+    # (nonzero is row-major) sorts the (tail, v) pairs; a tail's
+    # coefficients below degree k are zero, so its columns from k order it
+    k = code.structure["k"]
+    tails = out.candidates[:, k:]  # no column when k = |D|: the zero tail
+    order = (np.lexsort(tails.T[::-1]) if tails.shape[1]
+             else np.arange(len(tails)))
     coeffs, deep = out.candidates[order], out.deep_v[order]
     r, v = np.nonzero(deep)
     prs = kind == "prs"
     family = {}
-    k = code.structure["k"]
     if k < coeffs.shape[1]:
         is_cxk = (coeffs[:, k] != 0) & ~coeffs[:, k + 1:].any(axis=1)
         present = np.zeros((ctx.q, deep.shape[1]), dtype=bool)

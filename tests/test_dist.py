@@ -655,24 +655,39 @@ def test_pruned_sweep_equals_unpruned(kind, q, k):
     assert sorted(listed(listing)) == sorted(cands)
 
 
-@pytest.mark.parametrize("kind,q,k", ONE_CHUNK)
-def test_block_test_refutes_exactly_the_rows_decoded_past_k(kind, q, k):
-    # the (k+1)-functional block test keeps a tail iff the per-subset decode
-    # finds no polynomial of degree < k agreeing with it on k+1 points
-    code = (rs_code if kind == "rs" else prs_code)(field_for_size(q), k)
-    ctx, D = code.ctx, tuple(code.structure["eval"])
+def block_test_vs_decode(code):
+    """The streamed (k+1)-functional block test keeps a tail iff the
+    per-subset decode finds no polynomial of degree < k agreeing with it
+    on k+1 points."""
+    ctx, k, D = code.ctx, code.structure["k"], tuple(code.structure["eval"])
     coeffs, bestA, _, _, _ = decode_profile(code)
     # tail h*q + l: the low coefficient (degree k) from l, the rest from h
-    a, p, H = ctx.a, ctx.p, q ** (len(D) - k - 1)
-    M1 = _sweeps.divided_differences(ctx, D, k, kind == "prs")[0]
+    a, p, q, H = ctx.a, ctx.p, ctx.q, ctx.q ** (len(D) - k - 1)
+    M1 = _sweeps.divided_differences(ctx, D, k,
+                                     code.structure["kind"] == "prs")[0]
     T1 = M1[k * a:].T
-    inner = _linops.digit_matmul(
-        T1[:, :a], _linops.mixed_radix(np.arange(q), p, a).T, p)
-    outer = _linops.digit_matmul(
-        T1[:, a:], _linops.mixed_radix(np.arange(H), p, T1.shape[1] - a).T, p)
-    kept = _sweeps._unrefuted(inner, (-outer) % p, slice(0, H), slice(0, q), a)
+    inner = _sweeps._encode(_linops.digit_matmul(
+        T1[:, :a], _linops.mixed_radix(np.arange(q), p, a).T, p), a, p,
+        np.min_scalar_type(q - 1))
+    X = _linops.mixed_radix(np.arange(H), p, T1.shape[1] - a).T
+    kept = _sweeps._survivors((p - T1[:, a:]) % p, X, inner, slice(0, q),
+                              p, a)
     assert 0 < kept.sum() < len(coeffs)
     assert np.array_equal(kept, bestA == k)
+
+
+@pytest.mark.parametrize("kind,q,k", ONE_CHUNK)
+def test_block_test_refutes_exactly_the_rows_decoded_past_k(kind, q, k):
+    block_test_vs_decode(
+        (rs_code if kind == "rs" else prs_code)(field_for_size(q), k))
+
+
+@pytest.mark.parametrize("q", [25, 27])
+def test_block_test_compares_encodings_over_extension_fields(q):
+    # a = 2 and a = 3: the zero test compares encodings of a digits; 7
+    # points and k = 4 give C(7,5) = 21 functionals, two blocks of 16
+    ctx = field_for_size(q)
+    block_test_vs_decode(rs_code(ctx, 4, ctx.elements()[:7]))
 
 
 def matmul_profile(ctx, D, k, prs, plans):
@@ -764,6 +779,80 @@ def test_block_addition_on_sliced_plans(q, k):
     block_vs_matmul(ctx, ctx.elements(), k, True, plans)
 
 
+@pytest.mark.parametrize("q,k,measured", [
+    (9, 4, True),    # 894 sliced tails, a = 2
+    (25, 22, True),  # 28 sliced tails, a = 2, p = 5
+    (27, 24, True),  # 30 sliced tails, a = 3
+    (9, 3, False),   # from floor -1: scored until gmax = 6, then refuted
+])
+def test_refute_path_equals_the_reference(monkeypatch, q, k, measured):
+    # a radius-only sweep at threshold k+1 streams the (k+1)-functionals
+    # and scores only a grid with a survivor; each PRS(q+1,k) here has
+    # rho = q-k, so its x^k tail survives (bestA = k, every v reached)
+    ctx = field_for_size(q)
+    D, plans = ctx.elements(), _sweeps.sliced_plans(ctx, k)
+    floor = _sweeps.measured_floor(ctx, D, k, True) if measured else -1
+    gmax, _ = matmul_profile(ctx, D, k, True, plans)
+    events = []
+    survivors, agreements = _sweeps._survivors, _sweeps.agreements
+
+    def spy_survivors(*args):
+        alive = survivors(*args)
+        events.append("survivor" if alive.any() else "refuted")
+        return alive
+
+    def spy_agreements(*args):
+        events.append("scored")
+        return agreements(*args)
+
+    monkeypatch.setattr(_sweeps, "_survivors", spy_survivors)
+    monkeypatch.setattr(_sweeps, "agreements", spy_agreements)
+    out = _sweeps.profile_sweep(ctx, D, k, prs=True, plans=plans,
+                                collect=False, floor=floor)
+    assert out.max_contrib == gmax == q - k
+    assert out.cosets == sum(pl.count for pl in plans)
+    assert "refuted" in events
+    if measured:  # only a survivor's grid is scored
+        assert "survivor" in events and "scored" in events
+        assert all(e != "scored" or before in ("survivor", "scored")
+                   for before, e in zip([None] + events, events))
+    else:  # the path switches once gmax reaches the radius
+        assert events[0] == "scored"
+
+
+def test_refute_path_multiplies_a_fraction_of_the_functionals(monkeypatch):
+    # PRS(12,4)/F_11 starts at its radius 7, so its grids are refuted 16
+    # functionals at a time; a listing multiplies every functional row by
+    # every grid, as the radius did before it streamed them
+    ctx, k = field_create(11), 4
+    D, plans = ctx.elements(), _sweeps.sliced_plans(ctx, k)
+    floor = _sweeps.measured_floor(ctx, D, k, True)
+    digit_matmul = _linops.digit_matmul
+
+    def values(collect):  # functional values the digit products compute
+        count = [0]
+
+        def counting(xd, Md, p):
+            count[0] += xd.shape[0] * Md.shape[-1]
+            return digit_matmul(xd, Md, p)
+
+        monkeypatch.setattr(_linops, "digit_matmul", counting)
+        out = _sweeps.profile_sweep(ctx, D, k, prs=True, plans=plans,
+                                    collect=collect, floor=floor)
+        assert out.max_contrib == 7
+        return count[0]
+
+    assert values(False) < values(True) / 2
+
+
+def test_prs_18_10_radius_by_refutation():
+    # 25646200 sliced tails, every one refuted by its (k+1)-functionals
+    # but the x^10 tail: about 0.3 s on a 2-core host
+    rep = covering_radius_sweep(prs_code(field_create(17), 10))
+    assert (rep.rho, rep.cosets_examined, rep.variant) == (
+        7, 25646200, "degree-sliced")
+
+
 def test_block_addition_on_unaligned_worker_ranges(monkeypatch):
     # CHUNK = 100 gives q^L = 7 tails a block; two workers split the 7^4
     # tails at 1201, not a multiple of 7, and chunk them by 100
@@ -842,14 +931,14 @@ def test_radius_dispatcher_auto():
 # RS/PRS codes with n-k >= 5, the BFS below.  Times are BFS / sweep, one
 # cold `covering_radius_syndrome` or `covering_radius_sweep` call in a
 # fresh process, median of 3, on a 2-core host; the faster engine is not
-# always the one picked (RS(13,9)/F_13, RS(13,8)/F_13 a tie)
+# always the one picked (RS(13,9)/F_13)
 @pytest.mark.parametrize("make,q,k,algorithm,rho", [
-    (prs_code, 11, 5, "rep-sweep", 6),      # 1.1 s / 6 ms
-    (rs_code, 53, 51, "syndrome-bfs", 2),   # 2 ms / 5 ms
-    (rs_code, 41, 38, "syndrome-bfs", 3),   # 41^3 cosets: 3 ms / 14 ms
-    (prs_code, 67, 65, "syndrome-bfs", 2),  # 67^3 cosets: 1 ms / 39 ms
+    (prs_code, 11, 5, "rep-sweep", 6),      # 0.96 s / 5 ms
+    (rs_code, 53, 51, "syndrome-bfs", 2),   # 2 ms / 3 ms
+    (rs_code, 41, 38, "syndrome-bfs", 3),   # 41^3 cosets: 3 ms / 11 ms
+    (prs_code, 67, 65, "syndrome-bfs", 2),  # 67^3 cosets: 1 ms / 33 ms
     (rs_code, 13, 9, "syndrome-bfs", 4),    # n-k = 4: 4 ms / 2 ms
-    (rs_code, 13, 8, "rep-sweep", 5),       # n-k = 5: 5 ms / 6 ms
+    (rs_code, 13, 8, "rep-sweep", 5),       # n-k = 5: 6 ms / 4 ms
 ])
 def test_radius_dispatcher_picks_the_engine_by_redundancy(make, q, k,
                                                           algorithm, rho):
