@@ -15,12 +15,14 @@ Two exact algorithms live here:
   (field, D, k).  The tails are then scored by block addition, with no
   product a tail: split into low and high coefficients, tail h*q^L + l has
   the functional values inner[:, l] + outer[:, h] digit by digit mod p,
-  from one inner table per plan (all q^L low parts) and one outer vector a
-  high part.  Both are below p, so their sum fits the tables' dtype
-  np.min_scalar_type(2*(p-1)), and a value vanishes iff inner == -outer
-  mod p, compared as field encodings.  A radius that starts at q - k only
-  refutes tails, streaming the (k+1)-functionals in blocks until one
-  vanishes on each.  `agreements` counts the vanishing ones of each
+  from one inner table per tuple of low degrees (all q^L low parts) and
+  one outer vector a high part.  Both are below p, so their sum fits the
+  tables' dtype np.min_scalar_type(2*(p-1)), and a value vanishes iff
+  inner == -outer mod p, compared as field encodings.  A radius that
+  starts at q - k only refutes tails, streaming the (k+1)-functionals in
+  blocks until one vanishes on each: a block is one gather of bit-packed
+  low parts, for each (functional, high part) the l whose inner value
+  equals -outer.  `agreements` counts the vanishing ones of each
   k-subset.  For any linear code, `subset_ops` tabulates the same
   functionals on words, the parity functional of each (k+1)-subset:
   `dist.error_distances_mds` and `code.is_mds` read it, over the same
@@ -530,24 +532,93 @@ def _zeros(inner, neg, hi, lo):
     return _pointwise(np.equal, inner, neg, hi, lo)
 
 
-def _survivors(T1, X, inner, lo, p, a):
-    """(R,) bool over the tails hi x lo of `_pointwise`, hi every high part
-    of X: those on which none of the C functionals of T1 vanishes; for the
-    (k+1)-functionals, the tails with bestA = k.  T1 (C*a, w*a) holds the
-    negated functional rows of the high part, X (w*a, H) the high parts'
-    digits, inner (C, Q) the `_encode`d values on the low parts.
+def _digit_rows(degs, a: int) -> np.ndarray:
+    """The rows of a functional table (|D|*a, .) that hold the digits of
+    the coefficients of degrees degs, in that order."""
+    return (np.array(degs, dtype=np.int64)[:, None] * a
+            + np.arange(a)).ravel()
+
+
+class _LowPart:
+    """The functional values of the Q = q^L low parts l of one tuple of low
+    degrees, shared by the plans of a `profile_sweep` call that split off
+    those degrees, and built only as its grids read them.
+
+    `hits(b)`, for the block of (k+1)-functionals 16b ... 16b+15 (fewer in
+    the last block), is a (16*q, ceil(Q/8)) uint8 table: row c*q + v packs
+    the set of l with inner[c, l] == v, the `_encode`d value of functional
+    c on l, little-endian (bit l % 8 of byte l // 8), with the padding bits
+    past Q clear.  Each l sets one bit a functional, so the hit bits of a
+    low part hold at most C1*q*ceil(Q/8) bytes.  The grids scan the blocks
+    in order, so the built ones are a prefix, and a block read first is
+    built with as many more as are built already, at most CHUNK // (q*Q):
+    a survivor that reads every block costs about log2 of their count
+    digit products, and the blocks built are at most twice as many as the
+    farthest grid has read.  `tables()` gives the scoring path the whole
+    tables, made on a scored grid's first read: inner (C1, Q) the
+    `_encode`d M1 values, inner0 (C0*a, Q) the M0 digits in
+    np.min_scalar_type(2*(p-1)), empty without M0."""
+
+    def __init__(self, ctx: FieldCtx, M1, M0, degs: tuple):
+        self.ctx, self.M1, self.M0 = ctx, M1, M0
+        self.rows, self.Q = _digit_rows(degs, ctx.a), ctx.q ** len(degs)
+        fdt = _linops.exact_dtypes(len(self.rows), ctx.p)[0]
+        self.X = _tail_values_digits(ctx, TailPlan({}, degs, ctx.q),
+                                     np.arange(self.Q), fdt).T
+        self._hits, self._tables = {}, None
+
+    def hits(self, b: int) -> np.ndarray:
+        if b not in self._hits:
+            a, q, p = self.ctx.a, self.ctx.q, self.ctx.p
+            m = max(1, min(len(self._hits), CHUNK // (q * self.Q)))
+            d = _linops.digit_matmul(
+                self.M1[self.rows, 16 * b * a:16 * (b + m) * a].T, self.X, p)
+            enc = _encode(d, a, p, np.min_scalar_type(q - 1))
+            eq = enc[:, None, :] == np.arange(q, dtype=enc.dtype)[:, None]
+            bits = np.packbits(eq, axis=2, bitorder="little")
+            for i in range(0, len(bits), 16):
+                self._hits[b + i // 16] = bits[i:i + 16].reshape(
+                    -1, bits.shape[2])
+        return self._hits[b]
+
+    def tables(self):
+        if self._tables is None:
+            a, q, p = self.ctx.a, self.ctx.q, self.ctx.p
+            C1 = self.M1.shape[1] // a
+            T = self.M1[self.rows]
+            if self.M0 is not None:
+                T = np.hstack([T, self.M0[self.rows]])
+            d = _linops.digit_matmul(T.T, self.X, p)
+            self._tables = (
+                _encode(d[:C1 * a], a, p, np.min_scalar_type(q - 1)),
+                d[C1 * a:].astype(np.min_scalar_type(2 * (p - 1))))
+        return self._tables
+
+
+def _survivors(T1, X, low: _LowPart, lo):
+    """(H, ceil(Q/8)) uint8, packed like `_LowPart.hits`: bit l of row h is
+    set iff l is in lo and none of the C functionals of T1 vanishes on the
+    tail h*Q + l; for the (k+1)-functionals, the tails with bestA = k.  T1
+    (C*a, w*a) holds the negated functional rows of the high part, X (w*a,
+    H) the H high parts' digits, `low` the hit bits of the low parts.
 
     The functionals are streamed 16 at a time: each block multiplies only
-    its rows of T1 by X, encodes them and clears the tails it refutes, and
-    the scan stops once no tail is alive.  Each test broadcasts over the
-    whole grid: a gather of the survivors measured 5 to 20 times slower a
-    tail."""
-    hi = slice(0, X.shape[1])
-    alive = np.ones(X.shape[1] * (lo.stop - lo.start), dtype=bool)
-    for b in range(0, len(inner), 16):
-        neg = _encode(_linops.digit_matmul(T1[b * a:(b + 16) * a], X, p), a,
-                      p, inner.dtype)
-        alive &= ~_zeros(inner[b:b + 16], neg, hi, lo).any(axis=0)
+    its rows of T1 by X, which gives neg[c, h] = -outer[c, h] encoded, and
+    gathers the rows c*q + neg[c, h] of the block's hit bits.  Functional
+    c vanishes on h*Q + l iff inner[c, l] == neg[c, h] (`_zeros`), that is
+    iff bit l of that row is set, so one OR over the block gives the tails
+    it refutes, and alive &= ~refuted.  Alive starts with the bits of lo
+    only, so padding bits are never alive, and the scan stops once no bit
+    is: the survivors are exactly the tails no functional vanishes on."""
+    a, q, p = low.ctx.a, low.ctx.q, low.ctx.p
+    span = np.zeros(-(-low.Q // 8) * 8, dtype=bool)
+    span[lo] = True
+    alive = np.tile(np.packbits(span, bitorder="little"), (X.shape[1], 1))
+    for b in range(-(-len(T1) // (16 * a))):
+        neg = _encode(_linops.digit_matmul(T1[16 * b * a:16 * (b + 1) * a], X,
+                                           p), a, p, np.intp)
+        neg += np.arange(0, len(neg) * q, q)[:, None]
+        alive &= ~np.bitwise_or.reduce(low.hits(b).take(neg, axis=0), axis=0)
         if not alive.any():
             break
     return alive
@@ -588,12 +659,20 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
     functional-major: the M1 ones as `_encode`d field elements in
     np.min_scalar_type(q-1), and for PRS the M0 digits in
     np.min_scalar_type(2*(p-1)), so v = (inner + outer) mod p is exact
-    without widening; L is the largest with q^L <= score_rows, so the
-    tables hold at most as many entries as one scored sub-chunk.  The high
-    part's M1 rows are negated once per plan, so a grid's digit product
-    gives neg = -outer for them, and the zero test (`_zeros`) compares the
-    encodings of inner and neg: one comparison for any a, no add and no
-    mod.  A grid holds at most
+    without widening.  L is the largest with q^L <= score_rows, so the
+    tables hold at most as many entries as one scored sub-chunk, except
+    that a plan which starts on the refuting path (below) takes enough
+    degrees for q^L >= 8, so a byte of hit bits covers 8 low parts or
+    more; then q^L < 8q, and a scored sub-chunk holds fewer than
+    max(score_rows, 8q) tails.  The call keeps one `_LowPart` a tuple of low degrees, shared by
+    the plans that split off the same ones; it builds a block's hit bits
+    when a grid first tests that block and the whole inner tables when a
+    grid is first scored, so a plan whose grids are all refuted or
+    dropped multiplies no M0 row of its low part.  The high part's M1
+    rows are negated once per plan, so a grid's digit product gives neg =
+    -outer for them, and the zero test (`_zeros`) compares the encodings
+    of inner and neg: one comparison for any a, no add and no mod.  A
+    grid holds at most
     min(CHUNK, 4 * score_rows * q^L) tails, so its outer vectors hold at
     most 4 * score_rows * (C1 + C0) * a, about 4 * a * CHUNK * n, entries
     however many functionals there are.  The products are exact
@@ -611,11 +690,17 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
     floor is Theorem 3's q - k, the rows kept are those on which no
     (k+1)-functional vanishes, so a tail is done once one does: the grid
     streams the (k+1)-functionals 16 at a time (`_survivors`), multiplying
-    only a block's rows of the high table, clearing the tails the block
-    refutes, and stopping once no tail is alive.  Stopping skips blocks
-    only when every tail is already refuted, and equal encodings mean
-    equal digits, so the survivors are exactly the rows kept; only a grid
-    with one gets the full product and is scored as above.
+    only a block's rows of the high table, and keeps its live tails as
+    bits, one (H, ceil(Q/8)) byte array over its H high parts, bit l % 8
+    of byte l // 8 for low part l.  A block gathers, for each functional c
+    and high part h, the row of the low part's hit bits that holds the l
+    with inner[c, l] == neg[c, h], ORs them over the block, and clears
+    those bits; it stops once no bit is alive.  A bit is set iff the two
+    encodings are equal, equal encodings mean equal digits, the padding
+    bits past Q and the bits outside an unaligned grid's low range start
+    clear, and stopping skips blocks only when every tail is already
+    refuted, so the survivors are exactly the rows kept; only a grid with
+    one gets the full product and is scored as above.
     """
     n, a, q, p = len(D), ctx.a, ctx.q, ctx.p
     M1, up, M0 = divided_differences(ctx, D, k, prs)
@@ -627,14 +712,6 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
     # at once than a chunk of CHUNK tails has values on D
     score_rows = max(1, CHUNK * n // (C1 + C0))
 
-    def table(part):  # functional-major rows for the part's coefficients
-        degs = part.free_degrees + tuple(part.fixed)
-        rows = (np.array(degs, dtype=np.int64)[:, None] * a
-                + np.arange(a)).ravel()
-        T = M1[rows].T if M0 is None else np.vstack([M1[rows].T, M0[rows].T])
-        fdt = _linops.exact_dtypes(len(rows), p)[0]
-        return np.ascontiguousarray(T, dtype=fdt), fdt
-
     gmax = floor
     none = (np.zeros((0, n), dtype=np.int64),
             np.zeros((0, q if prs else 1), dtype=bool))
@@ -642,19 +719,21 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
     cosets = ncand = 0
     truncated = False
 
+    lows = {}  # one _LowPart a tuple of low degrees
     for plan in plans:
-        L = 0
-        while L < len(plan.free_degrees) and q ** (L + 1) <= score_rows:
+        L, refute = 0, n + extra - gmax + collect == k + 1
+        while L < len(plan.free_degrees) and (q ** (L + 1) <= score_rows
+                                              or refute and q ** L < 8):
             L += 1
-        Q = q ** L
-        low = TailPlan({}, plan.free_degrees[:L], q)
+        Q, degs = q ** L, plan.free_degrees[:L]
+        if degs not in lows:
+            lows[degs] = _LowPart(ctx, M1, M0, degs)
+        low = lows[degs]
         high = TailPlan(plan.fixed, plan.free_degrees[L:], q)
-        T, fdt = table(low)
-        inner = _linops.digit_matmul(
-            T, _tail_values_digits(ctx, low, np.arange(Q), fdt).T, p)
-        inner0 = inner[C1 * a:].astype(vdt)
-        inner = _encode(inner[:C1 * a], a, p, edt)
-        T, fdt = table(high)
+        rows = _digit_rows(high.free_degrees + tuple(high.fixed), a)
+        T = M1[rows].T if M0 is None else np.vstack([M1[rows].T, M0[rows].T])
+        fdt = _linops.exact_dtypes(len(rows), p)[0]
+        T = np.ascontiguousarray(T, dtype=fdt)
         T[:C1 * a] = (p - T[:C1 * a]) % p  # their products are -outer
         for h0, h1, l0, l1 in _grids(plan.start, plan.end, Q,
                                      min(CHUNK, 4 * score_rows * Q)):
@@ -664,9 +743,10 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
                 continue
             X = _tail_values_digits(ctx, high, np.arange(h0, h1), fdt).T
             lo = slice(l0, l1)
-            if thr == k + 1 and not _survivors(T[:C1 * a], X, inner, lo, p,
-                                               a).any():
+            if thr == k + 1 and not _survivors(T[:C1 * a], X, low,
+                                               lo).any():
                 continue
+            inner, inner0 = low.tables()
             outer = _linops.digit_matmul(T, X, p)
             neg = _encode(outer[:C1 * a], a, p, edt)
             outer = outer[C1 * a:].astype(vdt)

@@ -12,6 +12,7 @@ Exit codes: 0 all requested checks pass, 1 any verification case fails,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -21,6 +22,8 @@ from .code import (LinearCode, export_code_spec, glynn_code, is_mds,
 from .gf import field_for_size
 from .verify import run_verification
 
+LISTING_CHUNK = 1 << 16  # records a chunk of listing text
+
 
 def _emit(obj, fmt="json"):
     if fmt == "json":
@@ -29,31 +32,41 @@ def _emit(obj, fmt="json"):
         _emit_table(obj)
 
 
-def _records_json(cols: dict) -> str:
+def _records_json(cols: dict):
     """`json.dumps(records, indent=2)` of a list of records given as its
-    columns, {field: values}, nested one level deep, from fixed text: each
-    record is one template, '"%s"' for a string field and '%d' for an int.
-    So the strings must need no escape (`DeepHoleReport` tails and words:
-    digits and commas)."""
+    columns, {field: values}, nested one level deep, in chunks of text of
+    LISTING_CHUNK records, from fixed text: each record is one template,
+    '"%s"' for a string field and '%d' for an int.  So the strings must
+    need no escape (`DeepHoleReport` tails and words: digits and commas)."""
     if not next(iter(cols.values()), ()):
-        return "[]"
+        yield "[]"
+        return
     item = "    {\n" + ",\n".join(
         f'      "{name}": ' + ('"%s"' if isinstance(vals[0], str) else "%d")
         for name, vals in cols.items()) + "\n    }"
-    return "[\n" + ",\n".join(map(item.__mod__, zip(*cols.values()))) + "\n  ]"
+    records, sep = zip(*cols.values()), "[\n"
+    while chunk := list(itertools.islice(records, LISTING_CHUNK)):
+        yield sep + ",\n".join(map(item.__mod__, chunk))
+        sep = ",\n"
+    yield "\n  ]"
 
 
-def _listing_json(obj: dict) -> str:
+def _listing_json(obj: dict):
     """`json.dumps(obj, indent=2)` of a report whose dict values are record
-    columns (`DeepHoleReport.to_json(records=False)`): those lists from
-    fixed text (`_records_json`), every other value by `json.dumps`.  With
-    an indent, json runs its pure-Python encoder, several times slower on a
-    large listing than these templates."""
-    return "{\n" + ",\n".join(
-        f"  {json.dumps(key)}: " + (
-            _records_json(value) if isinstance(value, dict)
-            else json.dumps(value, indent=2).replace("\n", "\n  "))
-        for key, value in obj.items()) + "\n}"
+    columns (`DeepHoleReport.to_json(records=False)`), in chunks of text:
+    those lists from fixed text (`_records_json`), every other value by
+    `json.dumps`.  With an indent, json runs its pure-Python encoder,
+    several times slower on a large listing than these templates; the
+    chunks keep the whole text out of memory."""
+    sep = "{\n  "
+    for key, value in obj.items():
+        yield f"{sep}{json.dumps(key)}: "
+        if isinstance(value, dict):
+            yield from _records_json(value)
+        else:
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+        sep = ",\n  "
+    yield "\n}"
 
 
 def _emit_table(obj, indent=""):
@@ -155,7 +168,8 @@ def cmd_analyze(args) -> int:
                               enum_budget=args.enum_budget,
                               threads=args.threads)
         if args.format == "json":
-            print(_listing_json(rep.to_json(records=False)))
+            sys.stdout.writelines(_listing_json(rep.to_json(records=False)))
+            sys.stdout.write("\n")
         else:
             _emit(rep.to_json(), args.format)
     elif args.what == "distance":

@@ -569,6 +569,20 @@ def deep_hole_family_prs(ctx: FieldCtx, k: int):
             for c in range(1, ctx.q) for v in range(ctx.q))
 
 
+def _row_order(rows: np.ndarray, q: int) -> np.ndarray:
+    """The stable lexicographic order, column 0 first, of rows (N, m) of
+    values below q: one lexsort of the rows packed into int64 words of w
+    columns, q^w <= 2^63, word sum_j c_j q^(w-1-j), so one word and one
+    sort key wherever q^m fits; m = 0 packs one zero word."""
+    w = 1
+    while q ** (w + 1) <= 2**63:
+        w += 1
+    words = [r @ q ** np.arange(r.shape[1] - 1, -1, -1, dtype=np.int64)
+             for r in (rows[:, s:s + w].astype(np.int64, copy=False)
+                       for s in range(0, max(rows.shape[1], 1), w))]
+    return np.lexsort(words[::-1])
+
+
 def deep_holes(code: LinearCode, algo: str = "auto",
                enum_budget: int = DEFAULT_ENUM_BUDGET,
                threads: int = 1) -> DeepHoleReport:
@@ -591,8 +605,9 @@ def deep_holes(code: LinearCode, algo: str = "auto",
     family the family fields stay unset.  Over `_sweeps.DEEP_CANDIDATE_CAP`
     deep tails (sweep) or deep cosets (BFS), either engine raises
     ValueError in `_sweeps._listed` before listing.  Rows are sorted: one
-    lexsort of the coefficient or word rows gives the reps' tuple order,
-    since zero-padding a stripped tail keeps it.
+    lexsort of the word rows, or of the coefficient rows packed into int64
+    words (`_row_order`), gives the reps' tuple order, since zero-padding
+    a stripped tail keeps it.
     """
     t0 = time.perf_counter()
     kind = code.structure.get("kind")
@@ -613,9 +628,7 @@ def deep_holes(code: LinearCode, algo: str = "auto",
     # (nonzero is row-major) sorts the (tail, v) pairs; a tail's
     # coefficients below degree k are zero, so its columns from k order it
     k = code.structure["k"]
-    tails = out.candidates[:, k:]  # no column when k = |D|: the zero tail
-    order = (np.lexsort(tails.T[::-1]) if tails.shape[1]
-             else np.arange(len(tails)))
+    order = _row_order(out.candidates[:, k:], ctx.q)
     coeffs, deep = out.candidates[order], out.deep_v[order]
     r, v = np.nonzero(deep)
     prs = kind == "prs"

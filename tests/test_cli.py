@@ -351,5 +351,22 @@ def test_listing_json_is_the_indented_dump(selector, algo):
     # same report, here with notes that need escapes and nesting
     rep = dist.deep_holes(cli.build_code(selector), algo=algo)
     rep.notes = ['a "quoted"\nnote', {"nested": [1, [2]]}, []]
-    assert (cli._listing_json(rep.to_json(records=False))
+    assert ("".join(cli._listing_json(rep.to_json(records=False)))
             == json.dumps(rep.to_json(), indent=2))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 360, 361])
+def test_listing_json_in_chunks_is_the_same_text(capsys, monkeypatch, chunk):
+    # PRS(6,2)/F_5 lists 360 deep holes: one record a chunk, a last short
+    # chunk, exactly one chunk and one chunk with room to spare
+    strip = re.compile(r'"elapsed_ms": [0-9.]+').sub
+    rc, whole, _ = run_cli(capsys, "analyze", "deep-holes", "--code",
+                           "prs:q=5,k=2")
+    monkeypatch.setattr(cli, "LISTING_CHUNK", chunk)
+    rc2, out, _ = run_cli(capsys, "analyze", "deep-holes", "--code",
+                          "prs:q=5,k=2")
+    assert rc == rc2 == 0
+    assert strip("", out) == strip("", whole)
+    cols = dist.deep_holes(cli.build_code("prs:q=5,k=2")).to_json(
+        records=False)["deep_holes"]
+    assert len(list(cli._records_json(cols))) == -(-360 // chunk) + 1

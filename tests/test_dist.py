@@ -666,12 +666,11 @@ def block_test_vs_decode(code):
     M1 = _sweeps.divided_differences(ctx, D, k,
                                      code.structure["kind"] == "prs")[0]
     T1 = M1[k * a:].T
-    inner = _sweeps._encode(_linops.digit_matmul(
-        T1[:, :a], _linops.mixed_radix(np.arange(q), p, a).T, p), a, p,
-        np.min_scalar_type(q - 1))
+    low = _sweeps._LowPart(ctx, M1, None, (k,))
     X = _linops.mixed_radix(np.arange(H), p, T1.shape[1] - a).T
-    kept = _sweeps._survivors((p - T1[:, a:]) % p, X, inner, slice(0, q),
-                              p, a)
+    kept = np.unpackbits(_sweeps._survivors(
+        (p - T1[:, a:]) % p, X, low, slice(0, q)), axis=1, count=q,
+        bitorder="little").ravel() == 1
     assert 0 < kept.sum() < len(coeffs)
     assert np.array_equal(kept, bestA == k)
 
@@ -688,6 +687,39 @@ def test_block_test_compares_encodings_over_extension_fields(q):
     # points and k = 4 give C(7,5) = 21 functionals, two blocks of 16
     ctx = field_for_size(q)
     block_test_vs_decode(rs_code(ctx, 4, ctx.elements()[:7]))
+
+
+@pytest.mark.parametrize("q,C,L,lo,H", [
+    (5, 17, 2, (3, 22), 40),   # Q = 25, unaligned low range, last block 1
+    (9, 17, 0, (0, 1), 64),    # Q = 1, a = 2
+    (9, 20, 1, (0, 9), 30),    # Q = 9, not a multiple of 8; last block 4
+    (7, 16, 1, (1, 6), 50),    # exactly one block, l0 > 0 and l1 < Q
+    (27, 17, 1, (5, 26), 20),  # a = 3, Q = 27
+    (27, 100, 1, (0, 27), 20),  # 7 blocks, hit bits built 1, 1, 2, 4 at once
+])
+def test_packed_block_test_equals_the_broadcast_compare(q, C, L, lo, H):
+    # `_survivors` gathers bit-packed low parts; the reference compares the
+    # encodings of every functional on every (high, low) pair at once
+    ctx = field_for_size(q)
+    a, p, Q, w = ctx.a, ctx.p, q ** L, 3
+    rng = np.random.default_rng(q * C + L)
+    M1 = rng.integers(0, p, ((L + w) * a, C * a))  # degrees 0..L+w-1
+    T1 = (p - M1[L * a:].T) % p                    # negated high rows
+    X = rng.integers(0, p, (w * a, H))             # H high parts' digits
+    edt = np.min_scalar_type(q - 1)
+    inner = _sweeps._encode(_linops.digit_matmul(
+        M1[:L * a].T, _linops.mixed_radix(np.arange(Q), p, L * a).T, p),
+        a, p, edt)
+    neg = _sweeps._encode(_linops.digit_matmul(T1, X, p), a, p, edt)
+    ref = ~(inner[:, None, :] == neg[:, :, None]).any(axis=0)
+    ref[:, :lo[0]] = ref[:, lo[1]:] = False
+    low = _sweeps._LowPart(ctx, M1, None, tuple(range(L)))
+    got = np.unpackbits(_sweeps._survivors(T1, X, low, slice(*lo)), axis=1,
+                        bitorder="little")
+    assert got.shape == (H, -(-Q // 8) * 8)
+    assert not got[:, Q:].any()  # padding bits are never alive
+    assert np.array_equal(got[:, :Q] == 1, ref)
+    assert 0 < ref.sum() < H * (lo[1] - lo[0])
 
 
 def matmul_profile(ctx, D, k, prs, plans):
@@ -843,6 +875,27 @@ def test_refute_path_multiplies_a_fraction_of_the_functionals(monkeypatch):
         return count[0]
 
     assert values(False) < values(True) / 2
+
+
+def test_refute_path_packs_eight_low_parts_a_byte(monkeypatch):
+    # CHUNK = 100 gives score_rows = 900 // 252 = 3 < 9, so a scored plan
+    # of PRS(10,4)/F_9 takes no low degree; a plan that starts at threshold
+    # k+1 takes one, so each byte of hit bits holds 8 of its 9 low parts
+    monkeypatch.setattr(_sweeps, "CHUNK", 100)
+    ctx, k = field_for_size(9), 4
+    D, plans = ctx.elements(), _sweeps.sliced_plans(ctx, k)
+    floor = _sweeps.measured_floor(ctx, D, k, True)
+    survivors, Qs = _sweeps._survivors, []
+
+    def spy(T1, X, low, *args):
+        Qs.append((low.Q, X.shape[1]))
+        return survivors(T1, X, low, *args)
+
+    monkeypatch.setattr(_sweeps, "_survivors", spy)
+    out = _sweeps.profile_sweep(ctx, D, k, prs=True, plans=plans,
+                                collect=False, floor=floor)
+    assert out.max_contrib == 5
+    assert {Q for Q, H in Qs if H > 1} == {9}  # Q = 1 only for one tail
 
 
 def test_prs_18_10_radius_by_refutation():
@@ -1762,6 +1815,22 @@ def test_deep_hole_report_matches_sort_and_set(make, q, k):
     assert report.missing_family == missing
     assert report.matches_degree_k_family == matches
     assert report.count == len(reps)
+
+
+@pytest.mark.parametrize("q,m", [
+    (3, 100),          # 39 columns a word: three words
+    (2**31 - 1, 5),    # 2 columns a word: three words
+    (11, 5),           # one word
+    (5, 0),            # no column: one zero word, the rows' own order
+])
+def test_row_order_is_the_lexsort_of_the_columns(q, m):
+    # few distinct values, so rows tie on long prefixes and every word of
+    # the packed key decides some pairs
+    rng = np.random.default_rng(m)
+    rows = rng.choice([0, 1, q - 1], size=(600, m)).astype(np.int64)
+    rows[::2, :m // 2] = 0
+    assert np.array_equal(dist._row_order(rows, q),
+                          np.lexsort(rows.T[::-1]) if m else np.arange(600))
 
 
 def test_syndrome_deep_holes_are_sorted_words():
