@@ -5,11 +5,12 @@ matrix into an F_p matrix with one vectorized `mul_digit_matrix` call.
 Every row reduction is one call of `subset_reduce`, a batched mod-p
 Gauss-Jordan over column subsets, and only codes with no closed form take
 one (`from_matrix`, code-spec files, the Glynn code): `LinearCode` reduces
-its digit generator once over all columns, and `_sweeps._reduced_parity`
-G's digits on every k-subset of columns or H's on the complement of every
-(k+1)-subset, whichever stack is smaller.  RS and PRS codes read the same
-rref, parity functionals and inverse evaluation matrix from barycentric
-weights (`_sweeps._weights`); the tests hold those to this reduction.
+its digit generator once over all columns, and `_sweeps._reduced_parity`,
+in blocks of subsets, G's digits on every k-subset of columns or H's on
+the complement of every (k+1)-subset, whichever stack is smaller.  RS and
+PRS codes read the same rref, parity functionals and inverse evaluation
+matrix from barycentric weights (`_sweeps._weights`); the tests hold those
+to this reduction.
 With pivots in whole blocks of a digit columns, the F_p rref of
 `digit_expand(G)` is the digits of G's F_q rref.  Its pivot inverses are
 the array `inv` of F_p's `FieldCtx`, the package's one table pair.

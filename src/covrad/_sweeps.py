@@ -220,25 +220,20 @@ def subset_ops(code):
     digits on U it gives h_U . w; inv holds 1/h_U[x], x = comp[s, j],
     U = up[s, j].  singular flags the U with short pivots or a zero of h_U
     on U: the code is MDS iff none is.  Raises ValueError, before
-    allocating, when the table's C1*(k+1)*a*a digits, the index's
-    C0*(n-k) entries and any reduction stack exceed DEFAULT_ENUM_BUDGET."""
+    allocating, when the table's C1*(k+1)*a*a digits and the index's
+    C0*(n-k) entries exceed DEFAULT_ENUM_BUDGET."""
     ctx, n, k, a, p = code.ctx, code.n, code.k, code.ctx.a, code.ctx.p
     m, key = n - k, (ctx, code.G)
     if key in _SUBSET_OPS_CACHE:
         return _SUBSET_OPS_CACHE[key]
-    closed = code.structure.get("kind") in ("rs", "prs")
     entries = math.comb(n, k + 1) * (k + 1) * a * a + math.comb(n, k) * m
-    what = (f"C({n},{k + 1}) parity functionals of {(k + 1) * a} x {a} "
-            f"digits and their C({n},{k}) x {m} index")
-    if not closed:
-        rows = (min(k, m) or k) * a  # G's rows or H's, as `_reduced_parity`
-        entries += math.comb(n - 1, k) * rows * n * a
-        what += f" from C({n - 1},{k}) reductions of {rows} x {n * a} digits"
     if entries > DEFAULT_ENUM_BUDGET:
-        raise ValueError(f"{what} = {entries} entries exceed budget "
+        raise ValueError(f"C({n},{k + 1}) parity functionals of {(k + 1) * a}"
+                         f" x {a} digits and their C({n},{k}) x {m} index = "
+                         f"{entries} entries exceed budget "
                          f"{DEFAULT_ENUM_BUDGET}")
     U, _, comp, up = subset_index(n, k)
-    if closed:
+    if code.structure.get("kind") in ("rs", "prs"):
         h, short = _parity_weights(ctx, tuple(code.structure["eval"]), U), False
     else:
         h, short = _reduced_parity(code, U)
@@ -253,25 +248,34 @@ def subset_ops(code):
 
 def _reduced_parity(code, U: np.ndarray):
     """(h, short): h_U of any linear code for the (k+1)-subsets U of
-    `subset_index`, from one `_linops.subset_reduce` of G or H, whichever
-    has fewer rows, on each S = U - {x}, x = max U: G_S^-1 G has column c
-    at x and h_U = (-c, 1); H pivoting on S's complement has h_U as x's
-    row block.  short flags the U whose S had short pivots."""
+    `subset_index`, from `_linops.subset_reduce` of G or H, whichever has
+    fewer rows, on each S = U - {x}, x = max U: G_S^-1 G has column c at x
+    and h_U = (-c, 1); H pivoting on S's complement has h_U as x's row
+    block.  short flags the U whose S had short pivots.  The S are reduced
+    in blocks of about CHUNK*16 entries of G or H; the U of a block are
+    contiguous, as U - {max U} is ascending in U's order."""
     ctx, n, k, a, p = code.ctx, code.n, code.k, code.ctx.a, code.ctx.p
     m, C = n - k, math.comb(n - 1, k)
     gen = not m or k <= m  # k = n has no U
+    M = code.Gd if gen else code.HTd.T
     enc, dig, top = p ** np.arange(a), np.arange(a), _subsets(n - 1, k)
     t, x = np.repeat(np.arange(C), n - 1 - top[:, -1]), U[:, -1]  # top[t] + x
     piv = (top if gen else _complement(top, n)).astype(int)[:, :, None] * a
     piv = (piv + dig).reshape(C, piv.shape[1] * a)
-    red, rank = _linops.subset_reduce(code.Gd if gen else code.HTd.T, piv, p)
-    if gen:
-        hS = -red[:, ::a].reshape(C, k, n, a)[t, :, x] % p @ enc
-    else:  # x is the (x - k)-th pivot; column 0 of a block has h's digits
-        hx = red[:, :, ::a].reshape(C, m, a, n)[t, x - k]
-        hS = enc @ np.take_along_axis(hx, U[:, None, :-1], axis=2)
-    return (np.column_stack([hS, np.ones(len(U), int)]),
-            rank[t] < red.shape[1])
+    h, short = np.ones(U.shape, dtype=np.int64), np.empty(len(U), dtype=bool)
+    B = max(1, CHUNK * 16 // M.size)
+    for s in range(0, C, B):
+        u = slice(*np.searchsorted(t, [s, s + B]))
+        red, rank = _linops.subset_reduce(M, piv[s:s + B], p)
+        tb = t[u] - s
+        if gen:
+            h[u, :-1] = (-red[:, ::a].reshape(len(red), k, n, a)[tb, :, x[u]]
+                         % p @ enc)
+        else:  # x is the (x - k)-th pivot; column 0 of a block has h's digits
+            hx = red[:, :, ::a].reshape(len(red), m, a, n)[tb, x[u] - k]
+            h[u, :-1] = enc @ np.take_along_axis(hx, U[u, None, :-1], axis=2)
+        short[u] = rank[tb] < red.shape[1]
+    return h, short
 
 
 # ----------------------------------------------------------------------
@@ -418,14 +422,15 @@ def divided_differences(ctx: FieldCtx, D: tuple, k: int, prs: bool):
 # ----------------------------------------------------------------------
 
 class TailPlan:
-    """One enumeration block: a fixed part plus free coefficient degrees."""
+    """One enumeration block: the q^f tails with the `fixed` coefficients
+    ({degree: value}) and every value at the f free degrees.  Tail i of
+    the block takes base-q digit j of i at free_degrees[j], so i counts the
+    lowest free degree fastest."""
 
-    def __init__(self, fixed, free_degrees, q, start=None, end=None):
+    def __init__(self, fixed, free_degrees, q):
         self.fixed = dict(fixed)
         self.free_degrees = tuple(free_degrees)
         self.count = q ** len(self.free_degrees)
-        self.start = 0 if start is None else start
-        self.end = self.count if end is None else end
 
 
 def full_plans(ctx: FieldCtx, n: int, k: int) -> list[TailPlan]:
@@ -489,28 +494,11 @@ def _tail_values_digits(ctx, plan, idx, dtype):
     return X
 
 
-def _grids(start: int, end: int, Q: int, rows: int):
-    """Split the tails [start, end) into grids (h0, h1, l0, l1), the tails
-    h*Q + l for h0 <= h < h1 and l0 <= l < l1: a partial block where the
-    range is not aligned to Q, otherwise whole blocks, about `rows` tails
-    at a time."""
-    s = start
-    while s < end:
-        h, l0 = divmod(s, Q)
-        if l0 or end - s < Q:
-            l1 = min(Q, l0 + end - s)
-            yield h, h + 1, l0, l1
-        else:
-            h1 = h + min(max(1, rows // Q), (end - s) // Q)
-            yield h, h1, 0, Q
-            l0, l1 = 0, (h1 - h) * Q
-        s += l1 - l0
-
-
-def _pointwise(op, inner, outer, hi, lo):
+def _pointwise(op, inner, outer, hi):
     """(C, R): op(inner[:, l], outer[:, h]) for the R tails h*Q + l of the
-    grid of slices hi x lo, in row-major order, by broadcasting."""
-    out = op(inner[:, None, lo], outer[:, hi, None])
+    high parts of slice hi and every low part l, in row-major order, by
+    broadcasting."""
+    out = op(inner[:, None, :], outer[:, hi, None])
     return out.reshape(len(out), math.prod(out.shape[1:]))
 
 
@@ -523,13 +511,13 @@ def _encode(d, a, p, dt):
     return v
 
 
-def _zeros(inner, neg, hi, lo):
-    """(C, R) bool: which of C functionals vanish on the tails hi x lo of
+def _zeros(inner, neg, hi):
+    """(C, R) bool: which of C functionals vanish on the tails of
     `_pointwise`.  The value of functional c on tail h*Q + l is inner[c, l]
     + outer[c, h] digit by digit mod p, so it vanishes iff every digit of
     inner[c, l] equals that of neg[c, h] = -outer[c, h], that is iff their
     `_encode`s are equal: one comparison for any a."""
-    return _pointwise(np.equal, inner, neg, hi, lo)
+    return _pointwise(np.equal, inner, neg, hi)
 
 
 def _digit_rows(degs, a: int) -> np.ndarray:
@@ -595,10 +583,10 @@ class _LowPart:
         return self._tables
 
 
-def _survivors(T1, X, low: _LowPart, lo):
+def _survivors(T1, X, low: _LowPart):
     """(H, ceil(Q/8)) uint8, packed like `_LowPart.hits`: bit l of row h is
-    set iff l is in lo and none of the C functionals of T1 vanishes on the
-    tail h*Q + l; for the (k+1)-functionals, the tails with bestA = k.  T1
+    set iff l < Q and none of the C functionals of T1 vanishes on the tail
+    h*Q + l; for the (k+1)-functionals, the tails with bestA = k.  T1
     (C*a, w*a) holds the negated functional rows of the high part, X (w*a,
     H) the H high parts' digits, `low` the hit bits of the low parts.
 
@@ -607,13 +595,13 @@ def _survivors(T1, X, low: _LowPart, lo):
     gathers the rows c*q + neg[c, h] of the block's hit bits.  Functional
     c vanishes on h*Q + l iff inner[c, l] == neg[c, h] (`_zeros`), that is
     iff bit l of that row is set, so one OR over the block gives the tails
-    it refutes, and alive &= ~refuted.  Alive starts with the bits of lo
-    only, so padding bits are never alive, and the scan stops once no bit
-    is: the survivors are exactly the tails no functional vanishes on."""
+    it refutes, and alive &= ~refuted.  Alive starts with the Q bits of
+    the low parts only (`packbits` pads with clear bits), so padding bits
+    are never alive, and the scan stops once no bit is: the survivors are
+    exactly the tails no functional vanishes on."""
     a, q, p = low.ctx.a, low.ctx.q, low.ctx.p
-    span = np.zeros(-(-low.Q // 8) * 8, dtype=bool)
-    span[lo] = True
-    alive = np.tile(np.packbits(span, bitorder="little"), (X.shape[1], 1))
+    alive = np.tile(np.packbits(np.ones(low.Q, dtype=bool), bitorder="little"),
+                    (X.shape[1], 1))
     for b in range(-(-len(T1) // (16 * a))):
         neg = _encode(_linops.digit_matmul(T1[16 * b * a:16 * (b + 1) * a], X,
                                            p), a, p, np.intp)
@@ -653,32 +641,32 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
 
     Block addition: each plan splits its free coefficients into the L
     lowest and the rest, so tail h*q^L + l is the low part l plus the high
-    part h (with the fixed coefficients), and by linearity every
-    functional value is inner[:, l] + outer[:, h] digit by digit mod p.
-    The inner tables hold the functionals of all q^L low parts,
-    functional-major: the M1 ones as `_encode`d field elements in
-    np.min_scalar_type(q-1), and for PRS the M0 digits in
-    np.min_scalar_type(2*(p-1)), so v = (inner + outer) mod p is exact
-    without widening.  L is the largest with q^L <= score_rows, so the
-    tables hold at most as many entries as one scored sub-chunk, except
-    that a plan which starts on the refuting path (below) takes enough
-    degrees for q^L >= 8, so a byte of hit bits covers 8 low parts or
-    more; then q^L < 8q, and a scored sub-chunk holds fewer than
-    max(score_rows, 8q) tails.  The call keeps one `_LowPart` a tuple of low degrees, shared by
-    the plans that split off the same ones; it builds a block's hit bits
-    when a grid first tests that block and the whole inner tables when a
-    grid is first scored, so a plan whose grids are all refuted or
-    dropped multiplies no M0 row of its low part.  The high part's M1
-    rows are negated once per plan, so a grid's digit product gives neg =
-    -outer for them, and the zero test (`_zeros`) compares the encodings
-    of inner and neg: one comparison for any a, no add and no mod.  A
-    grid holds at most
-    min(CHUNK, 4 * score_rows * q^L) tails, so its outer vectors hold at
-    most 4 * score_rows * (C1 + C0) * a, about 4 * a * CHUNK * n, entries
-    however many functionals there are.  The products are exact
-    (`_linops.digit_matmul`) and the identities hold over any field, so
-    the contribution is exact.  Only the collected tails are decoded to
-    coefficients.
+    part h (with the fixed coefficients), and by linearity every functional
+    value is inner[:, l] + outer[:, h] digit by digit mod p.  The inner
+    tables hold the functionals of all q^L low parts, functional-major: the
+    M1 ones as `_encode`d field elements in np.min_scalar_type(q-1), and
+    for PRS the M0 digits in np.min_scalar_type(2*(p-1)), so v = (inner +
+    outer) mod p is exact without widening.  L is the largest with q^L <=
+    score_rows, so the tables hold at most as many entries as one scored
+    sub-chunk, except that a plan which starts on the refuting path (below)
+    takes enough degrees for q^L >= 8, so a byte of hit bits covers 8 low
+    parts or more; then q^L < 8q, and a scored sub-chunk holds fewer than
+    max(score_rows, 8q) tails.  The call keeps one `_LowPart` a tuple of
+    low degrees, shared by the plans that split off the same ones; it
+    builds a block's hit bits when a grid first tests that block and the
+    whole inner tables when a grid is first scored, so a plan whose grids
+    are all refuted or dropped multiplies no M0 row of its low part.  The
+    high part's M1 rows are negated once per plan, so a grid's digit
+    product gives neg = -outer for them, and the zero test (`_zeros`)
+    compares the encodings of inner and neg: one comparison for any a, no
+    add and no mod.  Every plan is scanned whole, so q^L divides its count
+    and a grid is always whole high parts times every low part: max(1,
+    min(CHUNK, 4 * score_rows * q^L) // q^L) high parts, so its outer
+    vectors hold at most 4 * score_rows * (C1 + C0) * a, about 4 * a *
+    CHUNK * n, entries however many functionals there are.  The products
+    are exact (`_linops.digit_matmul`) and the identities hold over any
+    field, so the contribution is exact.  Only the collected tails are
+    decoded to coefficients.
 
     Pruning: gmax is the running maximum, starting at `floor`, the
     contribution of a measured coset (-1 when none is known).  A row is
@@ -697,10 +685,9 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
     with inner[c, l] == neg[c, h], ORs them over the block, and clears
     those bits; it stops once no bit is alive.  A bit is set iff the two
     encodings are equal, equal encodings mean equal digits, the padding
-    bits past Q and the bits outside an unaligned grid's low range start
-    clear, and stopping skips blocks only when every tail is already
-    refuted, so the survivors are exactly the rows kept; only a grid with
-    one gets the full product and is scored as above.
+    bits past Q start clear, and stopping skips blocks only when every
+    tail is already refuted, so the survivors are exactly the rows kept;
+    only a grid with one gets the full product and is scored as above.
     """
     n, a, q, p = len(D), ctx.a, ctx.q, ctx.p
     M1, up, M0 = divided_differences(ctx, D, k, prs)
@@ -735,25 +722,24 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
         fdt = _linops.exact_dtypes(len(rows), p)[0]
         T = np.ascontiguousarray(T, dtype=fdt)
         T[:C1 * a] = (p - T[:C1 * a]) % p  # their products are -outer
-        for h0, h1, l0, l1 in _grids(plan.start, plan.end, Q,
-                                     min(CHUNK, 4 * score_rows * Q)):
-            cosets += (h1 - h0) * (l1 - l0)
+        hstep = max(1, min(CHUNK, 4 * score_rows * Q) // Q)
+        for h0 in range(0, high.count, hstep):  # grids of whole high parts
+            h1 = min(h0 + hstep, high.count)
+            cosets += (h1 - h0) * Q
             thr = n + extra - gmax + collect  # rows are kept iff bestA < thr
             if thr <= k:  # bestA >= k on every row
                 continue
             X = _tail_values_digits(ctx, high, np.arange(h0, h1), fdt).T
-            lo = slice(l0, l1)
-            if thr == k + 1 and not _survivors(T[:C1 * a], X, low,
-                                               lo).any():
+            if thr == k + 1 and not _survivors(T[:C1 * a], X, low).any():
                 continue
             inner, inner0 = low.tables()
             outer = _linops.digit_matmul(T, X, p)
             neg = _encode(outer[:C1 * a], a, p, edt)
             outer = outer[C1 * a:].astype(vdt)
-            step = max(1, score_rows // (l1 - l0))
+            step = max(1, score_rows // Q)
             for g in range(0, h1 - h0, step):
                 hs = slice(g, min(g + step, h1 - h0))
-                agree = agreements(_zeros(inner, neg, hs, lo), up)
+                agree = agreements(_zeros(inner, neg, hs), up)
                 best = agree.max(axis=0)
                 keep = np.nonzero(best < n + extra - gmax + collect - k)[0]
                 if len(keep) == 0:
@@ -763,7 +749,7 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
                 if prs:
                     # v_S digits, each inner + outer < 2p: min(s, s - p)
                     # wraps below p to above it, so it is s mod p
-                    d = _pointwise(np.add, inner0, outer, hs, lo)[:, keep]
+                    d = _pointwise(np.add, inner0, outer, hs)[:, keep]
                     v = _encode(np.minimum(d, d - p), a, p, edt)
                     at = np.flatnonzero(agree == best)
                     reached = np.zeros((R, q), dtype=bool)
@@ -780,10 +766,8 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
                         truncated = True
                         take = take[:max(0, DEEP_CANDIDATE_CAP - ncand)]
                     coeffs = np.zeros((len(take), n), dtype=np.int64)
-                    h, l = np.divmod(keep[take], l1 - l0)
                     coeffs[:, list(plan.free_degrees)] = _linops.mixed_radix(
-                        (h0 + g + h) * Q + l0 + l, q,
-                        len(plan.free_degrees))
+                        (h0 + g) * Q + keep[take], q, len(plan.free_degrees))
                     coeffs[:, list(plan.fixed)] = list(plan.fixed.values())
                     deep = (~reached[take] | full[take, None] if prs else
                             np.ones((len(take), 1), dtype=bool))
@@ -798,10 +782,8 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
 # ----------------------------------------------------------------------
 
 def _worker(args):
-    (p, a, modulus, D, k, prs, ranges, collect, floor) = args
+    (p, a, modulus, D, k, prs, plans, collect, floor) = args
     ctx = field_create(p, a, modulus)
-    plans = [TailPlan(fixed, free, ctx.q, start, end)
-             for fixed, free, start, end in ranges]
     return profile_sweep(ctx, tuple(D), k, prs=prs, plans=plans,
                          collect=collect, floor=floor)
 
@@ -824,26 +806,36 @@ def run_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool, plans,
               collect: bool, threads: int = 1) -> SweepOutcome:
     """Run the profile sweep, partitioned across processes.
 
-    Each plan splits into ranges of at least CHUNK tails, max(CHUNK,
-    count / threads) each, and consecutive ranges share a task while it
-    holds at most CHUNK tails, so many small plans (`monic_plans`) make
-    one task.  A single task runs in this process; more start
-    min(threads, tasks) workers, as a fork pool launches every worker it
-    may use at once.  The merge is a max reduction plus array
-    concatenation, so the result is independent of worker scheduling.
+    At threads > 1, a plan of more than step = max(CHUNK, count / threads)
+    tails is replaced by its q^j sub-plans that fix its top j free degrees
+    to each of their values, j the least with q^(f-j) <= step, so every
+    task scans whole plans.  The sub-plans are listed with the top degree
+    slowest, so their tails, concatenated, are the plan's in its order, and
+    a listing keeps the in-process sweep's order.  Consecutive (sub-)plans
+    share a task while it holds at most CHUNK tails, so many small plans
+    (`monic_plans`) make one task.  A single task runs the caller's plans
+    in this process, as threads <= 1 does, with nothing split or grouped;
+    more start min(threads, tasks) workers, as a fork pool launches every
+    worker it may use at once.  The merge is a max reduction plus array
+    concatenation in task order, so the result is independent of worker
+    scheduling.
     """
     floor = measured_floor(ctx, D, k, prs)
-    groups, size = [], CHUNK  # the plan ranges of each task
-    for plan in plans:
-        step = max(CHUNK, -(-plan.count // max(1, threads)))
-        for s in range(0, plan.count, step):
-            e = min(s + step, plan.count)
-            if size + e - s > CHUNK:
+    q, groups, size = ctx.q, [], CHUNK  # the (sub-)plans of each task
+    for plan in plans if threads > 1 else ():
+        f = len(plan.free_degrees)
+        step = max(CHUNK, -(-plan.count // threads))
+        j = next(j for j in range(f + 1) if q ** (f - j) <= step)
+        rest, fix = plan.free_degrees[:f - j], plan.free_degrees[f - j:]
+        for vals in itertools.product(range(q), repeat=j):  # top one slowest
+            sub = TailPlan({**plan.fixed, **dict(zip(fix, vals[::-1]))},
+                           rest, q)
+            if size + sub.count > CHUNK:
                 groups.append([])
                 size = 0
-            groups[-1].append((plan.fixed, plan.free_degrees, s, e))
-            size += e - s
-    if threads <= 1 or len(groups) <= 1:
+            groups[-1].append(sub)
+            size += sub.count
+    if len(groups) <= 1:
         return profile_sweep(ctx, D, k, prs=prs, plans=plans, collect=collect,
                              floor=floor)
     tasks = [(ctx.p, ctx.a, ctx.modulus, D, k, prs, g, collect, floor)

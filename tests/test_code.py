@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -296,6 +297,40 @@ def test_closed_forms_equal_the_gauss_jordan_oracle(monkeypatch):
         assert (_sha1(oracle._rref), _sha1([oracle.HTd])) == (rref, HTd)
         assert _sha1(_sweeps.subset_ops(oracle)) == ops, code
         _sweeps._SUBSET_OPS_CACHE.clear()
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_blocked_reduction_equals_the_closed_form(monkeypatch, q):
+    # CHUNK = 4 cuts the C(n-1,k) subsets S of a generic code's parity
+    # reduction into blocks of max(1, 64 // |G or H digits|) subsets, at
+    # most 9, so every code with more subsets takes several; the table is
+    # still byte-identical to the RS/PRS closed form
+    ctx = field_for_size(q)
+    codes = ([rs_code(ctx, k) for k in range(1, q)]
+             + [prs_code(ctx, k) for k in range(1, q + 1)])
+    monkeypatch.setattr(_sweeps, "_SUBSET_OPS_CACHE", {})
+    monkeypatch.setattr(_sweeps, "CHUNK", 4)
+    reduce, blocks = _linops.subset_reduce, []
+
+    def counting(Gd, gather, p):
+        blocks[-1].append(len(gather))
+        return reduce(Gd, gather, p)
+
+    for code in codes:
+        closed = _sha1(_sweeps.subset_ops(code))
+        _sweeps._SUBSET_OPS_CACHE.clear()
+        oracle = from_matrix(ctx, code.G)
+        blocks.append([])
+        with monkeypatch.context() as m:
+            m.setattr(_linops, "subset_reduce", counting)
+            assert _sha1(_sweeps.subset_ops(oracle)) == closed, code
+        _sweeps._SUBSET_OPS_CACHE.clear()
+        n, k = code.n, code.k
+        assert sum(blocks[-1]) == math.comb(n - 1, k)
+        assert max(blocks[-1], default=0) <= max(1, 64 // (
+            min(k, n - k) * ctx.a * n * ctx.a))
+    assert all(len(b) > 1 for b, code in zip(blocks, codes)
+               if math.comb(code.n - 1, code.k) > 9)
 
 
 def test_rs_1031_1030_builds_in_closed_form(monkeypatch):

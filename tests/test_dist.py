@@ -196,7 +196,7 @@ def test_tail_values_exact_beyond_the_float32_mantissa():
     ctx, D, p = field_create(4099), (4098, 4097, 4096), 4099
     assert _linops.exact_dtypes(2, p)[0] == np.float64
     plan = _sweeps.full_plans(ctx, 3, 1)[0]
-    idx = np.arange(plan.count - 70000, plan.count)
+    idx = np.arange(4081 * p, plan.count)  # x^2 = 4081 ... 4098
     coeffs = _linops.mixed_radix(idx, p, 2)
     u = coeffs @ np.array([D, [x * x % p for x in D]]) % p
     assert tuple(u[4088 + 4081 * p - idx[0]]) == (4092, 4049, 3970)
@@ -213,7 +213,7 @@ def test_tail_values_exact_beyond_the_float32_mantissa():
                           (u[:, [0, 0, 1]] == u[:, [1, 2, 2]]).sum(axis=1))
     # the sweep lists the tails with three distinct values, at distance 2
     out = _sweeps.profile_sweep(ctx, D, 1, prs=False, collect=True, plans=[
-        _sweeps.TailPlan({}, (1, 2), p, plan.count - 70000, plan.count)])
+        _sweeps.TailPlan({2: c}, (1,), p) for c in range(4081, p)])
     distinct = pairs.sum(axis=1) == 0
     assert out.max_contrib == 2
     assert sorted(_sweeps._tail_tuples(out.candidates)) == sorted(
@@ -668,9 +668,8 @@ def block_test_vs_decode(code):
     T1 = M1[k * a:].T
     low = _sweeps._LowPart(ctx, M1, None, (k,))
     X = _linops.mixed_radix(np.arange(H), p, T1.shape[1] - a).T
-    kept = np.unpackbits(_sweeps._survivors(
-        (p - T1[:, a:]) % p, X, low, slice(0, q)), axis=1, count=q,
-        bitorder="little").ravel() == 1
+    kept = np.unpackbits(_sweeps._survivors((p - T1[:, a:]) % p, X, low),
+                         axis=1, count=q, bitorder="little").ravel() == 1
     assert 0 < kept.sum() < len(coeffs)
     assert np.array_equal(kept, bestA == k)
 
@@ -689,15 +688,15 @@ def test_block_test_compares_encodings_over_extension_fields(q):
     block_test_vs_decode(rs_code(ctx, 4, ctx.elements()[:7]))
 
 
-@pytest.mark.parametrize("q,C,L,lo,H", [
-    (5, 17, 2, (3, 22), 40),   # Q = 25, unaligned low range, last block 1
-    (9, 17, 0, (0, 1), 64),    # Q = 1, a = 2
-    (9, 20, 1, (0, 9), 30),    # Q = 9, not a multiple of 8; last block 4
-    (7, 16, 1, (1, 6), 50),    # exactly one block, l0 > 0 and l1 < Q
-    (27, 17, 1, (5, 26), 20),  # a = 3, Q = 27
-    (27, 100, 1, (0, 27), 20),  # 7 blocks, hit bits built 1, 1, 2, 4 at once
+@pytest.mark.parametrize("q,C,L,H", [
+    (5, 17, 2, 40),    # Q = 25, last block 1
+    (9, 17, 0, 64),    # Q = 1, a = 2
+    (9, 20, 1, 30),    # Q = 9, not a multiple of 8; last block 4
+    (7, 16, 1, 50),    # exactly one block
+    (27, 17, 1, 20),   # a = 3, Q = 27
+    (27, 100, 1, 20),  # 7 blocks, hit bits built 1, 1, 2, 4 at once
 ])
-def test_packed_block_test_equals_the_broadcast_compare(q, C, L, lo, H):
+def test_packed_block_test_equals_the_broadcast_compare(q, C, L, H):
     # `_survivors` gathers bit-packed low parts; the reference compares the
     # encodings of every functional on every (high, low) pair at once
     ctx = field_for_size(q)
@@ -712,14 +711,13 @@ def test_packed_block_test_equals_the_broadcast_compare(q, C, L, lo, H):
         a, p, edt)
     neg = _sweeps._encode(_linops.digit_matmul(T1, X, p), a, p, edt)
     ref = ~(inner[:, None, :] == neg[:, :, None]).any(axis=0)
-    ref[:, :lo[0]] = ref[:, lo[1]:] = False
     low = _sweeps._LowPart(ctx, M1, None, tuple(range(L)))
-    got = np.unpackbits(_sweeps._survivors(T1, X, low, slice(*lo)), axis=1,
+    got = np.unpackbits(_sweeps._survivors(T1, X, low), axis=1,
                         bitorder="little")
     assert got.shape == (H, -(-Q // 8) * 8)
     assert not got[:, Q:].any()  # padding bits are never alive
     assert np.array_equal(got[:, :Q] == 1, ref)
-    assert 0 < ref.sum() < H * (lo[1] - lo[0])
+    assert 0 < ref.sum() < H * Q
 
 
 def matmul_profile(ctx, D, k, prs, plans):
@@ -736,8 +734,8 @@ def matmul_profile(ctx, D, k, prs, plans):
         degs = plan.free_degrees + tuple(plan.fixed)
         rows = (np.array(degs, dtype=np.int64)[:, None] * a
                 + np.arange(a)).ravel()
-        for s in range(plan.start, plan.end, _sweeps.CHUNK):
-            idx = np.arange(s, min(s + _sweeps.CHUNK, plan.end))
+        for s in range(0, plan.count, _sweeps.CHUNK):
+            idx = np.arange(s, min(s + _sweeps.CHUNK, plan.count))
             X = _sweeps._tail_values_digits(ctx, plan, idx, np.int64)
             zero = (_linops.digit_matmul(X, M1[rows], p) == 0).reshape(
                 len(X), C1, a).all(axis=2)
@@ -771,8 +769,7 @@ def block_vs_matmul(ctx, D, k, prs, plans):
     listing = _sweeps.profile_sweep(ctx, D, k, prs=prs, plans=plans,
                                     collect=True)
     assert radius.max_contrib == listing.max_contrib == gmax
-    assert radius.cosets == listing.cosets == sum(
-        pl.end - pl.start for pl in plans)
+    assert radius.cosets == listing.cosets == sum(pl.count for pl in plans)
     assert listed(listing) == cands
     assert not listing.truncated
 
@@ -783,7 +780,7 @@ def test_block_addition_beyond_a_uint8_sum(prs):
     # is uint16; the partial set keeps the C(5,3) + C(5,2) functionals few
     ctx, D, k = field_create(131), (3, 50, 77, 101, 130), 2
     assert np.min_scalar_type(2 * 130) == np.uint16
-    plans = [_sweeps.TailPlan({}, range(k, len(D)), 131, 10**6, 10**6 + 40000)]
+    plans = [_sweeps.TailPlan({4: c}, (2, 3), 131) for c in (58, 59)]
     block_vs_matmul(ctx, D, k, prs, plans)
 
 
@@ -906,13 +903,15 @@ def test_prs_18_10_radius_by_refutation():
         7, 25646200, "degree-sliced")
 
 
-def test_block_addition_on_unaligned_worker_ranges(monkeypatch):
-    # CHUNK = 100 gives q^L = 7 tails a block; two workers split the 7^4
-    # tails at 1201, not a multiple of 7, and chunk them by 100
+def test_block_addition_on_worker_sub_plans(monkeypatch):
+    # CHUNK = 100 gives q^L = 7 tails a block; at threads=2 the 7^4 tails,
+    # more than max(100, 2401 / 2), split into the 7 sub-plans that fix
+    # x^6, 343 tails and one task each, scanned by a real pool; the merged
+    # listing is the reference's, in its order
     monkeypatch.setattr(_sweeps, "CHUNK", 100)
     ctx, k = field_create(7), 3
     D = ctx.elements()
-    assert max(1, 100 * 7 // (35 + 35)) == 10 and 1201 % 7 != 0
+    assert max(1, 100 * 7 // (35 + 35)) == 10 and 7 ** 3 <= 1201 < 7 ** 4
     plans = _sweeps.full_plans(ctx, len(D), k)
     gmax, cands = matmul_profile(ctx, D, k, True, plans)
     out = _sweeps.run_sweep(ctx, D, k, prs=True, plans=plans, collect=True,
@@ -2105,21 +2104,94 @@ def test_listing_tasks_pack_small_plans(monkeypatch):
                          dist.DEFAULT_ENUM_BUDGET, 2)
     assert out.cosets == 1466 and TaskRecordingPool.started == []
     # CHUNK = 8: the monic plans of RS(D[4],1)/F_5 hold 1, 1, 5 and 25
-    # tails; the first three share a task and the last splits in max(8, 25
-    # / threads) tails, so 32 > 2 * CHUNK tails make 3 tasks at threads=2
-    # and 5 at threads=16, one worker a task up to `threads`
+    # tails; the first three share a task, and the last, over max(8, 25 /
+    # threads) tails, splits into the 5 sub-plans that fix its x^2, each
+    # over CHUNK with the one before: 6 tasks, one worker a task up to
+    # `threads`
     code = rs_code(field_create(5), 1, (1, 2, 3, 4))
     serial = deep_holes(code)
     monkeypatch.setattr(_sweeps, "CHUNK", 8)
-    for threads, sizes, workers in [(2, [7, 13, 12], 2),
-                                    (16, [7, 8, 8, 8, 1], 5)]:
+    for threads, workers in [(2, 2), (16, 6)]:
         report = deep_holes(code, threads=threads)
         tasks = TaskRecordingPool.tasks[-1]
-        assert [sum(e - s for *_, s, e in t[6]) for t in tasks] == sizes
+        assert [sum(pl.count for pl in t[6]) for t in tasks] == [7] + [5] * 5
         assert len(tasks[0][6]) == 3
         assert TaskRecordingPool.started[-1] == workers
         assert report.reps == serial.reps and report.rho == serial.rho
     assert len(TaskRecordingPool.started) == 2
+
+
+def plan_tails(plans, q, n):
+    """Coefficient rows (N, n) of the plans' tails, in sweep order."""
+    rows = []
+    for pl in plans:
+        c = np.zeros((pl.count, n), dtype=np.int64)
+        c[:, list(pl.free_degrees)] = _linops.mixed_radix(
+            np.arange(pl.count), q, len(pl.free_degrees))
+        c[:, list(pl.fixed)] = list(pl.fixed.values())
+        rows.append(c)
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("threads", [2, 3, 16])
+def test_worker_sub_plans_cover_every_tail_once(monkeypatch, threads):
+    # CHUNK = 20: the sliced plans of PRS(8,2)/F_7 hold 1, 1, 1, 7, 49 and
+    # 343 tails, and the two largest split by their top free degrees.  The
+    # tasks' sub-plans, concatenated, are the caller's tails in sweep
+    # order, so each is scanned once; each holds a power of q tails
+    monkeypatch.setattr(_sweeps, "ProcessPoolExecutor", TaskRecordingPool)
+    monkeypatch.setattr(TaskRecordingPool, "started", [])
+    monkeypatch.setattr(TaskRecordingPool, "tasks", [])
+    ctx, k = field_create(7), 2
+    D, plans = ctx.elements(), _sweeps.sliced_plans(ctx, k)
+    serial = _sweeps.run_sweep(ctx, D, k, prs=True, plans=plans, collect=True)
+    monkeypatch.setattr(_sweeps, "CHUNK", 20)
+    out = _sweeps.run_sweep(ctx, D, k, prs=True, plans=plans, collect=True,
+                            threads=threads)
+    subs = [pl for t in TaskRecordingPool.tasks[-1] for pl in t[6]]
+    assert len(subs) > len(plans)
+    assert all(pl.count == 7 ** len(pl.free_degrees) <= max(
+        20, -(-343 // threads)) for pl in subs)
+    assert np.array_equal(plan_tails(subs, 7, 7), plan_tails(plans, 7, 7))
+    assert out.cosets == serial.cosets == 402
+    assert listed(out) == listed(serial)
+
+
+def test_run_sweep_hands_one_thread_the_callers_plans(monkeypatch):
+    # at threads=1 nothing is split or grouped: profile_sweep gets the
+    # caller's plan list, and no TailPlan is made between the floor's
+    # sweep and it, where threads=2 splits the 9^4 tails of PRS(10,5)/F_9
+    # into sub-plans and starts a pool
+    monkeypatch.setattr(_sweeps, "CHUNK", 100)
+    monkeypatch.setattr(_sweeps, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "started", [])
+    ctx, k = field_for_size(9), 5
+    D = ctx.elements()
+    plans = _sweeps.full_plans(ctx, len(D), k)
+    made, calls = [], []
+    TailPlan, profile_sweep = _sweeps.TailPlan, _sweeps.profile_sweep
+
+    class CountingPlan(TailPlan):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    def spy(*args, **kw):
+        start = len(made)
+        out = profile_sweep(*args, **kw)
+        calls.append((kw["plans"], start, len(made)))
+        return out
+
+    monkeypatch.setattr(_sweeps, "TailPlan", CountingPlan)
+    monkeypatch.setattr(_sweeps, "profile_sweep", spy)
+    one = _sweeps.run_sweep(ctx, D, k, prs=True, plans=plans, collect=False)
+    (_, _, floor_end), (got, start, _) = calls
+    assert got is plans and start == floor_end
+    assert RecordingPool.started == []
+    two = _sweeps.run_sweep(ctx, D, k, prs=True, plans=plans, collect=False,
+                            threads=2)
+    assert RecordingPool.started == [2] and len(calls) == 2 + 1 + 9
+    assert one.max_contrib == two.max_contrib == 4
 
 
 @dataclasses.dataclass(frozen=True, order=True)
