@@ -48,13 +48,13 @@ one digit product: a float matmul exact below 2^53, reduced mod p in
 integers, so every functional value, and with it every agreement and
 contribution, is exact.  The RS/PRS generators are one evaluation matrix,
 `_sweep_generator`; its full-degree form V and V^-1, `eval_operators`,
-are the one coset map, and the functional tables are V times barycentric
-weights.  The barycentric weights, `_weights`, are every closed form of an
-RS/PRS code: its divided differences, its parity functionals h_U, its
-systematic generator and V^-1, so no RS/PRS code is row-reduced.  Every
-elementwise product and inverse (barycentric weights, 1/h_U[x], the BFS's
-scalar tables) is `FieldCtx.mul` or `FieldCtx.inv` over arrays, reads of
-the field's one exp/log table pair.
+are the one coset map of words.  The functional tables are closed forms,
+[X]x^d = h_(d-|X|+1)(X) for the tail degrees d (`_tail_table`), and the
+barycentric weights, `_weights`, give the others: the parity functionals
+h_U, the systematic generator and V^-1, so no RS/PRS code is
+row-reduced.  Every elementwise product and inverse (barycentric weights,
+h(X), 1/h_U[x], the BFS's scalar tables) is `FieldCtx.mul` or
+`FieldCtx.inv` over arrays, reads of the field's one exp/log table pair.
 
 A sweep over the full field may enumerate only degree-normalized slices
 (`sliced_plans`: monic tails, subleading coefficient removed where the
@@ -307,10 +307,9 @@ def _weights(ctx: FieldCtx, D: tuple, X: np.ndarray,
     points of X_c, or over the n - s points of its complement when those
     are fewer, for about CHUNK weights at a time, and e a `FieldCtx.prod`;
     with `unit_last`, each row divided by its last entry.  They are the
-    closed forms of the RS/PRS codes: the divided-difference functionals
-    (`_dd_weights`), the parity functionals (`_parity_weights`), the
-    systematic generator (`code._systematic`) and the Lagrange basis
-    (`_lagrange_coefficients`)."""
+    closed forms of the RS/PRS codes: the parity functionals
+    (`_parity_weights`), the systematic generator (`code._systematic`)
+    and the Lagrange basis (`_lagrange_coefficients`)."""
     n, (C, s) = len(D), X.shape
     Dx, inside = np.asarray(D, dtype=np.int64), s <= n - s
     if not inside:  # e over blocks of points x, the factors y along axis 0
@@ -338,15 +337,6 @@ def _weights(ctx: FieldCtx, D: tuple, X: np.ndarray,
                 wb = ctx.mul(wb, _fsub(ctx, x, y[:, None]))
         w[b:b + step] = ctx.mul(wb, ctx.inv(wb[:, -1:])) if unit_last else wb
     return w
-
-
-def _dd_weights(ctx: FieldCtx, D: tuple, X: np.ndarray) -> np.ndarray:
-    """(|D|, C) F_q matrix whose column c holds the `_weights` of X_c at x
-    in X_c and 0 elsewhere, so values on D times column c give the divided
-    difference over X_c, [X_c]f = sum_{x in X_c} w_c(x) f(x)."""
-    W = np.zeros((len(D), len(X)), dtype=np.int64)
-    W[X, np.arange(len(X))[:, None]] = _weights(ctx, D, X)
-    return W
 
 
 def _parity_weights(ctx: FieldCtx, D: tuple, U: np.ndarray) -> np.ndarray:
@@ -380,12 +370,25 @@ def _lagrange_coefficients(ctx: FieldCtx, D: tuple) -> np.ndarray:
     return ctx.mul(_weights(ctx, D, np.arange(N)[None])[0][:, None], B)
 
 
-def _dd_table(ctx: FieldCtx, D: tuple, X: np.ndarray) -> np.ndarray:
-    """Digit table (|D|*a, C*a): coefficient digits times its column block
-    c are the digits of [X_c]f, for the subsets of `_dd_weights`.  It is
-    Vd of `eval_operators` (coefficients to values) times the weights."""
-    W = _linops.digit_expand(ctx, _dd_weights(ctx, D, X))
-    return _linops.digit_matmul(eval_operators(ctx, D)[0], W, ctx.p)
+def _tail_table(ctx: FieldCtx, D: tuple, k: int, comp) -> np.ndarray:
+    """Digit table ((|D|-k)*a, C*a) in np.min_scalar_type(p-1) of the
+    s-subsets X_c of D whose complements are the rows of comp (C, |D|-s):
+    row block d - k, column block c hold [X_c]x^d = h_(d-s+1)(X_c), h_j
+    the complete homogeneous symmetric polynomials, sum_j h_j(X) t^j =
+    prod_{x in X} 1/(1 - x*t): h(D) times 1 - y*t for each y in D - X_c."""
+    n, a, (C, r) = len(D), ctx.a, comp.shape
+    m, hD = n - k, [1] + [0] * (n - k)
+    for y, j in itertools.product(D, range(1, m + 1)):  # times 1/(1 - y*t)
+        hD[j] = ctx.add(hD[j], ctx.mul(y, hD[j - 1]))
+    out = np.empty((m * a, C * a), dtype=np.min_scalar_type(ctx.p - 1))
+    step = max(1, CHUNK // (m + 1))
+    for b in range(0, C, step):  # h(D) to degree m, a row per subset
+        h = np.tile(hD, (len(comp[b:b + step]), 1))
+        for y in np.asarray(D, dtype=np.int64)[comp[b:b + step]].T:
+            h[:, 1:] = _fsub(ctx, h[:, 1:], ctx.mul(y[:, None], h[:, :-1]))
+        out[:, b * a:(b + step) * a] = _linops.digit_expand(
+            ctx, h[:, r + 1 - m:r + 1].T)  # degrees k ... n-1, s = n - r
+    return out
 
 
 _DD_CACHE: dict = {}  # the 32 latest tables
@@ -393,28 +396,28 @@ _DD_CACHE: dict = {}  # the 32 latest tables
 
 def divided_differences(ctx: FieldCtx, D: tuple, k: int, prs: bool):
     """The sweep's functional tables over D, cached per (ctx, D, k, prs):
-    (M1, up, M0).
-
-    M1 (|D|*a, C1*a) is the `_dd_table` of the C1 = C(|D|,k+1) subsets T,
-    M0 that of the C0 = C(|D|,k) subsets S when `prs` (else None), each
-    over every degree 0 ... |D|-1, in the order of `subset_index`, whose
-    up (C0, |D|-k) indexes, for the subset S of M0's column block s, the
-    columns of M1 of the supersets S + {x}, x not in S.  Raises
-    ValueError, before allocating, when the tables and up hold more than
-    DEFAULT_ENUM_BUDGET entries."""
+    (M1, up, M0) in the order of `subset_index`.  M1 ((|D|-k)*a, C1*a) is
+    the `_tail_table` of the C1 = C(|D|,k+1) subsets U, M0 that of the C0
+    = C(|D|,k) subsets S when `prs` (else None), over the tail degrees k
+    ... |D|-1 only: M1's degree-k row is h_0 = 1, M0's h_1(S) = sum(S).
+    up (C0, |D|-k) indexes, for the S of M0's column block s, the columns
+    of M1 of the supersets S + {x}, x not in S.  Raises ValueError, before
+    allocating, when the tables and up hold more than DEFAULT_ENUM_BUDGET
+    entries."""
     key = (ctx, D, k, prs)
     if key in _DD_CACHE:
         return _DD_CACHE[key]
     n, a, m = len(D), ctx.a, len(D) - k
     C1, C0 = math.comb(n, k + 1), math.comb(n, k)
-    entries = n * a * a * (C1 + C0 * prs) + C0 * m
+    entries = m * a * a * (C1 + C0 * prs) + C0 * m
     if entries > DEFAULT_ENUM_BUDGET:
         raise ValueError(f"divided-difference tables of C({n},{k + 1}) and "
                          f"C({n},{k}) subsets = {entries} entries exceed "
                          f"budget {DEFAULT_ENUM_BUDGET}")
-    U, S, _, up = subset_index(n, k)
-    return _keep(_DD_CACHE, key, (_dd_table(ctx, D, U), up,
-                                  _dd_table(ctx, D, S) if prs else None))
+    U, _, comp, up = subset_index(n, k)
+    return _keep(_DD_CACHE, key, (_tail_table(ctx, D, k, _complement(U, n)),
+                                  up, _tail_table(ctx, D, k, comp) if prs
+                                  else None))
 
 
 # ----------------------------------------------------------------------
@@ -520,10 +523,10 @@ def _zeros(inner, neg, hi):
     return _pointwise(np.equal, inner, neg, hi)
 
 
-def _digit_rows(degs, a: int) -> np.ndarray:
-    """The rows of a functional table (|D|*a, .) that hold the digits of
-    the coefficients of degrees degs, in that order."""
-    return (np.array(degs, dtype=np.int64)[:, None] * a
+def _digit_rows(degs, a: int, k: int) -> np.ndarray:
+    """The rows of a functional table ((|D|-k)*a, .) that hold the digits
+    of the coefficients of tail degrees degs, in that order."""
+    return ((np.array(degs, dtype=np.int64)[:, None] - k) * a
             + np.arange(a)).ravel()
 
 
@@ -547,9 +550,9 @@ class _LowPart:
     `_encode`d M1 values, inner0 (C0*a, Q) the M0 digits in
     np.min_scalar_type(2*(p-1)), empty without M0."""
 
-    def __init__(self, ctx: FieldCtx, M1, M0, degs: tuple):
+    def __init__(self, ctx: FieldCtx, M1, M0, degs: tuple, k: int):
         self.ctx, self.M1, self.M0 = ctx, M1, M0
-        self.rows, self.Q = _digit_rows(degs, ctx.a), ctx.q ** len(degs)
+        self.rows, self.Q = _digit_rows(degs, ctx.a, k), ctx.q ** len(degs)
         fdt = _linops.exact_dtypes(len(self.rows), ctx.p)[0]
         self.X = _tail_values_digits(ctx, TailPlan({}, degs, ctx.q),
                                      np.arange(self.Q), fdt).T
@@ -572,14 +575,11 @@ class _LowPart:
     def tables(self):
         if self._tables is None:
             a, q, p = self.ctx.a, self.ctx.q, self.ctx.p
-            C1 = self.M1.shape[1] // a
-            T = self.M1[self.rows]
-            if self.M0 is not None:
-                T = np.hstack([T, self.M0[self.rows]])
-            d = _linops.digit_matmul(T.T, self.X, p)
-            self._tables = (
-                _encode(d[:C1 * a], a, p, np.min_scalar_type(q - 1)),
-                d[C1 * a:].astype(np.min_scalar_type(2 * (p - 1))))
+            T = [M[self.rows] for M in (self.M1, self.M0) if M is not None]
+            d = _linops.digit_matmul(np.hstack(T).T, self.X, p)
+            w = self.M1.shape[1]  # the C1*a digit rows of M1 values
+            self._tables = (_encode(d[:w], a, p, np.min_scalar_type(q - 1)),
+                            d[w:].astype(np.min_scalar_type(2 * (p - 1))))
         return self._tables
 
 
@@ -714,10 +714,10 @@ def profile_sweep(ctx: FieldCtx, D: tuple, k: int, *, prs: bool,
             L += 1
         Q, degs = q ** L, plan.free_degrees[:L]
         if degs not in lows:
-            lows[degs] = _LowPart(ctx, M1, M0, degs)
+            lows[degs] = _LowPart(ctx, M1, M0, degs, k)
         low = lows[degs]
         high = TailPlan(plan.fixed, plan.free_degrees[L:], q)
-        rows = _digit_rows(high.free_degrees + tuple(high.fixed), a)
+        rows = _digit_rows(high.free_degrees + tuple(high.fixed), a, k)
         T = M1[rows].T if M0 is None else np.vstack([M1[rows].T, M0[rows].T])
         fdt = _linops.exact_dtypes(len(rows), p)[0]
         T = np.ascontiguousarray(T, dtype=fdt)

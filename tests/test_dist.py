@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import pickle
@@ -204,11 +205,11 @@ def test_tail_values_exact_beyond_the_float32_mantissa():
     assert np.array_equal(X, coeffs)
     M1, up, M0 = _sweeps.divided_differences(ctx, D, 1, True)
     for M in (M1, M0):
-        ref = coeffs @ M[1:].astype(np.int64) % p
-        assert np.array_equal(_linops.digit_matmul(X, M[1:], p), ref)
+        ref = coeffs @ M.astype(np.int64) % p
+        assert np.array_equal(_linops.digit_matmul(X, M, p), ref)
     # [x]t = t(x), and [{x, y}]t = 0 iff t(x) = t(y)
     assert np.array_equal(np.sort(ref, axis=1), np.sort(u, axis=1))
-    pairs = _linops.digit_matmul(X, M1[1:], p) == 0
+    pairs = _linops.digit_matmul(X, M1, p) == 0
     assert np.array_equal(pairs.sum(axis=1),
                           (u[:, [0, 0, 1]] == u[:, [1, 2, 2]]).sum(axis=1))
     # the sweep lists the tails with three distinct values, at distance 2
@@ -306,6 +307,88 @@ def test_divided_difference_budget_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def barycentric_tables(ctx, D, k):
+    """The functional tables by their definition, over every degree 0 ...
+    |D|-1: Vd of `eval_operators` (coefficients to values on D) times the
+    digits of the dense barycentric weights, column c of (U, S) holding
+    the `_weights` of X_c at x in X_c and 0 elsewhere, so that values
+    times column c are [X_c]f = sum_{x in X_c} w_c(x) f(x)."""
+    U, S, _, _ = _sweeps.subset_index(len(D), k)
+    Vd, tables = _sweeps.eval_operators(ctx, D)[0], []
+    for X in (U, S):
+        W = np.zeros((len(D), len(X)), dtype=np.int64)
+        W[X, np.arange(len(X))[:, None]] = _sweeps._weights(ctx, D, X)
+        tables.append(_linops.digit_matmul(Vd, _linops.digit_expand(ctx, W),
+                                           ctx.p))
+    return tables
+
+
+@pytest.mark.parametrize("q,size,ks", [
+    (5, None, None), (7, None, None), (9, None, None), (11, None, None),
+    (13, None, None),
+    (25, None, (1, 2, 22, 23, 24, 25)),  # k = 1 reaches h_(q-1)(F_q) = 1
+    (27, None, (1, 2, 24, 25, 26, 27)),
+    (9, 7, None),                        # RS(D[7],k)/F_9
+    (25, 7, (4,)),                       # RS(D[7],4)/F_25, a = 2
+])
+def test_tail_tables_equal_the_barycentric_oracle(q, size, ks):
+    # [X]x^d = h_(d-|X|+1)(X): the closed form equals the product of V and
+    # the weights on the tail degrees d >= k, where the product's M1 rows
+    # below k are zero (deg f < k gives [U]f = 0).  M1's degree-k row is
+    # h_0 = 1 and M0's is h_1(S) = sum(S).  PRS(q+1,q), k = |D|, has no
+    # tail degree: both tables have no rows
+    ctx = field_for_size(q)
+    a, p, D = ctx.a, ctx.p, ctx.elements()[:size]
+    codes = [rs_code(ctx, k, D) for k in ks or range(1, len(D)) if k < len(D)]
+    if size is None:
+        codes += [prs_code(ctx, k) for k in ks or range(1, q + 1)]
+    for code in codes:
+        k, prs = code.structure["k"], code.structure["kind"] == "prs"
+        O1, O0 = barycentric_tables(ctx, D, k)
+        M1, up, M0 = _sweeps.divided_differences(ctx, D, k, prs)
+        assert not O1[:k * a].any()
+        assert M1.dtype == np.min_scalar_type(p - 1)
+        assert np.array_equal(M1, O1[k * a:])
+        assert M0 is None if not prs else np.array_equal(M0, O0[k * a:])
+        assert M1.shape == ((len(D) - k) * a, math.comb(len(D), k + 1) * a)
+        if k == len(D):
+            continue
+        C1 = M1.shape[1] // a
+        assert (_linops.digit_decode_cols(ctx, M1[:1], C1) == 1).all()
+        if prs:
+            sums = [functools.reduce(ctx.add, (D[i] for i in S), 0)
+                    for S in itertools.combinations(range(len(D)), k)]
+            assert _linops.digit_decode_cols(ctx, M0[:1], len(sums))[
+                0].tolist() == sums
+
+
+def test_radius_builds_no_evaluation_operators(monkeypatch):
+    # the functional tables are closed forms in the subsets, so a radius
+    # builds no coset-coordinate map; V and V^-1 are for words
+    # (`reduce_to_coset_reps`, `representative_word`)
+    monkeypatch.setattr(_sweeps, "_DD_CACHE", {})
+    monkeypatch.setattr(_sweeps, "_EVAL_OPS_CACHE", {})
+    assert covering_radius_sweep(prs_code(field_create(11), 4)).rho == 7
+    assert not _sweeps._EVAL_OPS_CACHE
+
+
+def test_tail_tables_build_in_bounded_memory(monkeypatch):
+    # PRS(28,22)/F_27: 5 tail degrees of 3 digits over C(27,23) + C(27,22)
+    # subsets, 4.4M one-byte entries, built with a 17 MiB peak.  The
+    # product of V with the dense weights over all 27 degrees peaked at
+    # 328 MiB
+    monkeypatch.setattr(_sweeps, "_DD_CACHE", {})
+    ctx = field_for_size(27)
+    tracemalloc.start()
+    try:
+        M1, up, M0 = _sweeps.divided_differences(ctx, ctx.elements(), 22, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 << 20
+    assert M1.shape == (15, 17550 * 3) and M0.shape == (15, 80730 * 3)
 
 
 def test_mds_equals_brute_prs():
@@ -665,8 +748,8 @@ def block_test_vs_decode(code):
     a, p, q, H = ctx.a, ctx.p, ctx.q, ctx.q ** (len(D) - k - 1)
     M1 = _sweeps.divided_differences(ctx, D, k,
                                      code.structure["kind"] == "prs")[0]
-    T1 = M1[k * a:].T
-    low = _sweeps._LowPart(ctx, M1, None, (k,))
+    T1 = M1.T
+    low = _sweeps._LowPart(ctx, M1, None, (k,), k)
     X = _linops.mixed_radix(np.arange(H), p, T1.shape[1] - a).T
     kept = np.unpackbits(_sweeps._survivors((p - T1[:, a:]) % p, X, low),
                          axis=1, count=q, bitorder="little").ravel() == 1
@@ -711,7 +794,7 @@ def test_packed_block_test_equals_the_broadcast_compare(q, C, L, H):
         a, p, edt)
     neg = _sweeps._encode(_linops.digit_matmul(T1, X, p), a, p, edt)
     ref = ~(inner[:, None, :] == neg[:, :, None]).any(axis=0)
-    low = _sweeps._LowPart(ctx, M1, None, tuple(range(L)))
+    low = _sweeps._LowPart(ctx, M1, None, tuple(range(L)), 0)
     got = np.unpackbits(_sweeps._survivors(T1, X, low), axis=1,
                         bitorder="little")
     assert got.shape == (H, -(-Q // 8) * 8)
@@ -732,7 +815,7 @@ def matmul_profile(ctx, D, k, prs, plans):
     found = []
     for plan in plans:
         degs = plan.free_degrees + tuple(plan.fixed)
-        rows = (np.array(degs, dtype=np.int64)[:, None] * a
+        rows = ((np.array(degs, dtype=np.int64)[:, None] - k) * a
                 + np.arange(a)).ravel()
         for s in range(0, plan.count, _sweeps.CHUNK):
             idx = np.arange(s, min(s + _sweeps.CHUNK, plan.count))
@@ -957,7 +1040,8 @@ def test_grids_are_bounded_by_the_functional_count():
 
 def test_radius_auto_says_when_neither_engine_fits():
     # PRS(82,77)/F_81 has 81^5 syndromes, and its divided-difference tables
-    # would hold 2273436720 entries; a generic code has no sweep
+    # of the 4 tail degrees would hold 118594800 entries, still over the
+    # budget; a generic code has no sweep
     code = prs_code(field_for_size(81), 77)
     with pytest.raises(ValueError, match="^neither engine fits "
                        "PRS\\(82,77\\)/F_81: the syndrome table q\\^\\(n-k\\) = "
